@@ -40,13 +40,15 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _spec_echo(spec_file: SpecFile, seed: int) -> dict:
+def _new_report(command: str, spec_file: SpecFile, args, **kwargs) -> Report:
+    """Report echoing the spec and the seed (0 unless --seed was given)."""
     echo = {"signature": {"eps4": spec_file.signature.eps4,
                           "eps5": spec_file.signature.eps5},
             "regime": spec_file.regime}
     if spec_file.raw:
         echo["document"] = spec_file.raw
-    return echo
+    seed = 0 if args.seed is None else args.seed
+    return Report(command, echo, seed=seed, **kwargs)
 
 
 # -- verify ------------------------------------------------------------------
@@ -193,8 +195,7 @@ def check_tangent_translation_sector(sig: Signature) -> Check:
 
 
 def cmd_verify(spec_file: SpecFile, args) -> Report:
-    report = Report("verify", _spec_echo(spec_file, args.seed),
-                    seed=args.seed, tolerance=args.tolerance)
+    report = _new_report("verify", spec_file, args, tolerance=args.tolerance)
     sig = spec_file.signature
     spec = spec_file.build()
     oracle_tol = args.tolerance if args.tolerance is not None else 1e-12
@@ -222,7 +223,7 @@ def cmd_verify(spec_file: SpecFile, args) -> Report:
 # -- computations ------------------------------------------------------------
 
 def cmd_commute(spec_file: SpecFile, args) -> Report:
-    report = Report("commute", _spec_echo(spec_file, args.seed), seed=args.seed)
+    report = _new_report("commute", spec_file, args)
     spec = spec_file.build()
     a = parse_element(args.a, spec)
     b = parse_element(args.b, spec)
@@ -234,7 +235,7 @@ def cmd_commute(spec_file: SpecFile, args) -> Report:
 
 
 def cmd_casimir(spec_file: SpecFile, args) -> Report:
-    report = Report("casimir", _spec_echo(spec_file, args.seed), seed=args.seed)
+    report = _new_report("casimir", spec_file, args)
     sig = spec_file.signature
     kind = f"C{args.which}"
     spec = build_deformed_algebra(sig, "full")
@@ -251,7 +252,7 @@ def cmd_casimir(spec_file: SpecFile, args) -> Report:
 
 
 def cmd_diff(spec_file: SpecFile, args) -> Report:
-    report = Report("diff", _spec_echo(spec_file, args.seed), seed=args.seed)
+    report = _new_report("diff", spec_file, args)
     if spec_file.regime == "spacetime":
         raise SpecFileError(
             "the derivation calculus is defined for the full and tangent "
@@ -271,15 +272,29 @@ def cmd_diff(spec_file: SpecFile, args) -> Report:
     return report
 
 
+def _load_connection(path: str) -> dict:
+    import json
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SpecFileError(
+            f"cannot read connection file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise SpecFileError(
+            f"connection file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecFileError(f"connection file {path!r} must hold a JSON "
+                            "object of components")
+    return doc
+
+
 def cmd_curvature(spec_file: SpecFile, args) -> Report:
-    report = Report("curvature", _spec_echo(spec_file, args.seed),
-                    seed=args.seed)
+    report = _new_report("curvature", spec_file, args)
     sig = spec_file.signature
     spec = build_deformed_algebra(sig, "full")
     if args.connection:
-        import json
-        with open(args.connection, "r", encoding="utf-8") as fh:
-            comp_doc = json.load(fh)
+        comp_doc = _load_connection(args.connection)
         labels = derivation_labels("full")
         label_by_name = {theta_name(lab)[len("theta"):].lstrip("_"): lab
                          for lab in labels}
@@ -288,6 +303,9 @@ def cmd_curvature(spec_file: SpecFile, args) -> Report:
             lab = label_by_name.get(str(key).lstrip("_"))
             if lab is None:
                 raise SpecFileError(f"unknown connection component {key!r}")
+            if not isinstance(text, str):
+                raise SpecFileError(
+                    f"connection component {key!r} must be a string")
             comps[lab] = parse_element(text, spec)
         conn = Connection(comps, "full", spec)
     else:
@@ -318,8 +336,7 @@ def cmd_curvature(spec_file: SpecFile, args) -> Report:
 
 
 def cmd_clifford(spec_file: SpecFile, args) -> Report:
-    report = Report("clifford", _spec_echo(spec_file, args.seed),
-                    seed=args.seed)
+    report = _new_report("clifford", spec_file, args)
     sig = spec_file.signature
     params = spec_file.finkelstein
     if params is None:
@@ -358,8 +375,7 @@ def cmd_clifford(spec_file: SpecFile, args) -> Report:
 
 
 def cmd_rep(spec_file: SpecFile, args) -> Report:
-    report = Report(f"rep-{args.which}", _spec_echo(spec_file, args.seed),
-                    seed=args.seed)
+    report = _new_report(f"rep-{args.which}", spec_file, args)
     sig = spec_file.signature
     if args.which == "5d":
         rep = build_rep_5d(sig)
@@ -374,7 +390,8 @@ def cmd_rep(spec_file: SpecFile, args) -> Report:
     tolerance = args.tolerance if args.tolerance is not None else cfg.tolerance
     rep = build_rep_so32(cfg.sigma, cfg.epsilon)
     target = build_deformed_algebra(Signature(1, sig.eps5), "spacetime")
-    seed = args.seed if args.seed else cfg.seed
+    seed = cfg.seed if args.seed is None else args.seed
+    report.seed = seed
     points = make_sample_points(seed, cfg.samples)
     funcs = make_test_functions(seed)
     residuals = verify_relations(rep, target, points, funcs)
@@ -418,14 +435,28 @@ def cmd_rep(spec_file: SpecFile, args) -> Report:
 
 # -- entry point ---------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """--tolerance: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncst",
         description="exact computer algebra for the stable deformed "
                     "space-time algebra and its noncommutative geometry")
     parser.add_argument("--spec", help="path to a JSON algebra-spec file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="sampling seed (rep so32 defaults to rep.seed "
+                             "of the spec file)")
+    parser.add_argument("--tolerance", type=_tolerance, default=None)
     parser.add_argument("--json", dest="json_out",
                         help="also write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,8 +11,12 @@ elements over N Clifford cells: each cell carries a six-generator Clifford
 algebra on an 8-dimensional spinor factor (metric eta6), first-order
 generators are embedded with a Jordan-Wigner chirality chain so that
 different cells anticommute, and the even bilinears gamma^{ab}(n) then live
-on single tensor factors.  All per-cell matrices are exact Gaussian-rational;
-the N-cell operators are dense complex arrays.
+on single tensor factors.  Each family operator is c_F * sum_n gamma^{ab}(n)
+(family_terms), and even elements on different cells commute, so
+closure_report derives the whole closure table from one 8x8 cell in exact
+arithmetic, at any N in constant time and memory.  finkelstein_operators
+builds the dense 8^N x 8^N operators as the numeric oracle, for N small
+enough to fit the NCST_CLIFFORD_MAX_DIM budget.
 """
 
 from __future__ import annotations
@@ -31,11 +35,6 @@ from .scalars import QQI_I, QQI_ONE, QQi
 
 CELL_DIM_ENV = "NCST_CLIFFORD_MAX_DIM"
 DEFAULT_MAX_DIM = 512  # 8^3: three cells
-
-# Recorded normalizations of the cell operators (see finkelstein_operators):
-#   M-sum prefactor i/2, Im-sum prefactor i/(N-1).
-CELL_M_PREFACTOR = "i/2"
-CELL_IM_PREFACTOR = "i/(N-1)"
 
 
 class ResourceBudgetError(RuntimeError):
@@ -274,17 +273,26 @@ def cell_chirality(sig: Signature) -> tuple:
 
 
 def max_cell_dim() -> int:
+    """Largest dense cell dimension 8^N the oracle may build."""
     raw = os.environ.get(CELL_DIM_ENV)
     if raw is None:
         return DEFAULT_MAX_DIM
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ResourceBudgetError(
+            f"{CELL_DIM_ENV} must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _check_budget(n_cells: int) -> int:
     dim = 8 ** n_cells
-    if dim > max_cell_dim():
+    budget = max_cell_dim()
+    if dim > budget:
         raise ResourceBudgetError(
-            f"{n_cells} cells need dimension {dim} > budget {max_cell_dim()}"
+            f"{n_cells} cells need dimension {dim} > budget {budget}"
             f" (override with {CELL_DIM_ENV})")
     return dim
 
@@ -313,12 +321,6 @@ def embed_even(mat8, n: int, n_cells: int) -> np.ndarray:
     for k in range(1, n_cells + 1):
         out = np.kron(out, m if k == n else np.eye(8))
     return out
-
-
-def cell_bilinear(sig: Signature, a: int, b: int) -> tuple:
-    """gamma^{ab} = (1/2)[G^a, G^b] on one cell (= G^a G^b for a != b)."""
-    gens = cl6_generators(sig)
-    return qmat_scale(qmat_commutator(gens[a], gens[b]), Fraction(1, 2))
 
 
 @dataclass
@@ -354,9 +356,12 @@ class FinkelsteinParams:
                 f"N={self.n_cells}, chi={self.chi!r}, phi_cell={self.phi_cell!r}")
 
 
-def finkelstein_operators(params: FinkelsteinParams,
-                          sig: Signature) -> dict[str, np.ndarray]:
-    """The cell realizations of the space-time operators.
+FAMILY_NAMES = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
+                "M01", "M02", "M03", "M12", "M13", "M23", "Im")
+
+
+def family_terms(params: FinkelsteinParams) -> dict[str, tuple]:
+    """name -> (a, b, c_F): family F is c_F * sum_n gamma^{ab}(n).
 
     x^mu = -chi      * sum_n gamma^{mu 4}(n)
     p^mu = phi_cell  * sum_n gamma^{mu 5}(n)
@@ -366,58 +371,111 @@ def finkelstein_operators(params: FinkelsteinParams,
     with n running over cells 1..N-1 (the growing tip carries no sum term).
     The M and Im prefactors are the normalizations that make the M-sector
     bracket and, on the constraint locus, [p, x] = i hbar eta Im come out
-    exactly; they are recorded in the closure report.
+    exactly; they are recorded in the closure report.  The fifteen families
+    use the fifteen bilinears once each.
+    """
+    half_i = QQi(0, Fraction(1, 2))
+    terms = {}
+    for mu in range(4):
+        terms[f"x{mu}"] = (mu, 4, -params.chi)
+    for mu in range(4):
+        terms[f"p{mu}"] = (mu, 5, params.phi_cell)
+    for mu, nu in M_PAIRS:
+        terms[f"M{mu}{nu}"] = (mu, nu, half_i)
+    terms["Im"] = (4, 5, QQi(0, Fraction(1, params.n_cells - 1)))
+    return terms
+
+
+def finkelstein_operators(params: FinkelsteinParams,
+                          sig: Signature) -> dict[str, np.ndarray]:
+    """Dense 8^N x 8^N realizations of the families (see family_terms).
+
+    This is the numeric oracle for closure_report, bounded by
+    NCST_CLIFFORD_MAX_DIM.
     """
     params.check()
     n_cells = params.n_cells
     dim = _check_budget(n_cells)
+    gens = cl6_generators(sig)
     out: dict[str, np.ndarray] = {}
-
-    def cell_sum(a: int, b: int) -> np.ndarray:
+    for name, (a, b, c) in family_terms(params).items():
+        # gamma^{ab} = (1/2)[G^a, G^b] on one cell (= G^a G^b)
+        mat = qmat_scale(qmat_commutator(gens[a], gens[b]), Fraction(1, 2))
         acc = np.zeros((dim, dim), dtype=complex)
-        mat = cell_bilinear(sig, a, b)
         for n in range(1, n_cells):
             acc += embed_even(mat, n, n_cells)
-        return acc
-
-    chi = params.chi.to_complex()
-    phi_cell = params.phi_cell.to_complex()
-    for mu in range(4):
-        out[f"x{mu}"] = -chi * cell_sum(mu, 4)
-        out[f"p{mu}"] = phi_cell * cell_sum(mu, 5)
-    for (mu, nu) in M_PAIRS:
-        out[f"M{mu}{nu}"] = 0.5j * cell_sum(mu, nu)
-    out["Im"] = (1j / (n_cells - 1)) * cell_sum(4, 5)
+        out[name] = c.to_complex() * acc
     return out
 
 
-FAMILY_NAMES = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
-                "M01", "M02", "M03", "M12", "M13", "M23", "Im")
+def _unit_entry_array(mat) -> np.ndarray:
+    """Exact matrix -> complex array; entries must have parts in {-1, 0, 1}.
+
+    Products of such 8x8 matrices, their halves and traces are then small
+    dyadic rationals, which float arithmetic represents and combines exactly.
+    """
+    for row in mat:
+        for x in row:
+            if x.re not in (-1, 0, 1) or x.im not in (-1, 0, 1):
+                raise ValueError(f"cell generator entry {x!r} is not a unit "
+                                 "Gaussian integer; the closure would be "
+                                 "inexact")
+    return qmat_to_numpy(mat)
 
 
 def closure_report(params: FinkelsteinParams, sig: Signature):
-    """Least-squares match of every family commutator onto the family span.
+    """Exact closure of every family commutator onto the family span.
+
+    Even elements on different cells commute, so
+    [sum_n A(n), sum_m B(m)] = sum_n [A, B](n) and the whole table is fixed
+    by one 8x8 cell, for any N.  The bilinears are orthogonal under the
+    trace form with norm 8, so [gamma_A, gamma_B] = sum_G k_G gamma_G with
+    k_G = tr(gamma_G^dagger [gamma_A, gamma_B]) / 8, and the coefficient of
+    family G in [A, B] is c_A c_B k_G / c_G, exact in QQi.
 
     Returns a list of rows
         (name_a, name_b, matches: list[(name, complex)], relative_residual)
-    with coefficients below 1e-12 dropped from the match list.
+    listing the nonzero coefficients.  The residual is 0.0 when the
+    commutator lies exactly in the family span.  Otherwise (a family with a
+    zero prefactor drops out of the span) it is the relative Frobenius norm
+    of the remainder; commutators and bilinears are traceless, so the one
+    cell gives the same ratio as the N-cell operators.
     """
-    ops = finkelstein_operators(params, sig)
-    basis = np.stack([ops[name].ravel() for name in FAMILY_NAMES], axis=1)
-    gram = basis.conj().T @ basis
+    params.check()
+    by_name = family_terms(params)
+    terms = [by_name[name] for name in FAMILY_NAMES]
+    gens = [_unit_entry_array(g) for g in cl6_generators(sig)]
+    basis = np.stack([(gens[a] @ gens[b] - gens[b] @ gens[a]) / 2
+                      for a, b, _c in terms])
+    if not np.array_equal(basis, basis.round()):
+        raise ValueError("cell bilinears have non-integral entries")
+    gram = np.einsum("gij,hij->gh", basis.conj(), basis)
+    if not np.array_equal(gram, 8 * np.eye(len(basis))):
+        raise ValueError("cell bilinears are not orthogonal with norm 8 "
+                         "under the trace form")
+    prods = basis[:, None] @ basis[None, :]
+    comms = prods - prods.transpose(1, 0, 2, 3)
+    # traces[a, b, g] = tr(gamma_g^dagger [gamma_a, gamma_b]) = 8 k_g
+    traces = np.einsum("gij,abij->abg", basis.conj(), comms)
+    prefactors = [c for _a, _b, c in terms]
+    in_span = np.array([bool(c) for c in prefactors])
     rows = []
     for i, name_a in enumerate(FAMILY_NAMES):
-        for name_b in FAMILY_NAMES[i + 1:]:
-            comm = ops[name_a] @ ops[name_b] - ops[name_b] @ ops[name_a]
-            vec = comm.ravel()
-            coeffs = np.linalg.lstsq(gram, basis.conj().T @ vec, rcond=None)[0]
-            fit = basis @ coeffs
-            norm = np.linalg.norm(vec)
-            residual = np.linalg.norm(vec - fit) / max(norm, 1e-300)
-            if norm < 1e-12:
-                residual = 0.0
-            matches = [(FAMILY_NAMES[k], coeffs[k])
-                       for k in range(len(FAMILY_NAMES))
-                       if abs(coeffs[k]) > 1e-12]
-            rows.append((name_a, name_b, matches, float(residual)))
+        for j in range(i + 1, len(FAMILY_NAMES)):
+            c_ab = prefactors[i] * prefactors[j]
+            matches = []
+            residual = 0.0
+            if c_ab:
+                for g, t in enumerate(traces[i, j]):
+                    if t and in_span[g]:
+                        k = QQi(Fraction(int(t.real), 8),
+                                Fraction(int(t.imag), 8))
+                        coeff = c_ab * k / prefactors[g]
+                        matches.append((FAMILY_NAMES[g], coeff.to_complex()))
+                rest = 8 * comms[i, j] - np.tensordot(
+                    traces[i, j] * in_span, basis, axes=1)
+                if rest.any():
+                    residual = float(np.linalg.norm(rest)
+                                     / np.linalg.norm(8 * comms[i, j]))
+            rows.append((name_a, FAMILY_NAMES[j], matches, residual))
     return rows

@@ -29,8 +29,8 @@ class RepConfig:
     def __post_init__(self):
         if self.epsilon not in (0, 1):
             raise SpecFileError("rep.epsilon must be 0 or 1")
-        if self.tolerance <= 0:
-            raise SpecFileError("rep.tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):
+            raise SpecFileError("rep.tolerance must be finite and positive")
         if self.samples < 1:
             raise SpecFileError("rep.samples must be positive")
 

@@ -66,6 +66,28 @@ class TestExitCodes:
         out = run_cli("--spec", spec, "clifford")
         assert out.returncode == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance_exits_two(self, value):
+        out = run_cli(f"--tolerance={value}", "verify")
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "--tolerance" in out.stderr.splitlines()[-1]
+
+    def test_missing_connection_file_exits_two(self, tmp_path):
+        out = run_cli("curvature", "--connection",
+                      str(tmp_path / "absent.json"))
+        assert out.returncode == 2
+        assert out.stderr.startswith("ncst: ")
+        assert len(out.stderr.splitlines()) == 1
+
+    def test_invalid_connection_json_exits_two(self, tmp_path):
+        conn = tmp_path / "conn.json"
+        conn.write_text("{broken", encoding="utf-8")
+        out = run_cli("curvature", "--connection", str(conn))
+        assert out.returncode == 2
+        assert out.stderr.startswith("ncst: ")
+        assert len(out.stderr.splitlines()) == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
@@ -198,6 +220,22 @@ class TestCommands:
         check = next(c for c in report["checks"]
                      if c["name"] == "rep_so32_brackets")
         assert check["max_residual"] <= 1e-8
+
+    def test_rep_so32_explicit_seed_zero_wins(self, tmp_path):
+        def residual(rep_seed, *flags):
+            spec = write_spec(tmp_path, {"rep": {
+                "samples": 20, "seed": rep_seed}}, f"s{rep_seed}.json")
+            report = json.loads(run_cli(*flags, "--spec", spec,
+                                        "rep", "so32").stdout)
+            check = next(c for c in report["checks"]
+                         if c["name"] == "rep_so32_brackets")
+            return report["seed"], check["max_residual"]
+
+        seed, forced = residual(7, "--seed", "0")
+        assert seed == 0
+        assert forced == residual(0)[1]
+        spec_seed, own = residual(7)
+        assert spec_seed == 7 and own != forced
 
     def test_casimir_deep_centrality(self):
         out = run_cli("casimir", "2", "--deep")

@@ -6,20 +6,60 @@ import pytest
 
 from ncspacetime.algebra import (IM, M_IDS, P_IDS, X_IDS, Signature,
                                  build_deformed_algebra)
-from ncspacetime.clifford import (CELL_DIM_ENV, ConstraintViolation,
-                                  FinkelsteinParams, ResourceBudgetError,
-                                  cell_chirality, cl6_generators,
-                                  closure_report, d_form_via_D,
-                                  dirac_operator, embed_first_order,
-                                  finkelstein_operators, gamma_basis,
-                                  gamma_basis_for, gamma_set_15,
-                                  qmat_anticommutator, qmat_eye, qmat_mul,
-                                  qmat_scale, qmat_to_numpy)
+from ncspacetime import clifford
+from ncspacetime.clifford import (CELL_DIM_ENV, FAMILY_NAMES,
+                                  ConstraintViolation, FinkelsteinParams,
+                                  ResourceBudgetError, cell_chirality,
+                                  cl6_generators, closure_report,
+                                  d_form_via_D, dirac_operator,
+                                  embed_first_order, finkelstein_operators,
+                                  gamma_basis, gamma_basis_for, gamma_set_15,
+                                  qmat, qmat_anticommutator, qmat_eye,
+                                  qmat_mul, qmat_scale, qmat_to_numpy)
 from ncspacetime.diffcalc import derivation_set, differential_of_generator
 from ncspacetime.enveloping import EnvElement, random_env_element
 from ncspacetime.scalars import QQi
 
 SIG = Signature(1, 1)
+SIGNATURES = [Signature(e4, e5) for e4 in (1, -1) for e5 in (1, -1)]
+HALF = QQi(Fraction(1, 2))
+
+
+def dense_closure(params, sig):
+    """Oracle for closure_report: least-squares fit of every commutator of
+    the dense 8^N x 8^N family operators onto the family span."""
+    ops = finkelstein_operators(params, sig)
+    basis = np.stack([ops[name].ravel() for name in FAMILY_NAMES], axis=1)
+    basis_h = basis.conj().T
+    gram = basis_h @ basis
+    rows = []
+    for i, name_a in enumerate(FAMILY_NAMES):
+        for name_b in FAMILY_NAMES[i + 1:]:
+            comm = ops[name_a] @ ops[name_b] - ops[name_b] @ ops[name_a]
+            vec = comm.ravel()
+            coeffs = np.linalg.lstsq(gram, basis_h @ vec, rcond=None)[0]
+            norm = np.linalg.norm(vec)
+            residual = np.linalg.norm(vec - basis @ coeffs) / max(norm, 1e-300)
+            if norm < 1e-12:
+                residual = 0.0
+            matches = [(FAMILY_NAMES[k], coeffs[k])
+                       for k in range(len(FAMILY_NAMES))
+                       if abs(coeffs[k]) > 1e-12]
+            rows.append((name_a, name_b, matches, float(residual)))
+    return rows
+
+
+def assert_matches_oracle(params, sig):
+    rows = closure_report(params, sig)
+    oracle = dense_closure(params, sig)
+    assert [r[:2] for r in rows] == [r[:2] for r in oracle]
+    for (a, b, matches, residual), (_, _, want, want_residual) in zip(
+            rows, oracle):
+        assert [n for n, _ in matches] == [n for n, _ in want], (a, b)
+        for (_, got), (_, expected) in zip(matches, want):
+            assert abs(got - expected) <= 1e-12, (a, b)
+        assert residual == pytest.approx(want_residual, abs=1e-12), (a, b)
+    return rows
 
 
 class TestGammaBases:
@@ -253,3 +293,64 @@ class TestFinkelstein:
         monkeypatch.setenv(CELL_DIM_ENV, "512")
         params = FinkelsteinParams(2, QQi(Fraction(1, 2)), QQi(1))
         finkelstein_operators(params, SIG)  # must not raise
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-64", "1.5", ""])
+    def test_invalid_budget_is_a_budget_error(self, monkeypatch, raw):
+        monkeypatch.setenv(CELL_DIM_ENV, raw)
+        params = FinkelsteinParams(2, HALF, QQi(1))
+        with pytest.raises(ResourceBudgetError, match=CELL_DIM_ENV) as info:
+            finkelstein_operators(params, SIG)
+        assert "\n" not in str(info.value)
+
+
+class TestExactClosure:
+    """closure_report works on one cell; the dense operators are the oracle."""
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+    def test_n2_on_locus_matches_oracle(self, sig):
+        rows = assert_matches_oracle(FinkelsteinParams(2, HALF, QQi(1)), sig)
+        assert all(r[3] == 0.0 for r in rows)
+
+    def test_off_locus_matches_oracle(self):
+        params = FinkelsteinParams(2, HALF, QQi(Fraction(1, 3)),
+                                   enforce_constraint=False)
+        rows = assert_matches_oracle(params, SIG)
+        assert all(r[3] == 0.0 for r in rows)
+
+    def test_n3_matches_oracle(self):
+        rows = assert_matches_oracle(FinkelsteinParams(3, HALF, HALF),
+                                     Signature(-1, 1))
+        assert all(r[3] == 0.0 for r in rows)
+
+    def test_zero_family_drops_out(self):
+        # chi = 0: the x families vanish, so [p, Im] ~ x leaves the span
+        params = FinkelsteinParams(2, QQi(0), QQi(Fraction(1, 3)),
+                                   enforce_constraint=False)
+        rows = assert_matches_oracle(params, SIG)
+        assert not any(n.startswith("x") for r in rows for n, _ in r[2])
+        by_pair = {r[:2]: r for r in rows}
+        assert by_pair["x0", "p0"][2:] == ([], 0.0)
+        assert by_pair["p0", "Im"][2:] == ([], 1.0)
+
+    def test_any_cell_count(self):
+        import time
+        t0 = time.perf_counter()
+        rows = closure_report(
+            FinkelsteinParams(40, QQi(Fraction(1, 78)), QQi(1)), SIG)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(rows) == 105 and all(r[3] == 0.0 for r in rows)
+        by_pair = {r[:2]: r[2] for r in rows}
+        assert by_pair["x0", "p0"] == [("Im", -1j)]  # [x, p] = -i hbar eta Im
+
+    @pytest.mark.parametrize("index,replace,error", [
+        (0, lambda gens: qmat_scale(gens[0], HALF), "unit Gaussian integer"),
+        (1, lambda gens: qmat([[int(i == j == 0) for j in range(8)]
+                               for i in range(8)]), "non-integral"),
+        (1, lambda gens: gens[0], "not orthogonal"),
+    ], ids=["non-unit-generator", "non-integral-bilinear", "gram"])
+    def test_inexact_cell_rejected(self, monkeypatch, index, replace, error):
+        gens = list(cl6_generators(SIG))
+        gens[index] = replace(gens)
+        monkeypatch.setattr(clifford, "cl6_generators", lambda sig: gens)
+        with pytest.raises(ValueError, match=error):
+            closure_report(FinkelsteinParams(2, HALF, QQi(1)), SIG)

@@ -60,8 +60,9 @@ class TestSpecFile:
         assert sf2.finkelstein.constraint_holds()
 
     def test_rep_block_validation(self):
-        with pytest.raises(SpecFileError):
-            load_specfile('{"rep": {"tolerance": -1}}')
+        for tolerance in ("-1", "NaN", "Infinity", "1e999"):
+            with pytest.raises(SpecFileError):
+                load_specfile(f'{{"rep": {{"tolerance": {tolerance}}}}}')
         with pytest.raises(SpecFileError):
             load_specfile('{"rep": {"epsilon": 3}}')
 
