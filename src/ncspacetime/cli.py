@@ -447,8 +447,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(USAGE_EXIT, f"ncst: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncst",
         description="exact computer algebra for the stable deformed "
                     "space-time algebra and its noncommutative geometry")

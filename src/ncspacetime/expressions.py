@@ -8,7 +8,9 @@ Two coefficient types feed the differential-operator layer:
   operator identities must be verified with zero tolerance.
 * Expr -- a small tree language {const, var, +, *, power, sin, cos, sinh,
   cosh, exp, abs, sign} with symbolic differentiation and numeric
-  evaluation, used for the trigonometric-coefficient operators.
+  evaluation, used for the trigonometric-coefficient operators.  An env
+  maps each variable to a float or to a numpy array of floats; with arrays,
+  one walk of the tree evaluates it at every point at once.
 
 A DiffOperator is zeroth-order coefficient plus a map variable -> first-order
 coefficient.  The commutator of two first-order operators is again first
@@ -19,7 +21,7 @@ assuming it.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .scalars import QQi
 
@@ -167,23 +169,39 @@ class Expr:
         raise NotImplementedError
 
     def __add__(self, other):
-        return Add(self, _as_expr(other))
+        return _sum(self, _as_expr(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Add(self, Mul(Const(-1), _as_expr(other)))
+        return _sum(self, _prod(Const(-1), _as_expr(other)))
 
     def __rsub__(self, other):
-        return Add(_as_expr(other), Mul(Const(-1), self))
+        return _sum(_as_expr(other), _prod(Const(-1), self))
 
     def __mul__(self, other):
-        return Mul(self, _as_expr(other))
+        return _prod(self, _as_expr(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return Mul(Const(-1), self)
+
+
+def _sum(*terms) -> Expr:
+    """Add without exact-zero terms.  With _prod, this keeps derivatives
+    and commutators free of zero subtrees that every evaluation would walk;
+    values are unchanged wherever they are finite."""
+    terms = [t for t in terms if not _is_zero(t)]
+    if not terms:
+        return Const(0)
+    return terms[0] if len(terms) == 1 else Add(*terms)
+
+
+def _prod(*factors) -> Expr:
+    if any(_is_zero(f) for f in factors):
+        return Const(0)
+    return Mul(*factors)
 
 
 def _as_expr(x) -> Expr:
@@ -216,7 +234,7 @@ class Var(Expr):
         return Const(1 if var == self.name else 0)
 
     def evaluate(self, env):
-        return complex(env[self.name])
+        return env[self.name] + 0j
 
     def __repr__(self):
         return self.name
@@ -227,7 +245,7 @@ class Add(Expr):
         self.args = args
 
     def diff(self, var):
-        return Add(*(a.diff(var) for a in self.args))
+        return _sum(*(a.diff(var) for a in self.args))
 
     def evaluate(self, env):
         return sum(a.evaluate(env) for a in self.args)
@@ -245,8 +263,8 @@ class Mul(Expr):
         for k in range(len(self.args)):
             factors = list(self.args)
             factors[k] = factors[k].diff(var)
-            terms.append(Mul(*factors))
-        return Add(*terms)
+            terms.append(_prod(*factors))
+        return _sum(*terms)
 
     def evaluate(self, env):
         out = 1 + 0j
@@ -269,7 +287,7 @@ class Pow(Expr):
         n = self.exponent
         if n == 0:
             return Const(0)
-        return Mul(Const(n), Pow(self.base, n - 1), self.base.diff(var))
+        return _prod(Const(n), Pow(self.base, n - 1), self.base.diff(var))
 
     def evaluate(self, env):
         return self.base.evaluate(env) ** self.exponent
@@ -294,60 +312,56 @@ class _Unary(Expr):
 
 class Sin(_Unary):
     name = "sin"
-    fn = staticmethod(lambda z: complex(math.sin(z.real)) if z.imag == 0
-                      else __import__("cmath").sin(z))
+    fn = staticmethod(np.sin)
 
     def diff(self, var):
-        return Mul(Cos(self.arg), self.arg.diff(var))
+        return _prod(Cos(self.arg), self.arg.diff(var))
 
 
 class Cos(_Unary):
     name = "cos"
-    fn = staticmethod(lambda z: complex(math.cos(z.real)) if z.imag == 0
-                      else __import__("cmath").cos(z))
+    fn = staticmethod(np.cos)
 
     def diff(self, var):
-        return Mul(Const(-1), Sin(self.arg), self.arg.diff(var))
+        return _prod(Const(-1), Sin(self.arg), self.arg.diff(var))
 
 
 class Sinh(_Unary):
     name = "sinh"
-    fn = staticmethod(lambda z: complex(math.sinh(z.real)) if z.imag == 0
-                      else __import__("cmath").sinh(z))
+    fn = staticmethod(np.sinh)
 
     def diff(self, var):
-        return Mul(Cosh(self.arg), self.arg.diff(var))
+        return _prod(Cosh(self.arg), self.arg.diff(var))
 
 
 class Cosh(_Unary):
     name = "cosh"
-    fn = staticmethod(lambda z: complex(math.cosh(z.real)) if z.imag == 0
-                      else __import__("cmath").cosh(z))
+    fn = staticmethod(np.cosh)
 
     def diff(self, var):
-        return Mul(Sinh(self.arg), self.arg.diff(var))
+        return _prod(Sinh(self.arg), self.arg.diff(var))
 
 
 class Exp(_Unary):
     name = "exp"
-    fn = staticmethod(lambda z: __import__("cmath").exp(z))
+    fn = staticmethod(np.exp)
 
     def diff(self, var):
-        return Mul(Exp(self.arg), self.arg.diff(var))
+        return _prod(Exp(self.arg), self.arg.diff(var))
 
 
 class Abs(_Unary):
     name = "abs"
-    fn = staticmethod(lambda z: complex(abs(z)))
+    fn = staticmethod(lambda z: np.abs(z) + 0j)
 
     def diff(self, var):
         # d|u| = sign(u) du on the real line
-        return Mul(Sign(self.arg), self.arg.diff(var))
+        return _prod(Sign(self.arg), self.arg.diff(var))
 
 
 class Sign(_Unary):
     name = "sign"
-    fn = staticmethod(lambda z: complex((z.real > 0) - (z.real < 0)))
+    fn = staticmethod(lambda z: np.sign(np.real(z)) + 0j)
 
     def diff(self, var):
         return Const(0)
@@ -367,16 +381,6 @@ class DiffOperator:
         self.vars = tuple(variables)
         self.zeroth = zeroth
         self.firsts = dict(firsts)
-
-    @classmethod
-    def zero(cls, variables, make_const):
-        return cls(variables, make_const(0), {})
-
-    def _coeff(self, var):
-        c = self.firsts.get(var)
-        if c is None:
-            return None
-        return c
 
     def map_coeffs(self, f) -> "DiffOperator":
         return DiffOperator(self.vars, f(self.zeroth),
@@ -406,31 +410,30 @@ class DiffOperator:
         a0, b0 = self.zeroth, other.zeroth
         zeroth = _zero_like(a0)
         for v, c in self.firsts.items():
-            zeroth = zeroth + c * _diff(b0, v)
+            zeroth = zeroth + c * b0.diff(v)
         for v, c in other.firsts.items():
-            zeroth = zeroth - c * _diff(a0, v)
+            zeroth = zeroth - c * a0.diff(v)
         firsts = {}
         for w in sorted(set(self.firsts) | set(other.firsts)):
             acc = _zero_like(a0)
             for v in sorted(self.firsts):
                 bw = other.firsts.get(w)
                 if bw is not None:
-                    acc = acc + self.firsts[v] * _diff(bw, v)
+                    acc = acc + self.firsts[v] * bw.diff(v)
             for v in sorted(other.firsts):
                 aw = self.firsts.get(w)
                 if aw is not None:
-                    acc = acc - other.firsts[v] * _diff(aw, v)
+                    acc = acc - other.firsts[v] * aw.diff(v)
             firsts[w] = acc
         self._check_second_order(other, check_points)
-        out = DiffOperator(self.vars, zeroth, firsts)
-        return out
+        return DiffOperator(self.vars, zeroth, firsts)
 
     def _check_second_order(self, other, check_points):
         # coefficient of dv dw in [A,B], symmetrized over the slot order:
         # (a_v b_w - b_v a_w) + (a_w b_v - b_w a_v); zero iff coefficients
         # commute, which is what makes the commutator first order again.
-        template = self.zeroth
-        zero = _zero_like(template)
+        zero = _zero_like(self.zeroth)
+        env = stack_points(check_points or _default_points(self.vars))
 
         def get(op, v):
             c = op.firsts.get(v)
@@ -443,31 +446,20 @@ class DiffOperator:
                 bv, bw = get(other, v), get(other, w)
                 sym = av * bw - bv * aw + aw * bv - bw * av
                 if isinstance(sym, Poly):
-                    if not sym.is_zero:
-                        raise NotALieBracketError(
-                            "second-order part of the commutator survives")
+                    survives = not sym.is_zero
                 else:
-                    points = check_points or _default_points(self.vars)
-                    for pt in points:
-                        if abs(sym.evaluate(pt)) > 1e-9:
-                            raise NotALieBracketError(
-                                "second-order part of the commutator survives")
+                    survives = np.any(np.abs(sym.evaluate(env)) > 1e-9)
+                if survives:
+                    raise NotALieBracketError(
+                        "second-order part of the commutator survives")
 
     def apply(self, f, env: dict) -> complex:
-        """Numeric action on an Expr function at a point."""
+        """Numeric action on an Expr function at the point(s) of env."""
         total = self.zeroth.evaluate(env) * f.evaluate(env) \
             if not _is_zero(self.zeroth) else 0j
         for v, c in self.firsts.items():
             total += c.evaluate(env) * f.diff(v).evaluate(env)
         return total
-
-    def apply_symbolic(self, f):
-        """Symbolic action on an Expr, returning an Expr."""
-        out = Mul(self.zeroth, f) if isinstance(self.zeroth, Expr) else None
-        terms = [out] if out is not None else []
-        for v, c in self.firsts.items():
-            terms.append(Mul(c, f.diff(v)))
-        return Add(*terms) if terms else Const(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
@@ -486,10 +478,6 @@ class DiffOperator:
             if not _coeff_equal(a, b):
                 return False
         return True
-
-
-def _diff(c, v):
-    return c.diff(v)
 
 
 def _zero_like(c):
@@ -513,3 +501,9 @@ def _coeff_equal(a, b) -> bool:
 def _default_points(variables):
     return [{v: 0.3 + 0.17 * k + 0.05 * j for j, v in enumerate(variables)}
             for k in range(3)]
+
+
+def stack_points(points) -> dict:
+    """One env holding every point: variable -> float array over points."""
+    return {v: np.array([pt[v] for pt in points], dtype=float)
+            for v in points[0]}

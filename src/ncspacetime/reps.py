@@ -23,10 +23,12 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec,
                       Signature, eta4, m_id)
 from .expressions import (Const, Cos, DiffOperator, Expr, Mul, Poly, Pow,
-                          Sin, Var)
+                          Sin, Var, stack_points)
 from .scalars import PARAMS, QQI_I, Scalar
 
 XI_VARS = ("xi0", "xi1", "xi2", "xi3", "xi4")
@@ -277,32 +279,29 @@ def verify_relations(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
     """Max normalized residual per generator pair, numerically sampled.
 
     Residuals are |([A,B] - rep(bracket)) f(point)| / max(1, |f(point)|);
-    coefficient trees are evaluated once per point and reused across the
-    test functions.
+    each coefficient tree is evaluated once, on arrays holding every point
+    (a constant tree broadcasts), and reused across the test functions.  A
+    pair whose residual is not finite at some point reports inf.
     """
     ids = sorted(k for k in rep if k in target.basis)
     variables = next(iter(rep.values())).vars
-    fdata = []
-    for f in funcs:
-        vals = [f.evaluate(pt) for pt in points]
-        dvals = {v: [f.diff(v).evaluate(pt) for pt in points]
-                 for v in variables}
-        fdata.append((vals, dvals))
+    env = stack_points(points)
+    fdata = [(f.evaluate(env), {v: f.diff(v).evaluate(env) for v in variables})
+             for f in funcs]
     report = {}
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1:]:
             lhs = rep[a].commutator(rep[b], check_points=points[:2])
             diff_op = lhs.sub(_numeric_rhs(target.bracket_ids(a, b), rep))
-            z = [diff_op.zeroth.evaluate(pt) for pt in points]
-            firsts = {v: [c.evaluate(pt) for pt in points]
-                      for v, c in diff_op.firsts.items()}
+            z = diff_op.zeroth.evaluate(env)
+            firsts = {v: c.evaluate(env) for v, c in diff_op.firsts.items()}
             worst = 0.0
             for vals, dvals in fdata:
-                for k in range(len(points)):
-                    val = z[k] * vals[k]
-                    for v, arr in firsts.items():
-                        val += arr[k] * dvals[v][k]
-                    worst = max(worst, abs(val) / max(1.0, abs(vals[k])))
+                val = z * vals
+                for v, arr in firsts.items():
+                    val = val + arr * dvals[v]
+                top = float(np.max(np.abs(val) / np.maximum(1.0, np.abs(vals))))
+                worst = max(worst, math.inf if math.isnan(top) else top)
             report[(a, b)] = worst
     return report
 
@@ -421,7 +420,6 @@ class ConeChart:
     def jacobian_determinant(self, s: float, angles: dict,
                              step: float = 1e-6) -> float:
         """Numeric Gram determinant of the chart differential."""
-        import numpy as np
         names = ("s",) + self.angle_names
         base = dict(angles)
 

@@ -303,12 +303,6 @@ class Scalar:
             total += v
         return total
 
-    def max_abs_coeff(self) -> Fraction:
-        m = Fraction(0)
-        for c in self.terms.values():
-            m = max(m, abs(c.re), abs(c.im))
-        return m
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 

@@ -29,6 +29,8 @@ class RepConfig:
     def __post_init__(self):
         if self.epsilon not in (0, 1):
             raise SpecFileError("rep.epsilon must be 0 or 1")
+        if not abs(self.sigma) < float("inf"):
+            raise SpecFileError("rep.sigma must be finite")
         if not 0 < self.tolerance < float("inf"):
             raise SpecFileError("rep.tolerance must be finite and positive")
         if self.samples < 1:

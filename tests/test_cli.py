@@ -71,7 +71,9 @@ class TestExitCodes:
         out = run_cli(f"--tolerance={value}", "verify")
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
-        assert "--tolerance" in out.stderr.splitlines()[-1]
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("ncst: ")
+        assert "--tolerance" in out.stderr
 
     def test_missing_connection_file_exits_two(self, tmp_path):
         out = run_cli("curvature", "--connection",

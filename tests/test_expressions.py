@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from ncspacetime.expressions import (Abs, Const, Cos, Cosh, DiffOperator,
                                      Exp, Mul, NotALieBracketError, Poly, Pow,
-                                     Sign, Sin, Sinh, Var)
+                                     Sign, Sin, Sinh, Var, stack_points)
 from ncspacetime.scalars import QQi
 
 VARS = ("u", "v")
@@ -48,6 +49,8 @@ class TestExpr:
         df = f.diff("u")
         env = {"u": 0.7, "v": 1.1}
         assert df.evaluate(env) == pytest.approx(math.cos(0.7) * math.cos(1.1))
+        dw = f.diff("w")
+        assert isinstance(dw, Const) and dw.value == 0
 
     def test_pow_negative_exponent(self):
         f = Pow(Sin(Var("u")), -1)
@@ -70,6 +73,20 @@ class TestExpr:
         assert f.evaluate({"u": -2.0}) == 2.0
         assert f.diff("u").evaluate({"u": -2.0}) == -1.0
         assert Sign(Var("u")).diff("u").evaluate({"u": 5.0}) == 0.0
+
+    @pytest.mark.parametrize("expr", [
+        Const(2.5), Var("u"), Var("u") + Var("v"), Mul(Var("u"), Var("v")),
+        Pow(Var("u") + 0.5, -3), Sin(Var("u")), Cos(Var("u")), Sinh(Var("u")),
+        Cosh(Var("u")), Exp(Var("u")), Abs(Var("u")), Sign(Var("u")),
+        Sin(Mul(Const(0.3 + 0.8j), Var("u"))),
+        Abs(Mul(Const(0.3 + 0.8j), Var("u"))),
+        Sign(Mul(Const(0.3 + 0.8j), Var("u"))),
+    ], ids=repr)
+    def test_array_env_matches_pointwise(self, expr):
+        pts = [{"u": u, "v": 0.7 - u} for u in (-1.3, -0.4, 0.0, 0.6, 2.1)]
+        want = [expr.evaluate(pt) for pt in pts]
+        got = np.broadcast_to(expr.evaluate(stack_points(pts)), (len(pts),))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
     def test_operator_sugar(self):
         f = Var("u") + 2 * Var("v") - 1

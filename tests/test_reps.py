@@ -95,6 +95,12 @@ class TestRepSO32:
         res = verify_relations(rep, target, points[:40], funcs[:3])
         assert max(res.values()) > 1e-3
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_residual_fails(self, sigma, target, points, funcs):
+        rep = build_rep_so32(sigma, 0)
+        res = verify_relations(rep, target, points[:10], funcs[:2])
+        assert max(res.values()) == math.inf
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             build_rep_so32(0.37, 2)

@@ -63,6 +63,9 @@ class TestSpecFile:
         for tolerance in ("-1", "NaN", "Infinity", "1e999"):
             with pytest.raises(SpecFileError):
                 load_specfile(f'{{"rep": {{"tolerance": {tolerance}}}}}')
+        for sigma in ("NaN", "Infinity"):
+            with pytest.raises(SpecFileError):
+                load_specfile(f'{{"rep": {{"sigma": {sigma}}}}}')
         with pytest.raises(SpecFileError):
             load_specfile('{"rep": {"epsilon": 3}}')
 
