@@ -32,7 +32,7 @@ from .minilang import MiniLangError, format_env, parse_element
 from .report import EXACT_ZERO, Check, Report
 from .reps import (build_rep_5d, build_rep_so32, check_rep_exact,
                    finite_boost_14, make_sample_points, make_test_functions,
-                   verify_relations)
+                   max_residual, verify_relations)
 from .scalars import Scalar
 from .specfile import SpecFile, SpecFileError, load_specfile_path
 
@@ -404,12 +404,11 @@ def cmd_rep(spec_file: SpecFile, args) -> Report:
     f = funcs[0]
     def fc(p1, p2, th):
         return f.evaluate({"phi1": p1, "phi2": p2, "theta1": th})
-    worst_id = 0.0
     ident_boost = finite_boost_14(0.0, cfg.sigma, fc)
-    for pt in points[:20]:
-        a = ident_boost(pt["phi1"], pt["phi2"], pt["theta1"])
-        b = fc(pt["phi1"], pt["phi2"], pt["theta1"])
-        worst_id = max(worst_id, abs(a - b))
+    worst_id = max_residual(
+        abs(ident_boost(pt["phi1"], pt["phi2"], pt["theta1"])
+            - fc(pt["phi1"], pt["phi2"], pt["theta1"]))
+        for pt in points[:20])
     report.add(Check("boost_identity_at_zero",
                      "pass" if worst_id == 0.0 else "fail", worst_id,
                      "t = 0 acts as the identity"))
@@ -417,11 +416,10 @@ def cmd_rep(spec_file: SpecFile, args) -> Report:
     lhs = finite_boost_14(t1, cfg.sigma,
                           lambda *a: finite_boost_14(t2, cfg.sigma, fc)(*a))
     rhs = finite_boost_14(t1 + t2, cfg.sigma, fc)
-    worst_gl = 0.0
-    for pt in points[:20]:
-        worst_gl = max(worst_gl, abs(
-            lhs(pt["phi1"], pt["phi2"], pt["theta1"])
-            - rhs(pt["phi1"], pt["phi2"], pt["theta1"])))
+    worst_gl = max_residual(
+        abs(lhs(pt["phi1"], pt["phi2"], pt["theta1"])
+            - rhs(pt["phi1"], pt["phi2"], pt["theta1"]))
+        for pt in points[:20])
     report.add(Check("boost_group_law", "pass" if worst_gl <= 1e-8 else "fail",
                      worst_gl, "t then t' equals t + t'"))
     report.payload["boost_generator"] = {

@@ -182,7 +182,7 @@ def parse_scalar(text: str) -> Scalar:
 
 # -- printer -----------------------------------------------------------------
 
-def _format_fraction(f: Fraction) -> str:
+def _format_fraction(f: int | Fraction) -> str:
     return str(f)
 
 

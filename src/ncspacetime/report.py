@@ -7,6 +7,7 @@ command, spec and seed therefore produce byte-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
@@ -31,12 +32,14 @@ MODULE_CONSTANTS = {
 class Check:
     name: str
     status: str  # pass | fail | skip
-    max_residual: object = EXACT_ZERO  # float or "exact-zero"
+    max_residual: object = EXACT_ZERO  # float, "exact-zero" or "inf"
     details: object = ""
 
     def as_dict(self) -> dict:
+        # JSON has no infinity; a residual that is not finite prints "inf"
+        residual = "inf" if self.max_residual == math.inf else self.max_residual
         return {"name": self.name, "status": self.status,
-                "max_residual": self.max_residual, "details": self.details}
+                "max_residual": residual, "details": self.details}
 
 
 @dataclass

@@ -295,15 +295,22 @@ def verify_relations(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
             diff_op = lhs.sub(_numeric_rhs(target.bracket_ids(a, b), rep))
             z = diff_op.zeroth.evaluate(env)
             firsts = {v: c.evaluate(env) for v, c in diff_op.firsts.items()}
-            worst = 0.0
+            tops = []
             for vals, dvals in fdata:
                 val = z * vals
                 for v, arr in firsts.items():
                     val = val + arr * dvals[v]
-                top = float(np.max(np.abs(val) / np.maximum(1.0, np.abs(vals))))
-                worst = max(worst, math.inf if math.isnan(top) else top)
-            report[(a, b)] = worst
+                tops.append(float(np.max(np.abs(val)
+                                         / np.maximum(1.0, np.abs(vals)))))
+            report[(a, b)] = max_residual(tops)
     return report
+
+
+def max_residual(residuals) -> float:
+    """Largest residual, 0.0 for none; a NaN counts as inf (max() would
+    drop it, and a check must not pass on a residual it cannot measure)."""
+    return max((math.inf if math.isnan(r) else r for r in residuals),
+               default=0.0)
 
 
 # -- finite boost and homogeneity --------------------------------------------
@@ -345,7 +352,11 @@ def finite_boost_14(t: float, sigma: float, f, t_max: float = 50.0):
 
     def transformed(phi1: float, phi2: float, theta1: float) -> complex:
         p1, p2, th, a = boost_14_point(t, phi1, phi2, theta1)
-        return a ** (sigma / 2.0) * f(p1, p2, th)
+        try:
+            scale = a ** (sigma / 2.0)
+        except OverflowError:  # huge finite sigma
+            scale = math.inf
+        return scale * f(p1, p2, th)
 
     return transformed
 

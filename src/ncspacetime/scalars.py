@@ -8,11 +8,17 @@ coefficient times a monomial in the formal parameters
 with integer (possibly negative) exponents.  All algebra, calculus and
 Casimir computations in this package run over this coefficient ring, so
 equality of any two symbolic results is decidable and exact.
+
+Each rational part of a QQi is an ``int`` while integral, else a reduced
+``Fraction``; every operation normalizes its result.  Python compares and
+hashes the two types consistently, so equality and dict keys stay exact
+while the common Gaussian-integer coefficients run on plain ``int``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
 
 PARAMS = ("ell", "R_inv", "phi", "hbar", "chi", "phi_cell", "sigma")
 _PIDX = {name: k for k, name in enumerate(PARAMS)}
@@ -20,14 +26,30 @@ _NPAR = len(PARAMS)
 _ZERO_POWS = (0,) * _NPAR
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _norm(x):
+    """An int or Fraction as an int while integral, else as it is."""
+    if x.__class__ is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _part(x):
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+        x = Fraction(x)
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    return _norm(x)
+
+
+_new = object.__new__
+
+
+def _qqi(re, im) -> "QQi":
+    """QQi from parts already normalized, without coercion."""
+    q = _new(QQi)
+    q.re = re
+    q.im = im
+    return q
 
 
 class QQi:
@@ -36,33 +58,36 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        self.re = _part(re)
+        self.im = _part(im)
 
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return self.re != 0 or self.im != 0
 
     def __add__(self, other) -> "QQi":
-        other = _as_qqi(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        if other.__class__ is not QQi:
+            other = _as_qqi(other)
+        return _qqi(_norm(self.re + other.re), _norm(self.im + other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QQi":
-        other = _as_qqi(other)
-        return QQi(self.re - other.re, self.im - other.im)
+        if other.__class__ is not QQi:
+            other = _as_qqi(other)
+        return _qqi(_norm(self.re - other.re), _norm(self.im - other.im))
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.re, -self.im)
 
     def __mul__(self, other) -> "QQi":
-        other = _as_qqi(other)
-        return QQi(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        if other.__class__ is not QQi:
+            other = _as_qqi(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _qqi(_norm(a * c - b * d), _norm(a * d + b * c))
 
     __rmul__ = __mul__
 
@@ -71,11 +96,12 @@ class QQi:
         n = other.re * other.re + other.im * other.im
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * other.re + self.im * other.im) / n,
-                   (self.im * other.re - self.re * other.im) / n)
+        # Fraction(p, n), not p / n: int / int would be a float
+        return QQi(Fraction(self.re * other.re + self.im * other.im, n),
+                   Fraction(self.im * other.re - self.re * other.im, n))
 
     def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _qqi(self.re, -self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -172,57 +198,31 @@ class Scalar:
             raise ValueError("scalar is not constant")
         return self.terms[_ZERO_POWS]
 
-    def is_single_term(self) -> bool:
-        return len(self.terms) == 1
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        other = _as_scalar(other)
-        out = dict(self.terms)
-        for pows, c in other.terms.items():
-            s = out.get(pows)
-            if s is None:
-                out[pows] = c
-            else:
-                s = s + c
-                if s:
-                    out[pows] = s
-                else:
-                    del out[pows]
-        r = Scalar()
-        r.terms = out
-        return r
+        if other.__class__ is not Scalar:
+            other = _as_scalar(other)
+        return _scalar(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-_as_scalar(other))
+        if other.__class__ is not Scalar:
+            other = _as_scalar(other)
+        return _scalar(_accumulate(dict(self.terms),
+                                   ((p, -c) for p, c in other.terms.items())))
 
     def __neg__(self) -> "Scalar":
-        r = Scalar()
-        r.terms = {p: -c for p, c in self.terms.items()}
-        return r
+        return _scalar({p: -c for p, c in self.terms.items()})
 
     def __mul__(self, other) -> "Scalar":
-        other = _as_scalar(other)
-        out: dict[tuple, QQi] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                pows = tuple(a + b for a, b in zip(p1, p2))
-                c = c1 * c2
-                s = out.get(pows)
-                if s is None:
-                    out[pows] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[pows] = s
-                    else:
-                        del out[pows]
-        r = Scalar()
-        r.terms = out
-        return r
+        if other.__class__ is not Scalar:
+            other = _as_scalar(other)
+        return _scalar(_accumulate({}, (
+            (_mono_mul(p1, p2), c1 * c2)
+            for p1, c1 in self.terms.items()
+            for p2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -264,9 +264,7 @@ class Scalar:
                     f"negative power of {name} cannot be set to zero")
             if pows[k] == 0:
                 out[pows] = c
-        r = Scalar()
-        r.terms = out
-        return r
+        return _scalar(out)
 
     def substitute(self, mapping: dict) -> "Scalar":
         """Replace parameters by Scalars.
@@ -309,6 +307,36 @@ class Scalar:
     def __repr__(self) -> str:
         from .minilang import format_scalar
         return format_scalar(self)
+
+
+def _mono_mul(p1: tuple, p2: tuple) -> tuple:
+    if p1 == _ZERO_POWS:
+        return p2
+    if p2 == _ZERO_POWS:
+        return p1
+    return tuple(map(_add, p1, p2))
+
+
+def _scalar(terms: dict) -> Scalar:
+    """Scalar owning terms, whose coefficients are nonzero QQi."""
+    r = _new(Scalar)
+    r.terms = terms
+    return r
+
+
+def _accumulate(out: dict, items) -> dict:
+    """Add (pows, QQi) items into out, dropping terms that cancel."""
+    for pows, c in items:
+        s = out.get(pows)
+        if s is None:
+            out[pows] = c
+        else:
+            s = s + c
+            if s:
+                out[pows] = s
+            else:
+                del out[pows]
+    return out
 
 
 def _as_scalar(x) -> Scalar:

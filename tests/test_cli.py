@@ -223,6 +223,16 @@ class TestCommands:
                      if c["name"] == "rep_so32_brackets")
         assert check["max_residual"] <= 1e-8
 
+    @pytest.mark.parametrize("sigma", [1e160, 1e300])
+    def test_rep_so32_huge_sigma_fails_with_report(self, tmp_path, sigma):
+        spec = write_spec(tmp_path, {"rep": {"sigma": sigma, "samples": 20}})
+        out = run_cli("--spec", spec, "rep", "so32")
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
+        assert checks["boost_group_law"]["status"] == "fail"
+        assert checks["boost_group_law"]["max_residual"] == "inf"
+
     def test_rep_so32_explicit_seed_zero_wins(self, tmp_path):
         def residual(rep_seed, *flags):
             spec = write_spec(tmp_path, {"rep": {

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from ncspacetime.minilang import format_qqi
 from ncspacetime.scalars import PARAMS, QQi, Scalar
+
+CONST = (0,) * len(PARAMS)
 
 
 def test_qqi_arithmetic():
@@ -89,3 +92,40 @@ def test_inverse_only_for_single_term():
     assert Scalar.param("ell").inverse() == Scalar.param("ell", -1)
     with pytest.raises(ValueError):
         (Scalar.one() + Scalar.param("ell")).inverse()
+
+
+class TestMixedRepresentation:
+    """Parts are ints while integral and reduced Fractions otherwise."""
+
+    def test_integral_fraction_becomes_int(self):
+        q = QQi(Fraction(4, 2))
+        assert type(q.re) is int and q.re == 2
+        assert type(q.im) is int and q.im == 0
+
+    def test_division_stays_exact(self):
+        q = QQi(1) / QQi(3)
+        assert type(q.re) is Fraction and q.re == Fraction(1, 3)
+        assert type(q.im) is int and q.im == 0
+        assert Scalar.param("ell", coeff=3).inverse() == \
+            Scalar.param("ell", -1, coeff=q)
+
+    def test_product_normalizes_back_to_int(self):
+        q = (QQi(1) / QQi(3)) * 3
+        assert type(q.re) is int and q.re == 1
+        q = QQi(Fraction(1, 2), Fraction(3, 2)) + QQi(Fraction(1, 2), Fraction(1, 2))
+        assert type(q.re) is int and type(q.im) is int and q == QQi(1, 2)
+
+    def test_int_and_fraction_inputs_are_one_key(self):
+        a, b = QQi(2), QQi(Fraction(2))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
+        sa, sb = Scalar.of(a), Scalar.of(b)
+        assert sa == sb and hash(sa) == hash(sb)
+        assert sa.terms[CONST] == b and sb.terms[CONST] == a
+        assert {sa: "a"}[sb] == "a" and {sb: "b"}[sa] == "b"
+
+    def test_format_unchanged(self):
+        assert format_qqi(QQi(2)) == "2"
+        assert format_qqi(QQi(Fraction(4, 2))) == "2"
+        assert format_qqi(QQi(Fraction(1, 2))) == "1/2"
+        assert format_qqi(QQi(Fraction(1, 2), -3)) == "(1/2-3*i)"
