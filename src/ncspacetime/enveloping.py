@@ -23,6 +23,7 @@ Two extensions beyond the plain PBW basis:
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -148,13 +149,25 @@ class EnvElement:
 
 
 class RewriteEngine:
-    """Normal-ordering engine bound to one structure-constant table."""
+    """Normal-ordering engine bound to one structure-constant table.
+
+    Only the letter brackets (at most 16x16) are kept between calls; the
+    normal-order memo lives for one operation() and is then emptied.
+    """
 
     def __init__(self, spec: LieAlgebraSpec):
         self.spec = spec
         self._norm_cache: dict[Word, dict[Word, Scalar]] = {}
         self._bracket_cache: dict[tuple[int, int], list] = {}
         self.allow_iminv = self._iminv_allowed()
+
+    @contextmanager
+    def operation(self):
+        """Scope of one public operation; empties the memo, also on error."""
+        try:
+            yield
+        finally:
+            self._norm_cache.clear()
 
     def _iminv_allowed(self) -> bool:
         spec = self.spec
@@ -237,16 +250,21 @@ class RewriteEngine:
             swapped = word[:pos] + (v, u) + word[pos + 2:]
             result = dict(self.normal_order(swapped))
             for bw, s in self.letter_bracket(u, v):
-                sub = self.normal_order(word[:pos] + bw + word[pos + 2:])
-                for w2, s2 in sub.items():
-                    t = result.get(w2)
-                    t = s * s2 if t is None else t + s * s2
-                    if t:
-                        result[w2] = t
-                    elif w2 in result:
-                        del result[w2]
+                _add_scaled(result, s, self.normal_order(
+                    word[:pos] + bw + word[pos + 2:]).items())
         self._norm_cache[word] = result
         return result
+
+
+def _add_scaled(out: dict, c: Scalar, terms) -> None:
+    """out[w] += c * s for each (w, s) in terms, dropping words that cancel."""
+    for w, s in terms:
+        t = out.get(w)
+        t = c * s if t is None else t + c * s
+        if t:
+            out[w] = t
+        elif w in out:
+            del out[w]
 
 
 def get_engine(spec: LieAlgebraSpec) -> RewriteEngine:
@@ -258,21 +276,13 @@ def get_engine(spec: LieAlgebraSpec) -> RewriteEngine:
 def env_product(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     """Canonical normal-ordered product in the enveloping algebra."""
     eng = get_engine(spec)
-    out: dict[Word, Scalar] = {}
-    for w1, s1 in a.terms.items():
-        eng.check_word(w1)
-        for w2, s2 in b.terms.items():
-            eng.check_word(w2)
-            c = s1 * s2
-            for w, s in eng.normal_order(w1 + w2).items():
-                t = out.get(w)
-                t = c * s if t is None else t + c * s
-                if t:
-                    out[w] = t
-                elif w in out:
-                    del out[w]
     r = EnvElement()
-    r.terms = out
+    with eng.operation():
+        for w1, s1 in a.terms.items():
+            eng.check_word(w1)
+            for w2, s2 in b.terms.items():
+                eng.check_word(w2)
+                _add_scaled(r.terms, s1 * s2, eng.normal_order(w1 + w2).items())
     return r
 
 
@@ -288,28 +298,21 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     env_commutator(generator, a) on the PBW part of the algebra.
     """
     eng = get_engine(spec)
-    out: dict[Word, Scalar] = {}
-    for word, c in a.terms.items():
-        eng.check_word(word)
-        for k, letter in enumerate(word):
-            if letter >= FORMAL_BASE:
-                raise ValueError("ad_generator does not support formal symbols")
-            if letter == IMINV:
-                terms = [(w, -s) for w, s in eng.letter_bracket(IMINV, gid)]
-            else:
-                terms = eng.letter_bracket(gid, letter) if gid > letter else \
-                    [(w, -s) for w, s in eng.letter_bracket(letter, gid)] if gid < letter else []
-            for bw, s in terms:
-                cc = c * s
-                for w2, s2 in eng.normal_order(word[:k] + bw + word[k + 1:]).items():
-                    t = out.get(w2)
-                    t = cc * s2 if t is None else t + cc * s2
-                    if t:
-                        out[w2] = t
-                    elif w2 in out:
-                        del out[w2]
     r = EnvElement()
-    r.terms = out
+    with eng.operation():
+        for word, c in a.terms.items():
+            eng.check_word(word)
+            for k, letter in enumerate(word):
+                if letter >= FORMAL_BASE:
+                    raise ValueError("ad_generator does not support formal symbols")
+                if letter == IMINV:
+                    terms = [(w, -s) for w, s in eng.letter_bracket(IMINV, gid)]
+                else:
+                    terms = eng.letter_bracket(gid, letter) if gid > letter else \
+                        [(w, -s) for w, s in eng.letter_bracket(letter, gid)] if gid < letter else []
+                for bw, s in terms:
+                    _add_scaled(r.terms, c * s, eng.normal_order(
+                        word[:k] + bw + word[k + 1:]).items())
     return r
 
 
@@ -363,7 +366,7 @@ def casimir(kind: str, sig: Signature,
         factors[(a, b)] = (gid, f)
         factors[(b, a)] = (gid, -f)
 
-    out: dict[Word, Scalar] = {}
+    r = EnvElement()
 
     def accumulate(index_pairs, coeff: int):
         word = []
@@ -372,33 +375,25 @@ def casimir(kind: str, sig: Signature,
             gid, f = factors[(a, b)]
             word.append(gid)
             scal = scal * f
-        for w, s in eng.normal_order(tuple(word)).items():
-            t = out.get(w)
-            add = scal * s
-            t = add if t is None else t + add
-            if t:
-                out[w] = t
-            elif w in out:
-                del out[w]
+        _add_scaled(r.terms, scal, eng.normal_order(tuple(word)).items())
 
-    if kind == "C1":
-        for a in range(6):
-            for b in range(6):
-                if a != b:
-                    accumulate(((a, b), (a, b)), eta[a] * eta[b])
-    elif kind == "C2":
-        for perm in itertools.permutations(range(6)):
-            a, b, c, d, e, f = perm
-            accumulate(((a, b), (c, d), (e, f)), levi_civita6(*perm))
-    else:  # C3
-        for a, b, c, d in itertools.product(range(6), repeat=4):
-            if a == b or b == c or c == d or d == a:
-                continue
-            accumulate(((a, b), (b, c), (c, d), (d, a)),
-                       eta[a] * eta[b] * eta[c] * eta[d])
+    with eng.operation():
+        if kind == "C1":
+            for a in range(6):
+                for b in range(6):
+                    if a != b:
+                        accumulate(((a, b), (a, b)), eta[a] * eta[b])
+        elif kind == "C2":
+            for perm in itertools.permutations(range(6)):
+                a, b, c, d, e, f = perm
+                accumulate(((a, b), (c, d), (e, f)), levi_civita6(*perm))
+        else:  # C3
+            for a, b, c, d in itertools.product(range(6), repeat=4):
+                if a == b or b == c or c == d or d == a:
+                    continue
+                accumulate(((a, b), (b, c), (c, d), (d, a)),
+                           eta[a] * eta[b] * eta[c] * eta[d])
 
-    r = EnvElement()
-    r.terms = out
     return r
 
 

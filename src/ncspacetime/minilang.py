@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import GEN_NAMES, IMINV, ST_NAMES, LieAlgebraSpec
 from .enveloping import EnvElement, env_product, get_engine
-from .scalars import PARAMS, QQi, Scalar
+from .scalars import PARAMS, QQI_ONE, S_ONE, QQi, Scalar
 
 
 class MiniLangError(ValueError):
@@ -182,6 +182,10 @@ def parse_scalar(text: str) -> Scalar:
 
 # -- printer -----------------------------------------------------------------
 
+_QQI_MINUS_ONE = -QQI_ONE
+_S_MINUS_ONE = -S_ONE
+
+
 def _format_fraction(f: int | Fraction) -> str:
     return str(f)
 
@@ -216,9 +220,9 @@ def _format_scalar_term(pows, coeff: QQi) -> str:
     parts = _format_monomial_params(pows)
     if not parts:
         return format_qqi(coeff, product_context=True)
-    if coeff == QQi(1):
+    if coeff == QQI_ONE:
         return "*".join(parts)
-    if coeff == QQi(-1):
+    if coeff == _QQI_MINUS_ONE:
         return "-" + "*".join(parts)
     return "*".join([format_qqi(coeff, product_context=True)] + parts)
 
@@ -269,9 +273,9 @@ def format_env(e: EnvElement, regime: str = "full") -> str:
                         format_scalar(s, product_context=True))
             continue
         wtxt = _format_word(word, regime)
-        if s == Scalar.one():
+        if s == S_ONE:
             bits.append(wtxt)
-        elif s == Scalar.of(-1):
+        elif s == _S_MINUS_ONE:
             bits.append("-" + wtxt)
         else:
             bits.append(f"{format_scalar(s, product_context=True)}*{wtxt}")

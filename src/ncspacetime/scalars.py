@@ -70,22 +70,32 @@ class QQi:
 
     def __add__(self, other) -> "QQi":
         if other.__class__ is not QQi:
-            other = _as_qqi(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         return _qqi(_norm(self.re + other.re), _norm(self.im + other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QQi":
         if other.__class__ is not QQi:
-            other = _as_qqi(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         return _qqi(_norm(self.re - other.re), _norm(self.im - other.im))
+
+    def __rsub__(self, other) -> "QQi":
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self) -> "QQi":
         return _qqi(-self.re, -self.im)
 
     def __mul__(self, other) -> "QQi":
         if other.__class__ is not QQi:
-            other = _as_qqi(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         return _qqi(_norm(a * c - b * d), _norm(a * d + b * c))
 
@@ -124,6 +134,15 @@ def _as_qqi(x) -> QQi:
     if isinstance(x, QQi):
         return x
     return QQi(x)
+
+
+def _operand(x) -> QQi | None:
+    """x as the QQi operand of an operator, or None if it is not rational,
+    so that the operator can defer to the other operand (e.g. a Scalar)."""
+    try:
+        return _as_qqi(x)
+    except TypeError:
+        return None
 
 
 QQI_ZERO = QQi(0)
@@ -212,6 +231,9 @@ class Scalar:
             other = _as_scalar(other)
         return _scalar(_accumulate(dict(self.terms),
                                    ((p, -c) for p, c in other.terms.items())))
+
+    def __rsub__(self, other) -> "Scalar":
+        return _as_scalar(other) - self
 
     def __neg__(self) -> "Scalar":
         return _scalar({p: -c for p, c in self.terms.items()})

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS, Signature,
                                  defining_rep, physical_rep)
 from ncspacetime.enveloping import (EnvElement, UnsupportedInverseError,
                                     ad_generator, casimir, centrality_defect,
-                                    env_commutator, env_product, levi_civita6,
-                                    random_env_element)
-from ncspacetime.scalars import S_I, Scalar
+                                    env_commutator, env_product, get_engine,
+                                    levi_civita6, random_env_element)
+from ncspacetime.scalars import S_I, S_ONE, Scalar
 
 SIG = Signature(1, 1)
 
@@ -263,3 +265,69 @@ class TestCasimirs:
     def test_unknown_kind(self, full):
         with pytest.raises(ValueError):
             casimir("C4", SIG, full)
+
+
+def memo_size(spec) -> int:
+    return len(get_engine(spec)._norm_cache)
+
+
+class TestMemoLifetime:
+    """The normal-order memo lives for one public operation."""
+
+    def test_empty_after_each_operation(self):
+        spec = build_deformed_algebra(SIG, "full")
+        rng = random.Random(7)
+        for _ in range(200):
+            a = random_env_element(rng, spec, 3, 3)
+            b = random_env_element(rng, spec, 3, 3)
+            got = env_commutator(a, b, spec)
+            assert memo_size(spec) == 0
+            assert got == env_commutator(a, b, build_deformed_algebra(SIG, "full"))
+        got = ad_generator(P_IDS[0], a, spec)
+        assert memo_size(spec) == 0
+        assert got == ad_generator(P_IDS[0], a, build_deformed_algebra(SIG, "full"))
+        got = casimir("C1", SIG, spec)
+        assert memo_size(spec) == 0
+        assert got == casimir("C1", SIG, build_deformed_algebra(SIG, "full"))
+
+    def test_empty_after_error(self, full):
+        a = gen(X_IDS[1]) + gen(P_IDS[2])
+        b = EnvElement({(P_IDS[0], X_IDS[0]): S_ONE, (IMINV,): S_ONE})
+        with pytest.raises(UnsupportedInverseError):
+            env_product(a, b, full)
+        assert memo_size(full) == 0
+
+    def test_shared_spec_across_threads(self):
+        spec = build_deformed_algebra(SIG, "full")
+        rng = random.Random(8)
+        pairs = [(random_env_element(rng, spec, 3, 3),
+                  random_env_element(rng, spec, 3, 3)) for _ in range(6)]
+        want = [env_commutator(a, b, spec) for a, b in pairs]
+        results = {}
+
+        def work(k):
+            results[k] = [env_commutator(a, b, spec) for a, b in pairs]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert [results.get(k) for k in range(4)] == [want] * 4
+        assert memo_size(spec) == 0
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="normal_order recurses once per rewrite step")
+def test_long_word_commutator_within_recursion_limit(full):
+    # [p0^60, x0] needs a rewrite chain deeper than the interpreter's
+    # recursion limit (it runs out between 40 and 50 letters)
+    p = EnvElement.monomial((P_IDS[0],) * 60)
+    assert env_commutator(p, gen(X_IDS[0]), full) == \
+        -ad_generator(X_IDS[0], p, full)

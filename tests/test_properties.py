@@ -1,4 +1,5 @@
-"""Hypothesis property tests: QQi field laws and env_product associativity."""
+"""Hypothesis property tests: QQi field laws, env_product associativity,
+the minilang print/parse round trip and the Leibniz rule of derivations."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ncspacetime.algebra import Signature, build_deformed_algebra  # noqa: E402
-from ncspacetime.enveloping import env_product, random_env_element  # noqa: E402
-from ncspacetime.scalars import QQi  # noqa: E402
+from ncspacetime.diffcalc import derivation_set  # noqa: E402
+from ncspacetime.enveloping import (EnvElement, env_product,  # noqa: E402
+                                    random_env_element)
+from ncspacetime.minilang import format_env, parse_element  # noqa: E402
+from ncspacetime.scalars import PARAMS, QQi, Scalar  # noqa: E402
 
 FEW = settings(max_examples=60, deadline=None)
 
@@ -79,3 +83,49 @@ def test_env_product_associative(regime, seed):
     a, b, c = (random_env_element(rng, spec, 2, 2) for _ in range(3))
     assert env_product(env_product(a, b, spec), c, spec) == \
         env_product(a, env_product(b, c, spec), spec)
+
+
+# coefficients: the printer's special cases +-1 and +-i, and general ones
+units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+coeffs = st.one_of(units, pairs).map(qqi)
+monomials = st.one_of(
+    st.just((0,) * len(PARAMS)),
+    st.lists(st.integers(-2, 2), min_size=len(PARAMS),
+             max_size=len(PARAMS)).map(tuple))
+scalars = st.lists(st.tuples(monomials, coeffs), min_size=1, max_size=3).map(
+    lambda terms: sum((Scalar({p: c}) for p, c in terms), Scalar.zero()))
+
+
+def elements(spec):
+    """Canonical elements: nondecreasing words over the basis."""
+    words = st.lists(st.sampled_from(spec.basis), max_size=3).map(
+        lambda w: tuple(sorted(w)))
+    return st.lists(st.tuples(words, scalars), max_size=4).map(
+        lambda terms: sum((EnvElement.monomial(w, s) for w, s in terms),
+                          EnvElement.zero()))
+
+
+@pytest.mark.parametrize("regime", sorted(SPECS))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_print_parse_round_trip(regime, data):
+    spec = SPECS[regime]
+    e = data.draw(elements(spec))
+    assert parse_element(format_env(e, regime), spec) == e
+
+
+DERIVATIONS = {regime: derivation_set(regime, spec)
+               for regime, spec in SPECS.items()}
+
+
+@pytest.mark.parametrize("regime", sorted(SPECS))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_derivation_leibniz_rule(regime, data):
+    spec, derivs = SPECS[regime], DERIVATIONS[regime]
+    d = derivs[data.draw(st.sampled_from(sorted(derivs)))]
+    word = st.lists(st.sampled_from(spec.basis), max_size=3).map(
+        lambda w: EnvElement.monomial(sorted(w)))
+    a, b = data.draw(word), data.draw(word)
+    assert d.apply(env_product(a, b, spec)) == \
+        env_product(d.apply(a), b, spec) + env_product(a, d.apply(b), spec)

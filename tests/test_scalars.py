@@ -129,3 +129,33 @@ class TestMixedRepresentation:
         assert format_qqi(QQi(Fraction(4, 2))) == "2"
         assert format_qqi(QQi(Fraction(1, 2))) == "1/2"
         assert format_qqi(QQi(Fraction(1, 2), -3)) == "(1/2-3*i)"
+
+
+ELL = Scalar.param("ell")
+
+
+class TestMixedOperands:
+    """A QQi or int on the left defers to the Scalar on the right."""
+
+    @pytest.mark.parametrize("expr, want", [
+        (lambda: QQi(0, 1) * ELL, lambda: Scalar.param("ell", coeff=QQi(0, 1))),
+        (lambda: QQi(0, 1) + ELL, lambda: Scalar.i() + ELL),
+        (lambda: QQi(0, 1) - ELL, lambda: Scalar.i() + Scalar.param("ell", coeff=-1)),
+        (lambda: 1 - ELL, lambda: Scalar.one() + Scalar.param("ell", coeff=-1)),
+    ], ids=["qqi_mul", "qqi_add", "qqi_sub", "int_rsub"])
+    def test_left_operand_defers_to_scalar(self, expr, want):
+        got = expr()
+        assert isinstance(got, Scalar) and got == want()
+
+    def test_int_minus_qqi(self):
+        assert 1 - QQi(2, 1) == QQi(-1, -1)
+        assert Fraction(1, 2) - QQi(1) == QQi(Fraction(-1, 2))
+
+    def test_non_rational_operand_still_raises(self):
+        for bad in (1.5, None):
+            with pytest.raises(TypeError):
+                QQi(1) + bad
+            with pytest.raises(TypeError):
+                QQi(1) * bad
+            with pytest.raises(TypeError):
+                bad - QQi(1)
