@@ -26,8 +26,9 @@ from .diffcalc import (derivation_labels, derivation_set,
                        differential_of_generator, exterior_derivative,
                        reference_differential_p, reference_differential_x,
                        theta_name)
-from .enveloping import (EnvElement, UnsupportedInverseError, casimir,
-                         centrality_defect, env_commutator, env_product)
+from .enveloping import (EnvElement, ExponentRangeError,
+                         UnsupportedInverseError, casimir, centrality_defect,
+                         env_commutator, env_product)
 from .minilang import MiniLangError, format_env, parse_element
 from .report import EXACT_ZERO, Check, Report
 from .reps import (build_rep_5d, build_rep_so32, check_rep_exact,
@@ -519,7 +520,8 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         report = _DISPATCH[args.command](spec_file, args)
-    except (MiniLangError, SpecFileError, UnsupportedInverseError) as exc:
+    except (MiniLangError, SpecFileError, UnsupportedInverseError,
+            ExponentRangeError) as exc:
         print(f"ncst: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ConstraintViolation, ResourceBudgetError) as exc:

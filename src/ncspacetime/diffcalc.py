@@ -22,9 +22,10 @@ the derivation basis through the structure constants.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
-from .algebra import IM, M_IDS, P_IDS, X_IDS, FORMAL_BASE, LieAlgebraSpec
-from .enveloping import EnvElement, env_product
+from .algebra import IM, M_IDS, P_IDS, X_IDS, LieAlgebraSpec
+from .enveloping import EnvElement, leibniz
 from .scalars import S_MINUS_I, Scalar
 
 FULL_LABELS = X_IDS + P_IDS + M_IDS + (IM,)
@@ -68,29 +69,11 @@ class Derivation:
         self.label = label
         self.action = action
         self.spec = spec
-        self._cache: dict[tuple, EnvElement] = {}
 
     def apply(self, a: EnvElement) -> EnvElement:
-        """Leibniz extension to arbitrary canonical elements."""
-        out = EnvElement.zero()
-        for word, c in a.terms.items():
-            cached = self._cache.get(word)
-            if cached is None:
-                cached = EnvElement.zero()
-                for k, letter in enumerate(word):
-                    if letter >= FORMAL_BASE:
-                        continue  # formal symbols are constants
-                    val = self.action.get(letter)
-                    if val is None or val.is_zero:
-                        continue
-                    piece = env_product(
-                        EnvElement.monomial(word[:k]), val, self.spec)
-                    piece = env_product(
-                        piece, EnvElement.monomial(word[k + 1:]), self.spec)
-                    cached = cached + piece
-                self._cache[word] = cached
-            out = out + cached.scale(c)
-        return out
+        """Leibniz extension to arbitrary canonical elements; formal
+        symbols are constants."""
+        return leibniz(a, self.action, self.spec)
 
 
 def derivation_labels(regime: str) -> tuple[int, ...]:
@@ -160,17 +143,21 @@ def derivation_commutator_coeffs(a: int, b: int, regime: str,
     """
     if regime == "tangent":
         return []
-    sa, sb = _inner_scale(a), _inner_scale(b)
     out = []
     for gid, t in spec.bracket_ids(a, b).coeffs.items():
         if gid not in FULL_LABELS:
             raise CalculusClosureError(
                 "derivation commutator leaves the derivation basis")
-        # ad(g_j) = (i s_j)^-1-normalized derivation: d^j = ad(g_j)*s_j/i...
-        # [d^a, d^b] = sa*sb * ad([g_a, g_b]) with d^j = s_j * ad(g_j)/1
-        sj = _inner_scale(gid)
-        out.append((gid, sa * sb * t * sj.inverse()))
+        # d^j = s_j * ad(g_j), so [d^a, d^b] = s_a s_b ad([g_a, g_b])
+        # = sum_j t_j * s_a s_b / s_j * d^j
+        out.append((gid, t * _scale_ratio(a, b, gid)))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _scale_ratio(a: int, b: int, j: int) -> Scalar:
+    """s_a * s_b / s_j for the inner scales s of _inner_scale."""
+    return _inner_scale(a) * _inner_scale(b) * _inner_scale(j).inverse()
 
 
 class PForm:

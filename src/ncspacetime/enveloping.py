@@ -5,7 +5,22 @@ ids, non-decreasing in the fixed order x < p < M < Im < ImInv) to Scalar
 coefficients.  Products are canonicalized by the rewriting g*h = h*g + [g,h];
 every swap strictly lowers a well-founded disorder measure because bracket
 terms have lower word degree, so the rewriting terminates and the result is
-the Poincare-Birkhoff-Witt normal form.
+the Poincare-Birkhoff-Witt normal form.  Each step rewrites the leftmost
+out-of-order pair, so the result is a function of the word even for a
+table that violates Jacobi.
+
+The kernel (_Run) is one call of env_product, env_commutator, leibniz
+(ad_generator, derivations) or casimir.  Inside it a coefficient term is
+a parameter monomial packed into one int (the seven exponents as balanced
+base-2^64 digits, so multiplying monomials is one int add) times a QQi, and
+a normal form is a dict {(word, packed monomial): QQi}.  Scalars are built
+only for the words of the result.  The normal forms of the words met on the
+way are memoized in a dict local to the call, filled by an explicit work
+stack rather than by recursion, so word length is not bounded by Python's
+recursion limit and concurrent calls share no memo.  Coefficients
+need no grading: a multi-term Scalar is simply several packed terms.  A
+call whose exponents could leave the 64-bit digits raises
+ExponentRangeError instead of returning a wrong monomial.
 
 Two extensions beyond the plain PBW basis:
 
@@ -23,14 +38,15 @@ Two extensions beyond the plain PBW basis:
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, LieAlgebraSpec,
                       AlgebraElement, Signature, _MAB_INDEX,
                       build_deformed_algebra, identify_orthogonal)
-from .scalars import S_ONE, Scalar
+from .scalars import (_NPAR, QQI_ONE, S_ONE, QQi, Scalar, _new,
+                      _norm, _scalar)
 
 Word = tuple  # tuple[int, ...]
 
@@ -151,23 +167,23 @@ class EnvElement:
 class RewriteEngine:
     """Normal-ordering engine bound to one structure-constant table.
 
-    Only the letter brackets (at most 16x16) are kept between calls; the
-    normal-order memo lives for one operation() and is then emptied.
+    Only the letter brackets (at most 16x16, each also in packed form) are
+    kept between calls; every normal-order memo belongs to one kernel call.
     """
 
     def __init__(self, spec: LieAlgebraSpec):
         self.spec = spec
+        # Always empty: memos are local to one call (see _Run).  Kept so
+        # that tools inspecting an engine find the attribute.
         self._norm_cache: dict[Word, dict[Word, Scalar]] = {}
         self._bracket_cache: dict[tuple[int, int], list] = {}
+        self._packed_cache: dict[tuple[int, int], list] = {}
         self.allow_iminv = self._iminv_allowed()
-
-    @contextmanager
-    def operation(self):
-        """Scope of one public operation; empties the memo, also on error."""
-        try:
-            yield
-        finally:
-            self._norm_cache.clear()
+        # largest exponent magnitude of any bracket coefficient
+        monos = {pows for elem in spec.table.values()
+                 for s in (elem.central, *elem.coeffs.values())
+                 for pows in s.terms}
+        self.exp_bound = max((max(max(p), -min(p)) for p in monos), default=0)
 
     def _iminv_allowed(self) -> bool:
         spec = self.spec
@@ -214,6 +230,15 @@ class RewriteEngine:
         self._bracket_cache[key] = out
         return out
 
+    def packed_bracket(self, a: int, b: int):
+        """[g_a, g_b] as a list of (word, [(mono, QQi)]) terms."""
+        key = (a, b)
+        cached = self._packed_cache.get(key)
+        if cached is None:
+            cached = self._packed_cache[key] = [
+                (w, _packed(s)[0]) for w, s in self.letter_bracket(a, b)]
+        return cached
+
     def check_word(self, word: Word) -> None:
         for gid in word:
             if gid >= FORMAL_BASE:
@@ -225,46 +250,220 @@ class RewriteEngine:
             elif gid not in self.spec.basis:
                 raise KeyError(f"generator id {gid} not in basis")
 
-    def normal_order(self, word: Word) -> dict[Word, Scalar]:
-        cached = self._norm_cache.get(word)
-        if cached is not None:
-            return cached
-        pos = -1
-        kind = None
-        for k in range(len(word) - 1):
-            u, v = word[k], word[k + 1]
-            if u >= FORMAL_BASE or v >= FORMAL_BASE:
-                continue
-            if u == IM and v == IMINV:
-                pos, kind = k, "cancel"
-                break
+    def rewrite_step(self, w: Word, start: int, known):
+        """None if w is normal-ordered, else (first, rest, hint) with
+        w = first + sum(coeff * child for child, coeff in rest).
+
+        The step begins at the leftmost out-of-order pair or Im*ImInv
+        factor, which lies at start or later.  An out-of-order letter v
+        moves left by swaps with its left neighbour g, each adding the
+        words with the terms of [g, v] in place of the pair.  It stops, in
+        the word first, where the next swap would not be the leftmost
+        rewrite or where the word reached is in known (memoized).  Every
+        word of the step agrees with w before position hint, so its own
+        leftmost rewrite lies at hint or later.
+        """
+        for k in range(start, len(w) - 1):
+            u = w[k]
+            v = w[k + 1]
             if u > v:
-                pos, kind = k, "swap"
-                break
-        if pos < 0:
-            result = {word: S_ONE}
-        elif kind == "cancel":
-            result = dict(self.normal_order(word[:pos] + word[pos + 2:]))
-        else:
-            u, v = word[pos], word[pos + 1]
-            swapped = word[:pos] + (v, u) + word[pos + 2:]
-            result = dict(self.normal_order(swapped))
-            for bw, s in self.letter_bracket(u, v):
-                _add_scaled(result, s, self.normal_order(
-                    word[:pos] + bw + word[pos + 2:]).items())
-        self._norm_cache[word] = result
-        return result
+                if u < FORMAL_BASE:
+                    tail = w[k + 2:]
+                    rest = []
+                    j = k
+                    while True:
+                        head = w[:j]
+                        mid = w[j + 1:k + 1] + tail
+                        for bw, coeff in self.packed_bracket(w[j], v):
+                            rest.append((head + bw + mid, coeff))
+                        first = head + (v,) + w[j:k + 1] + tail
+                        if not j or not v < w[j - 1] < FORMAL_BASE \
+                                or first in known:
+                            break
+                        j -= 1
+                    return first, rest, j - 1 if j else 0
+            elif u == IM and v == IMINV:
+                return w[:k] + w[k + 2:], (), k - 1 if k else 0
+        return None
+
+    def normal_order(self, word: Word) -> dict[Word, Scalar]:
+        """Normal form of one word, in one kernel call of its own."""
+        run = _Run(self)
+        run.add(word, _UNIT, 0)
+        return run.element().terms
 
 
-def _add_scaled(out: dict, c: Scalar, terms) -> None:
-    """out[w] += c * s for each (w, s) in terms, dropping words that cancel."""
-    for w, s in terms:
-        t = out.get(w)
-        t = c * s if t is None else t + c * s
-        if t:
-            out[w] = t
-        elif w in out:
-            del out[w]
+# -- the kernel ------------------------------------------------------------
+
+_FIELD = 64
+_HALF = 1 << (_FIELD - 1)
+_MASK = (1 << _FIELD) - 1
+_UNIT = ((0, QQI_ONE),)
+
+
+class ExponentRangeError(ValueError):
+    """A parameter exponent too large for a packed monomial."""
+
+
+@lru_cache(maxsize=4096)
+def _pack(pows: tuple) -> tuple[int, int]:
+    """The exponents as the balanced base-2^_FIELD digits of one int, and
+    their largest magnitude."""
+    m = 0
+    for e in reversed(pows):
+        m = (m << _FIELD) + e
+    return m, max(max(pows), -min(pows))
+
+
+@lru_cache(maxsize=4096)
+def _unpack(m: int) -> tuple:
+    pows = []
+    for _ in range(_NPAR):
+        e = ((m + _HALF) & _MASK) - _HALF
+        pows.append(e)
+        m = (m - e) >> _FIELD
+    return tuple(pows)
+
+
+def _packed(s: Scalar):
+    """s as a list of (mono, QQi), and its largest exponent magnitude."""
+    out = []
+    bound = 0
+    for pows, q in s.terms.items():
+        m, b = _pack(pows)
+        out.append((m, q))
+        if b > bound:
+            bound = b
+    return out, bound
+
+
+def _times(c1, c2) -> list:
+    return [(m1 + m2, q1 * q2) for m1, q1 in c1 for m2, q2 in c2]
+
+
+def _scatter(acc: dict, form: dict, coeff) -> None:
+    """acc += coeff * form, dropping keys whose values cancel.
+
+    The QQi arithmetic is written out on the parts; a part that is not an
+    int is normalized (_norm).
+    """
+    get = acc.get
+    for mono, q in coeff:
+        a, b = q.re, q.im
+        for key, v in form.items():
+            if mono:
+                key = (key[0], key[1] + mono)
+            c, d = v.re, v.im
+            re, im = a * c - b * d, a * d + b * c
+            t = get(key)
+            if t is not None:
+                re += t.re
+                im += t.im
+            if re.__class__ is not int:
+                re = _norm(re)
+            if im.__class__ is not int:
+                im = _norm(im)
+            if re or im:
+                v = _new(QQi)
+                v.re = re
+                v.im = im
+                acc[key] = v
+            elif t is not None:
+                del acc[key]
+
+
+class _Run:
+    """One kernel call: a local normal-order memo and one accumulator.
+
+    Both map to packed terms {(word, mono): QQi}.  memo[w] is the normal
+    form of the word w; acc is the running result.  bound is the largest
+    exponent magnitude of any coefficient added.
+    """
+
+    __slots__ = ("eng", "memo", "acc", "bound")
+
+    def __init__(self, eng: RewriteEngine):
+        self.eng = eng
+        self.memo: dict[Word, dict] = {}
+        self.acc: dict[tuple, QQi] = {}
+        self.bound = 0
+
+    def add(self, word: Word, coeff, bound: int) -> None:
+        """acc += coeff * word, coeff a list of (mono, QQi) whose exponents
+        are at most bound in magnitude."""
+        if bound > self.bound:
+            self.bound = bound
+        form = self.memo.get(word)
+        if form is None:
+            form = self._order(word)
+        _scatter(self.acc, form, coeff)
+
+    def _order(self, word: Word) -> dict:
+        """memo[word], filling in every missing word it rewrites to first.
+
+        A frame (w, start) asks for w, whose leftmost rewrite lies at start
+        or later; a frame (w, step) waits on the words of w's rewrite step,
+        all of which are memoized by the time it pops.
+        """
+        memo = self.memo
+        step_of = self.eng.rewrite_step
+        stack = [(word, 0)]
+        while stack:
+            w, step = stack.pop()
+            if step.__class__ is int:
+                if w in memo:
+                    continue
+                step = step_of(w, step, memo)
+                if step is None:
+                    memo[w] = {(w, 0): QQI_ONE}
+                    continue
+                first, rest, hint = step
+                pending = [(first, hint)] if first not in memo else []
+                for c, _ in rest:
+                    if c not in memo:
+                        pending.append((c, hint))
+                if pending:
+                    stack.append((w, step))
+                    stack += pending
+                    continue
+            first, rest, _ = step
+            form = dict(memo[first])
+            for child, coeff in rest:
+                _scatter(form, memo[child], coeff)
+            memo[w] = form
+        return memo[word]
+
+    def element(self) -> EnvElement:
+        """The accumulated result, with Scalar coefficients.
+
+        An output exponent is an input coefficient's plus one bracket
+        coefficient's per rewrite step, and a chain of steps visits each
+        memoized word at most once; within the bound below every exponent
+        is a digit of its packed monomial, so no field has carried.
+        """
+        if self.bound + self.eng.exp_bound * (len(self.memo) + 1) >= _HALF:
+            raise ExponentRangeError(
+                f"parameter exponents must stay below 2^{_FIELD - 1} in "
+                "magnitude through normal ordering")
+        grouped: dict[Word, dict] = {}
+        for (w, m), q in self.acc.items():
+            pows = _unpack(m)
+            d = grouped.get(w)
+            if d is None:
+                grouped[w] = {pows: q}
+            else:
+                d[pows] = q
+        r = EnvElement()
+        r.terms = {w: _scalar(d) for w, d in grouped.items()}
+        return r
+
+
+def _packed_terms(eng: RewriteEngine, a: EnvElement) -> list:
+    out = []
+    for w, s in a.terms.items():
+        eng.check_word(w)
+        out.append((w, *_packed(s)))
+    return out
 
 
 def get_engine(spec: LieAlgebraSpec) -> RewriteEngine:
@@ -276,19 +475,51 @@ def get_engine(spec: LieAlgebraSpec) -> RewriteEngine:
 def env_product(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     """Canonical normal-ordered product in the enveloping algebra."""
     eng = get_engine(spec)
-    r = EnvElement()
-    with eng.operation():
-        for w1, s1 in a.terms.items():
-            eng.check_word(w1)
-            for w2, s2 in b.terms.items():
-                eng.check_word(w2)
-                _add_scaled(r.terms, s1 * s2, eng.normal_order(w1 + w2).items())
-    return r
+    run = _Run(eng)
+    pb = _packed_terms(eng, b)
+    for w1, c1, b1 in _packed_terms(eng, a):
+        for w2, c2, b2 in pb:
+            run.add(w1 + w2, _times(c1, c2), b1 + b2)
+    return run.element()
 
 
 def env_commutator(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     """a*b - b*a in canonical form; reduces to the table bracket on degree 1."""
-    return env_product(a, b, spec) - env_product(b, a, spec)
+    eng = get_engine(spec)
+    run = _Run(eng)
+    pb = _packed_terms(eng, b)
+    for w1, c1, b1 in _packed_terms(eng, a):
+        for w2, c2, b2 in pb:
+            ab, ba = w1 + w2, w2 + w1
+            if ab != ba:
+                c = _times(c1, c2)
+                run.add(ab, c, b1 + b2)
+                run.add(ba, [(m, -q) for m, q in c], b1 + b2)
+    return run.element()
+
+
+def leibniz(a: EnvElement, action: dict, spec: LieAlgebraSpec) -> EnvElement:
+    """The derivation D with D(g) = action[g] applied to a.
+
+    action maps a letter to its image, an EnvElement; a letter it does not
+    map is a constant.  Each word u*g*v of a contributes the normal forms
+    of u*w*v over the terms w of D(g), all in one kernel call.
+    """
+    if not a.terms:
+        return EnvElement()
+    eng = get_engine(spec)
+    run = _Run(eng)
+    packed = {}
+    for word, c, bc in _packed_terms(eng, a):
+        for k, letter in enumerate(word):
+            terms = packed.get(letter)
+            if terms is None:
+                image = action.get(letter)
+                terms = packed[letter] = [] if image is None else [
+                    (w, *_packed(s)) for w, s in image.terms.items()]
+            for w, cs, bs in terms:
+                run.add(word[:k] + w + word[k + 1:], _times(c, cs), bc + bs)
+    return run.element()
 
 
 def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
@@ -298,22 +529,16 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     env_commutator(generator, a) on the PBW part of the algebra.
     """
     eng = get_engine(spec)
-    r = EnvElement()
-    with eng.operation():
-        for word, c in a.terms.items():
-            eng.check_word(word)
-            for k, letter in enumerate(word):
-                if letter >= FORMAL_BASE:
-                    raise ValueError("ad_generator does not support formal symbols")
-                if letter == IMINV:
-                    terms = [(w, -s) for w, s in eng.letter_bracket(IMINV, gid)]
-                else:
-                    terms = eng.letter_bracket(gid, letter) if gid > letter else \
-                        [(w, -s) for w, s in eng.letter_bracket(letter, gid)] if gid < letter else []
-                for bw, s in terms:
-                    _add_scaled(r.terms, c * s, eng.normal_order(
-                        word[:k] + bw + word[k + 1:]).items())
-    return r
+    action = {}
+    for word in a.terms:
+        eng.check_word(word)
+        for letter in word:
+            if letter >= FORMAL_BASE:
+                raise ValueError("ad_generator does not support formal symbols")
+            if letter not in action:
+                action[letter] = EnvElement(
+                    dict(eng.letter_bracket(gid, letter)))
+    return leibniz(a, action, spec)
 
 
 # -- Casimir invariants ----------------------------------------------------
@@ -357,44 +582,42 @@ def casimir(kind: str, sig: Signature,
         raise ValueError(f"unknown Casimir kind {kind!r}")
     if spec is None:
         spec = build_deformed_algebra(sig, "full")
-    eng = get_engine(spec)
+    run = _Run(get_engine(spec))
     ident = identify_orthogonal(sig)
     eta = sig.eta6
     factors = {}
     for (a, b) in MAB_PAIRS:
         gid, f = _phys_mab_factor(ident, a, b)
-        factors[(a, b)] = (gid, f)
-        factors[(b, a)] = (gid, -f)
-
-    r = EnvElement()
+        factors[(a, b)] = (gid, *_packed(f))
+        factors[(b, a)] = (gid, *_packed(-f))
 
     def accumulate(index_pairs, coeff: int):
         word = []
-        scal = Scalar.of(coeff)
+        scal = [(0, QQi(coeff))]
+        bound = 0
         for (a, b) in index_pairs:
-            gid, f = factors[(a, b)]
+            gid, f, fb = factors[(a, b)]
             word.append(gid)
-            scal = scal * f
-        _add_scaled(r.terms, scal, eng.normal_order(tuple(word)).items())
+            scal = _times(scal, f)
+            bound += fb
+        run.add(tuple(word), scal, bound)
 
-    with eng.operation():
-        if kind == "C1":
-            for a in range(6):
-                for b in range(6):
-                    if a != b:
-                        accumulate(((a, b), (a, b)), eta[a] * eta[b])
-        elif kind == "C2":
-            for perm in itertools.permutations(range(6)):
-                a, b, c, d, e, f = perm
-                accumulate(((a, b), (c, d), (e, f)), levi_civita6(*perm))
-        else:  # C3
-            for a, b, c, d in itertools.product(range(6), repeat=4):
-                if a == b or b == c or c == d or d == a:
-                    continue
-                accumulate(((a, b), (b, c), (c, d), (d, a)),
-                           eta[a] * eta[b] * eta[c] * eta[d])
-
-    return r
+    if kind == "C1":
+        for a in range(6):
+            for b in range(6):
+                if a != b:
+                    accumulate(((a, b), (a, b)), eta[a] * eta[b])
+    elif kind == "C2":
+        for perm in itertools.permutations(range(6)):
+            a, b, c, d, e, f = perm
+            accumulate(((a, b), (c, d), (e, f)), levi_civita6(*perm))
+    else:  # C3
+        for a, b, c, d in itertools.product(range(6), repeat=4):
+            if a == b or b == c or c == d or d == a:
+                continue
+            accumulate(((a, b), (b, c), (c, d), (d, a)),
+                       eta[a] * eta[b] * eta[c] * eta[d])
+    return run.element()
 
 
 def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):

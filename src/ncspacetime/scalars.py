@@ -102,7 +102,9 @@ class QQi:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QQi":
-        other = _as_qqi(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         n = other.re * other.re + other.im * other.im
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -263,6 +265,13 @@ class Scalar:
         (pows, c), = self.terms.items()
         inv = tuple(-e for e in pows)
         return Scalar({inv: QQI_ONE / c})
+
+    def __truediv__(self, other) -> "Scalar":
+        """Division by a single-term scalar (see inverse)."""
+        return self * _as_scalar(other).inverse()
+
+    def __rtruediv__(self, other) -> "Scalar":
+        return _as_scalar(other) * self.inverse()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QQi)):

@@ -110,6 +110,30 @@ class TestDeterminism:
         assert path.read_text(encoding="utf-8") == out.stdout
 
 
+class TestLongAndLargeInput:
+    def test_long_word_commute_in_process(self, capsys):
+        from ncspacetime import cli
+        assert cli.main(["commute", "p0^200", "x0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(c["name"], c["status"]) for c in report["checks"]] == \
+            [("commute", "pass")]
+        assert report["result"]["commutator"].endswith(" + 200*i*p0^199*Im")
+
+    def test_large_exponent_is_exact(self):
+        big = 2 ** 40
+        out = run_cli("commute", f"ell^{big}*x0", "p0")
+        assert out.returncode == 0
+        report = json.loads(out.stdout)
+        assert report["result"]["commutator"] == f"-i*ell^{big}*Im"
+
+    def test_out_of_range_exponent_exits_two(self):
+        out = run_cli("commute", f"ell^{2 ** 70}*x0", "p0")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("ncst: ")
+
+
 class TestCommands:
     def test_commute_p0_x0(self):
         out = run_cli("commute", "p0", "x0")

@@ -9,11 +9,12 @@ import pytest
 from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS, Signature,
                                  build_deformed_algebra, identify_orthogonal,
                                  defining_rep, physical_rep)
-from ncspacetime.enveloping import (EnvElement, UnsupportedInverseError,
-                                    ad_generator, casimir, centrality_defect,
+from ncspacetime.enveloping import (EnvElement, ExponentRangeError,
+                                    UnsupportedInverseError, ad_generator,
+                                    casimir, centrality_defect,
                                     env_commutator, env_product, get_engine,
                                     levi_civita6, random_env_element)
-from ncspacetime.scalars import S_I, S_ONE, Scalar
+from ncspacetime.scalars import S_I, S_ONE, QQi, Scalar
 
 SIG = Signature(1, 1)
 
@@ -323,11 +324,61 @@ class TestMemoLifetime:
         assert memo_size(spec) == 0
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True,
-                   reason="normal_order recurses once per rewrite step")
 def test_long_word_commutator_within_recursion_limit(full):
     # [p0^60, x0] needs a rewrite chain deeper than the interpreter's
     # recursion limit (it runs out between 40 and 50 letters)
     p = EnvElement.monomial((P_IDS[0],) * 60)
     assert env_commutator(p, gen(X_IDS[0]), full) == \
         -ad_generator(X_IDS[0], p, full)
+
+
+def test_tangent_long_word_through_iminv(tangent):
+    # ImInv commutes with p in the tangent regime and [ImInv, x0] =
+    # i*ell^2*p0*ImInv^2 at eps4 = 1, so [ImInv^k p0^m, x0] has a closed
+    # form; the rewrite chain is k*m swaps long
+    k, m = 20, 60
+    a = EnvElement.monomial((IMINV,) * k + (P_IDS[0],) * m)
+    got = env_commutator(a, gen(X_IDS[0]), tangent)
+    want = EnvElement({
+        (P_IDS[0],) * (m - 1) + (IMINV,) * (k - 1): Scalar.of(QQi(0, m)),
+        (P_IDS[0],) * (m + 1) + (IMINV,) * (k + 1):
+            Scalar.param("ell", 2, coeff=QQi(0, k))})
+    assert got == want
+    assert got == -ad_generator(X_IDS[0], a, tangent)
+
+
+class TestExponentRange:
+    """Parameter exponents are packed into one int inside the kernel."""
+
+    BIG = 2 ** 40
+
+    def test_large_exponents_stay_exact(self, full):
+        ell = Scalar.param("ell", self.BIG)
+        a = EnvElement.monomial((X_IDS[0],), ell)
+        b = EnvElement.monomial((X_IDS[1], P_IDS[0]),
+                                Scalar.param("R_inv", -self.BIG))
+        got = env_commutator(a, b, full)
+        plain = env_commutator(gen(X_IDS[0]), EnvElement.monomial(
+            (X_IDS[1], P_IDS[0])), full)
+        scale = ell * Scalar.param("R_inv", -self.BIG)
+        assert got == plain.scale(scale)
+        assert env_product(a, a, full) == EnvElement.monomial(
+            (X_IDS[0], X_IDS[0]), Scalar.param("ell", 2 * self.BIG))
+
+    def test_exponents_near_the_field_limit(self, full):
+        # opposite signs in neighbouring fields, up to 2^62 in magnitude
+        def mono(e):
+            return Scalar.param("ell", e) * Scalar.param("R_inv", -e)
+        a = EnvElement.monomial((X_IDS[0],), mono(2 ** 61))
+        assert env_product(a, a, full) == EnvElement.monomial(
+            (X_IDS[0], X_IDS[0]), mono(2 ** 62))
+        b = EnvElement.monomial((X_IDS[0],), mono(2 ** 62))
+        with pytest.raises(ExponentRangeError):
+            env_product(b, b, full)
+
+    def test_out_of_range_exponent_raises(self, full):
+        a = EnvElement.monomial((X_IDS[0],), Scalar.param("phi", 2 ** 70))
+        with pytest.raises(ExponentRangeError):
+            env_commutator(a, gen(P_IDS[0]), full)
+        with pytest.raises(ExponentRangeError):
+            ad_generator(P_IDS[0], a, full)

@@ -159,3 +159,28 @@ class TestMixedOperands:
                 QQi(1) * bad
             with pytest.raises(TypeError):
                 bad - QQi(1)
+
+
+class TestDivision:
+    """Division by a single-term scalar goes through Scalar.inverse."""
+
+    @pytest.mark.parametrize("expr, want", [
+        (lambda: QQi(1) / ELL, lambda: Scalar.param("ell", -1)),
+        (lambda: 2 / ELL, lambda: Scalar.param("ell", -1, coeff=2)),
+        (lambda: ELL / QQi(2), lambda: Scalar.param("ell", coeff=Fraction(1, 2))),
+        (lambda: Scalar.i() / Scalar.param("R_inv", 2, coeff=QQi(0, 2)),
+         lambda: Scalar.param("R_inv", -2, coeff=Fraction(1, 2))),
+    ], ids=["qqi_by_scalar", "int_by_scalar", "scalar_by_qqi", "scalar_by_scalar"])
+    def test_single_term_divisor(self, expr, want):
+        got = expr()
+        assert isinstance(got, Scalar) and got == want()
+
+    def test_multi_term_divisor_raises(self):
+        with pytest.raises(ValueError):
+            ELL / (Scalar.one() + ELL)
+        with pytest.raises(ValueError):
+            QQi(1) / (Scalar.one() + ELL)
+
+    def test_non_rational_divisor_raises(self):
+        with pytest.raises(TypeError):
+            QQi(1) / 1.5
