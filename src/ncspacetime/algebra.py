@@ -407,13 +407,6 @@ class OrthogonalIdentification:
     def to_phys(self, mab_index: int) -> tuple[int, Scalar]:
         return self._mab_to_phys[mab_index]
 
-    def phys_element_to_mab(self, elem: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement(central=elem.central)
-        for gid, s in elem.coeffs.items():
-            k, f = self.to_mab(gid)
-            out = out + _gen(k, s * f)
-        return out
-
     def mab_element_to_phys(self, elem: AlgebraElement) -> AlgebraElement:
         out = AlgebraElement(central=elem.central)
         for k, s in elem.coeffs.items():

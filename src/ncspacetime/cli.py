@@ -113,9 +113,8 @@ def check_contraction(sig: Signature) -> Check:
                  "R_inv -> 0 substitution equals the tangent table entry-for-entry")
 
 
-def check_casimir_centrality(sig: Signature, kind: str,
+def check_casimir_centrality(kind: str, elem: EnvElement,
                              spec: LieAlgebraSpec) -> Check:
-    elem = casimir(kind, sig, spec)
     defects = centrality_defect(elem, spec)
     name = f"casimir_{kind.lower()}_centrality"
     if not defects:
@@ -125,17 +124,13 @@ def check_casimir_centrality(sig: Signature, kind: str,
                  {"noncommuting": [spec.gen_name(g) for g, _ in defects]})
 
 
-def check_casimir_oracle(sig: Signature, kind: str, tol: float = 1e-10) -> Check:
+def check_casimir_oracle(sig: Signature, kind: str, elem: EnvElement,
+                         tol: float = 1e-10) -> Check:
+    """elem is the full-regime Casimir of sig."""
     rep = defining_rep(sig)
-    ident = identify_orthogonal(sig)
-    full = build_deformed_algebra(sig, "full")
-    elem = casimir(kind, sig, full)
-    phys_rep_mats = {}
-    env = {"ell": 1.0, "R_inv": 0.5}
-    for gid in full.basis:
-        k, s = ident.to_mab(gid)
-        phys_rep_mats[gid] = complex(s.evaluate(env)) * rep[k]
-    c_mat = elem.evaluate_matrix(phys_rep_mats, {**env, "phi": sig.eps5 * 0.25})
+    c_mat = elem.evaluate_matrix(physical_rep(sig, ell=1.0, r_inv=0.5),
+                                 {"ell": 1.0, "R_inv": 0.5,
+                                  "phi": sig.eps5 * 0.25})
     worst = 0.0
     scale = max(1.0, float(np.abs(c_mat).max()))
     for m in rep.values():
@@ -206,11 +201,13 @@ def cmd_verify(spec_file: SpecFile, args) -> Report:
     report.add(check_orthogonal_oracle(sig, oracle_tol))
     report.add(check_contraction(sig))
     clean_full = build_deformed_algebra(sig, "full")
-    report.add(check_casimir_centrality(sig, "C1", clean_full))
+    report.add(check_casimir_centrality(
+        "C1", casimir("C1", sig, clean_full), clean_full))
     for kind in ("C2", "C3"):
-        report.add(check_casimir_oracle(sig, kind, casimir_tol))
+        elem = casimir(kind, sig, clean_full)
+        report.add(check_casimir_oracle(sig, kind, elem, casimir_tol))
         if args.deep:
-            report.add(check_casimir_centrality(sig, kind, clean_full))
+            report.add(check_casimir_centrality(kind, elem, clean_full))
         else:
             report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
                              EXACT_ZERO, "symbolic check runs under --deep"))
@@ -243,9 +240,9 @@ def cmd_casimir(spec_file: SpecFile, args) -> Report:
     elem = casimir(kind, sig, spec)
     report.payload["element"] = format_env(elem)
     report.payload["terms"] = len(elem.terms)
-    report.add(check_casimir_oracle(sig, kind))
+    report.add(check_casimir_oracle(sig, kind, elem))
     if kind == "C1" or args.deep:
-        report.add(check_casimir_centrality(sig, kind, spec))
+        report.add(check_casimir_centrality(kind, elem, spec))
     else:
         report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
                          EXACT_ZERO, "symbolic check runs under --deep"))

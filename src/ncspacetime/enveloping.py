@@ -525,8 +525,11 @@ def leibniz(a: EnvElement, action: dict, spec: LieAlgebraSpec) -> EnvElement:
 def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     """[g, a] computed by the Leibniz rule letter by letter.
 
-    Faster than two full products for long elements; agrees with
-    env_commutator(generator, a) on the PBW part of the algebra.
+    Agrees with env_commutator(generator, a) on the PBW part of the
+    algebra.  Which of the two is faster depends on the element (measured
+    on a 2-core x86 machine): the 15 brackets of the full-regime C3 take
+    0.044 s here against 0.068 s by env_commutator, but in the tangent
+    regime -ad_generator(p0, ImInv*x0^30) takes 24.8 s against 4.5 s.
     """
     eng = get_engine(spec)
     action = {}

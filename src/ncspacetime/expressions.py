@@ -12,18 +12,23 @@ Two coefficient types feed the differential-operator layer:
   maps each variable to a float or to a numpy array of floats; with arrays,
   one walk of the tree evaluates it at every point at once.
 
+Both share one coefficient protocol: ``c.zero()`` (the zero of c's ring),
+``c.is_zero`` (true only for an exact zero) and the class attribute
+``commutative = True``.
+
 A DiffOperator is zeroth-order coefficient plus a map variable -> first-order
 coefficient.  The commutator of two first-order operators is again first
-order; the second-order part cancels identically for commutative
-coefficients, and the implementation checks that cancellation rather than
-assuming it.
+order exactly when the symmetrized second-order part cancels, which it does
+identically for commutative coefficients.  So the commutator trusts Poly and
+Expr, which declare ``commutative``, and checks the cancellation numerically
+only for a coefficient type without that declaration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scalars import QQi
+from .scalars import QQi, _accumulate
 
 # -- exact polynomials -------------------------------------------------------
 
@@ -32,6 +37,7 @@ class Poly:
     """Multivariate polynomial with QQi coefficients over named variables."""
 
     __slots__ = ("vars", "terms")
+    commutative = True
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -52,83 +58,52 @@ class Poly:
         pows[tuple(variables).index(name)] = 1
         return cls(variables, {tuple(pows): QQi(1)})
 
+    def _with(self, terms: dict) -> "Poly":
+        """Polynomial over self's variables with already-nonzero terms."""
+        r = Poly(self.vars)
+        r.terms = terms
+        return r
+
+    def zero(self) -> "Poly":
+        return Poly(self.vars)
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _binop(self, other, merge):
+    def _operand(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(self.vars, other)
         if self.vars != other.vars:
             raise ValueError("polynomials over different variable lists")
-        return merge(other)
+        return other
 
     def __add__(self, other) -> "Poly":
-        def merge(other):
-            out = dict(self.terms)
-            for p, c in other.terms.items():
-                t = out.get(p)
-                t = c if t is None else t + c
-                if t:
-                    out[p] = t
-                elif p in out:
-                    del out[p]
-            r = Poly(self.vars)
-            r.terms = out
-            return r
-        return self._binop(other, merge)
+        other = self._operand(other)
+        return self._with(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        other = other if isinstance(other, Poly) else Poly.constant(self.vars, other)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __neg__(self) -> "Poly":
-        r = Poly(self.vars)
-        r.terms = {p: -c for p, c in self.terms.items()}
-        return r
+        return self._with({p: -c for p, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
-        def merge(other):
-            out: dict[tuple, QQi] = {}
-            for p1, c1 in self.terms.items():
-                for p2, c2 in other.terms.items():
-                    p = tuple(a + b for a, b in zip(p1, p2))
-                    c = c1 * c2
-                    t = out.get(p)
-                    t = c if t is None else t + c
-                    if t:
-                        out[p] = t
-                    elif p in out:
-                        del out[p]
-            r = Poly(self.vars)
-            r.terms = out
-            return r
-        return self._binop(other, merge)
+        other = self._operand(other)
+        return self._with(_accumulate({}, (
+            (tuple(a + b for a, b in zip(p1, p2)), c1 * c2)
+            for p1, c1 in self.terms.items()
+            for p2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
     def diff(self, name: str) -> "Poly":
         k = self.vars.index(name)
-        out: dict[tuple, QQi] = {}
-        for pows, c in self.terms.items():
-            e = pows[k]
-            if not e:
-                continue
-            p = list(pows)
-            p[k] = e - 1
-            p = tuple(p)
-            add = c * e
-            t = out.get(p)
-            t = add if t is None else t + add
-            if t:
-                out[p] = t
-            elif p in out:
-                del out[p]
-        r = Poly(self.vars)
-        r.terms = out
-        return r
+        return self._with(_accumulate({}, (
+            (pows[:k] + (pows[k] - 1,) + pows[k + 1:], c * pows[k])
+            for pows, c in self.terms.items() if pows[k])))
 
     def evaluate(self, env: dict) -> complex:
         total = 0j
@@ -162,6 +137,23 @@ class Poly:
 class Expr:
     """Base expression node."""
 
+    commutative = True
+
+    def zero(self) -> "Expr":
+        return Const(0)
+
+    @property
+    def is_zero(self) -> bool:
+        """Exact zero only (a Const(0)); a tree that merely evaluates to
+        zero is not detected."""
+        return False
+
+    def __eq__(self, other):
+        raise TypeError("expression trees have no decidable equality; "
+                        "exact operator equality needs Poly coefficients")
+
+    __hash__ = object.__hash__
+
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
@@ -192,14 +184,14 @@ def _sum(*terms) -> Expr:
     """Add without exact-zero terms.  With _prod, this keeps derivatives
     and commutators free of zero subtrees that every evaluation would walk;
     values are unchanged wherever they are finite."""
-    terms = [t for t in terms if not _is_zero(t)]
+    terms = [t for t in terms if not t.is_zero]
     if not terms:
         return Const(0)
     return terms[0] if len(terms) == 1 else Add(*terms)
 
 
 def _prod(*factors) -> Expr:
-    if any(_is_zero(f) for f in factors):
+    if any(f.is_zero for f in factors):
         return Const(0)
     return Mul(*factors)
 
@@ -215,6 +207,10 @@ class Const(Expr):
         if isinstance(value, QQi):
             value = value.to_complex()
         self.value = value
+
+    @property
+    def is_zero(self) -> bool:
+        return self.value == 0
 
     def diff(self, var):
         return Const(0)
@@ -401,21 +397,26 @@ class DiffOperator:
 
     def commutator(self, other: "DiffOperator",
                    check_points=None) -> "DiffOperator":
-        """Exact [self, other]; raises if the second-order part survives.
+        """Exact [self, other] as a first-order operator.
 
-        For commutative coefficients a_i b_j - b_j a_i vanishes identically;
-        with Poly coefficients this is checked exactly, with Expr
-        coefficients at the supplied sample points.
+        The symmetrized second-order part a_v b_w - b_v a_w + a_w b_v - b_w a_v
+        vanishes identically for commutative coefficients.  Poly and Expr
+        declare ``commutative`` and are not checked; for any other coefficient
+        type the part is evaluated at check_points (or at fixed default
+        points) and NotALieBracketError is raised if it survives.
         """
         a0, b0 = self.zeroth, other.zeroth
-        zeroth = _zero_like(a0)
+        if not (getattr(a0, "commutative", False)
+                and getattr(b0, "commutative", False)):
+            self._check_second_order(other, check_points)
+        zeroth = a0.zero()
         for v, c in self.firsts.items():
             zeroth = zeroth + c * b0.diff(v)
         for v, c in other.firsts.items():
             zeroth = zeroth - c * a0.diff(v)
         firsts = {}
         for w in sorted(set(self.firsts) | set(other.firsts)):
-            acc = _zero_like(a0)
+            acc = a0.zero()
             for v in sorted(self.firsts):
                 bw = other.firsts.get(w)
                 if bw is not None:
@@ -425,19 +426,17 @@ class DiffOperator:
                 if aw is not None:
                     acc = acc - other.firsts[v] * aw.diff(v)
             firsts[w] = acc
-        self._check_second_order(other, check_points)
         return DiffOperator(self.vars, zeroth, firsts)
 
     def _check_second_order(self, other, check_points):
         # coefficient of dv dw in [A,B], symmetrized over the slot order:
         # (a_v b_w - b_v a_w) + (a_w b_v - b_w a_v); zero iff coefficients
         # commute, which is what makes the commutator first order again.
-        zero = _zero_like(self.zeroth)
         env = stack_points(check_points or _default_points(self.vars))
 
         def get(op, v):
             c = op.firsts.get(v)
-            return c if c is not None else zero
+            return c if c is not None else op.zeroth.zero()
 
         keys = sorted(set(self.firsts) | set(other.firsts))
         for i, v in enumerate(keys):
@@ -445,57 +444,29 @@ class DiffOperator:
                 av, aw = get(self, v), get(self, w)
                 bv, bw = get(other, v), get(other, w)
                 sym = av * bw - bv * aw + aw * bv - bw * av
-                if isinstance(sym, Poly):
-                    survives = not sym.is_zero
-                else:
-                    survives = np.any(np.abs(sym.evaluate(env)) > 1e-9)
-                if survives:
+                if np.any(np.abs(sym.evaluate(env)) > 1e-9):
                     raise NotALieBracketError(
                         "second-order part of the commutator survives")
 
     def apply(self, f, env: dict) -> complex:
         """Numeric action on an Expr function at the point(s) of env."""
         total = self.zeroth.evaluate(env) * f.evaluate(env) \
-            if not _is_zero(self.zeroth) else 0j
+            if not self.zeroth.is_zero else 0j
         for v, c in self.firsts.items():
             total += c.evaluate(env) * f.diff(v).evaluate(env)
         return total
 
     def __eq__(self, other) -> bool:
+        """Exact equality, coefficient by coefficient (a missing slot is
+        zero); coefficients without decidable equality raise TypeError."""
         if not isinstance(other, DiffOperator):
             return NotImplemented
         if self.vars != other.vars:
             return False
-        if not _coeff_equal(self.zeroth, other.zeroth):
-            return False
-        for v in set(self.firsts) | set(other.firsts):
-            a = self.firsts.get(v)
-            b = other.firsts.get(v)
-            if a is None:
-                a = _zero_like(b)
-            if b is None:
-                b = _zero_like(a)
-            if not _coeff_equal(a, b):
-                return False
-        return True
-
-
-def _zero_like(c):
-    if isinstance(c, Poly):
-        return Poly(c.vars)
-    return Const(0)
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, Poly):
-        return c.is_zero
-    return isinstance(c, Const) and c.value == 0
-
-
-def _coeff_equal(a, b) -> bool:
-    if isinstance(a, Poly) and isinstance(b, Poly):
-        return a == b
-    raise TypeError("exact operator equality needs Poly coefficients")
+        zero = self.zeroth.zero()
+        return self.zeroth == other.zeroth and all(
+            self.firsts.get(v, zero) == other.firsts.get(v, zero)
+            for v in set(self.firsts) | set(other.firsts))
 
 
 def _default_points(variables):

@@ -106,14 +106,19 @@ def scalar_to_poly(s: Scalar) -> Poly:
     return out
 
 
-def rep_of_element(elem, rep: dict[int, DiffOperator]) -> DiffOperator:
-    """Linear combination of representation operators plus a central part."""
+def rep_of_element(elem, rep: dict[int, DiffOperator],
+                   coeff=scalar_to_poly) -> DiffOperator:
+    """Linear combination of representation operators plus a central part.
+
+    coeff maps each Scalar of elem into the operators' coefficient ring; the
+    image multiplies each operator coefficient from the left.
+    """
     some = next(iter(rep.values()))
-    out = DiffOperator(some.vars, _pzero(), {})
+    out = DiffOperator(some.vars, some.zeroth.zero(), {})
     for gid, s in elem.coeffs.items():
-        out = out.add(rep[gid].map_coeffs(lambda c, p=scalar_to_poly(s): c * p))
+        out = out.add(rep[gid].map_coeffs(lambda c, k=coeff(s): k * c))
     if elem.central:
-        out = out.add(DiffOperator(some.vars, scalar_to_poly(elem.central), {}))
+        out = out.add(DiffOperator(some.vars, coeff(elem.central), {}))
     return out
 
 
@@ -261,19 +266,6 @@ def make_sample_points(seed: int, count: int = 120,
     return pts
 
 
-def _numeric_rhs(elem, rep: dict[int, DiffOperator]) -> DiffOperator:
-    """Table bracket as a numeric-coefficient operator combination."""
-    some = next(iter(rep.values()))
-    out = DiffOperator(some.vars, Const(0), {})
-    for gid, s in elem.coeffs.items():
-        c = complex(s.evaluate({}))
-        out = out.add(rep[gid].map_coeffs(lambda e, c=c: Mul(Const(c), e)))
-    if elem.central:
-        out = out.add(DiffOperator(
-            some.vars, Const(complex(elem.central.evaluate({}))), {}))
-    return out
-
-
 def verify_relations(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
                      points: list[dict], funcs: list[Expr]) -> dict:
     """Max normalized residual per generator pair, numerically sampled.
@@ -292,7 +284,9 @@ def verify_relations(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1:]:
             lhs = rep[a].commutator(rep[b], check_points=points[:2])
-            diff_op = lhs.sub(_numeric_rhs(target.bracket_ids(a, b), rep))
+            rhs = rep_of_element(target.bracket_ids(a, b), rep,
+                                 lambda s: Const(complex(s.evaluate({}))))
+            diff_op = lhs.sub(rhs)
             z = diff_op.zeroth.evaluate(env)
             firsts = {v: c.evaluate(env) for v, c in diff_op.firsts.items()}
             tops = []

@@ -134,6 +134,28 @@ class TestLongAndLargeInput:
         assert out.stderr.startswith("ncst: ")
 
 
+class TestCasimirBuiltOnce:
+    @pytest.mark.parametrize("args, kinds", [
+        (["casimir", "1"], ["C1"]),
+        (["casimir", "2"], ["C2"]),
+        (["casimir", "3", "--deep"], ["C3"]),
+        (["verify", "--deep"], ["C1", "C2", "C3"]),
+    ], ids=" ".join)
+    def test_one_build_per_kind(self, monkeypatch, capsys, args, kinds):
+        from ncspacetime import cli
+        built = []
+        real = cli.casimir
+
+        def counting(kind, *rest):
+            built.append(kind)
+            return real(kind, *rest)
+
+        monkeypatch.setattr(cli, "casimir", counting)
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        assert sorted(built) == kinds
+
+
 class TestCommands:
     def test_commute_p0_x0(self):
         out = run_cli("commute", "p0", "x0")

@@ -122,6 +122,17 @@ class TestDiffOperator:
             want = apply(a, apply(b, fp)) - apply(b, apply(a, fp))
             assert (want - apply(c, fp)).is_zero
 
+    def test_expr_coefficient_equality_raises(self):
+        # expression trees have no decidable equality, so neither do
+        # operators built from them
+        def op():
+            return DiffOperator(VARS, Const(0), {"u": Cos(Var("v"))})
+
+        with pytest.raises(TypeError):
+            op() == op()
+        with pytest.raises(TypeError):
+            op() != op()
+
     def test_expr_coefficient_commutator(self):
         a = DiffOperator(("u", "v"), Const(0), {"u": Cos(Var("v"))})
         b = DiffOperator(("u", "v"), Const(0), {"v": Sin(Var("u"))})
