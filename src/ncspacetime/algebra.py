@@ -12,6 +12,9 @@ mu < nu), Im.  Three bracket-table regimes are supported:
   spacetime -- the 10-generator subalgebra {M, X} with X = x/ell, so
                [X,X] = -i*eps4*M.
 
+Each builder fills a plain dict with set_bracket and constructs one frozen
+LieAlgebraSpec from it; a changed table is a new spec.
+
 The independent numerical oracle is the defining 6x6 matrix representation
 of the pseudo-orthogonal algebra so(eta6); identify_orthogonal carries the
 generator dictionary between the two bases.
@@ -20,11 +23,17 @@ generator dictionary between the two bases.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .scalars import S_I, S_MINUS_I, S_ONE, Scalar
+
+if TYPE_CHECKING:
+    from .enveloping import RewriteEngine
 
 # Generator ids.  Canonical order for enveloping-algebra normal forms:
 # x0..x3 < p0..p3 < M01..M23 < Im < ImInv.
@@ -66,10 +75,11 @@ def m_id(mu: int, nu: int) -> tuple[int, int]:
 
 
 def gen_name(gid: int, regime: str = "full") -> str:
+    """The name of a generator id: X for x in the spacetime regime, A<n>
+    for the formal symbol FORMAL_BASE + n."""
     if gid >= FORMAL_BASE:
         return f"A{gid - FORMAL_BASE}"
-    names = ST_NAMES if regime == "spacetime" else GEN_NAMES
-    return names[gid]
+    return (ST_NAMES if regime == "spacetime" else GEN_NAMES)[gid]
 
 
 class UnknownGeneratorError(KeyError):
@@ -142,8 +152,10 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({g: -s for g, s in self.coeffs.items()},
-                              -self.central)
+        out = AlgebraElement.__new__(AlgebraElement)  # no zeros to drop
+        out.coeffs = {g: -s for g, s in self.coeffs.items()}
+        out.central = -self.central
+        return out
 
     def scale(self, s) -> "AlgebraElement":
         s = s if isinstance(s, Scalar) else Scalar.of(s)
@@ -164,39 +176,34 @@ class AlgebraElement:
         return format_algebra_element(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Basis plus total antisymmetric structure-constant table."""
+    """Basis plus total antisymmetric structure-constant table, frozen.
+
+    table maps (a, b) with a < b to [g_a, g_b] and is read-only: a builder
+    fills a plain dict (set_bracket) and constructs the spec from it once.
+    The rewrite engine of the enveloping algebra is made with the spec and
+    holds the complete bracket table from then on (enveloping.RewriteEngine).
+    """
 
     signature: Signature
     regime: str
     basis: tuple[int, ...]
-    table: dict[tuple[int, int], AlgebraElement] = field(default_factory=dict)
+    table: Mapping[tuple[int, int], AlgebraElement]
+    engine: "RewriteEngine" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._engine = None  # lazily attached rewrite engine (enveloping)
-
-    def set_bracket(self, a: int, b: int, elem: AlgebraElement) -> None:
-        if a == b:
-            raise ValueError("diagonal brackets vanish identically")
-        if a < b:
-            self.table[(a, b)] = elem
-        else:
-            self.table[(b, a)] = -elem
-        self._engine = None
+        from .enveloping import RewriteEngine  # enveloping imports this module
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        object.__setattr__(self, "engine", RewriteEngine(self))
 
     def bracket_ids(self, a: int, b: int) -> AlgebraElement:
         for gid in (a, b):
             if gid not in self.basis:
                 raise UnknownGeneratorError(
                     f"generator id {gid} not in {self.regime} basis")
-        if a == b:
-            return AlgebraElement.zero()
-        if a < b:
-            entry = self.table.get((a, b))
-            return entry if entry is not None else AlgebraElement.zero()
-        entry = self.table.get((b, a))
-        return -entry if entry is not None else AlgebraElement.zero()
+        entry = self.engine.brackets.get((a, b))
+        return entry if entry is not None else AlgebraElement.zero()
 
     def bracket(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         """Bilinear antisymmetric extension of the table; centrals drop out."""
@@ -222,6 +229,23 @@ class LieAlgebraSpec:
 
     def gen_name(self, gid: int) -> str:
         return gen_name(gid, self.regime)
+
+    def gen_ids(self) -> dict[str, int]:
+        """Generator name -> id over the basis."""
+        return {gen_name(g, self.regime): g for g in self.basis}
+
+
+def set_bracket(table: dict, a: int, b: int, elem: AlgebraElement) -> None:
+    """Write [g_a, g_b] = elem into a builder's table, keyed a < b."""
+    if a == b:
+        raise ValueError("diagonal brackets vanish identically")
+    if a < b:
+        table[(a, b)] = elem
+    else:
+        table[(b, a)] = -elem
+
+
+_I_TIMES = {1: S_I, -1: S_MINUS_I}  # i * sign, for the builders
 
 
 def _gen(gid, coeff) -> AlgebraElement:
@@ -253,42 +277,44 @@ def build_deformed_algebra(sig: Signature, regime: str,
     ell2 = Scalar.param("ell", 2)
     phi = Scalar.param("phi")
 
+    table = {}
     if regime == "spacetime":
         basis = X_IDS + M_IDS + ((IM,) if extend_im else ())
-        spec = LieAlgebraSpec(sig, regime, basis)
         for mu in range(4):
             for nu in range(mu + 1, 4):
                 # [X^mu, X^nu] = -i*eps4*M^{mu nu}
                 gid, _ = m_id(mu, nu)
-                spec.set_bracket(x_id(mu), x_id(nu), _gen(gid, S_MINUS_I * eps4))
-        _fill_lorentz_sector(spec, vector_ids=[("x", x_id)])
-        return spec
+                set_bracket(table, x_id(mu), x_id(nu),
+                            _gen(gid, S_MINUS_I * eps4))
+        _fill_lorentz_sector(table, vector_ids=[("x", x_id)])
+        return LieAlgebraSpec(sig, regime, basis, table)
 
-    spec = LieAlgebraSpec(sig, regime, X_IDS + P_IDS + M_IDS + (IM,))
-    _fill_lorentz_sector(spec, vector_ids=[("x", x_id), ("p", p_id)])
+    _fill_lorentz_sector(table, vector_ids=[("x", x_id), ("p", p_id)])
     for mu in range(4):
         for nu in range(4):
             # [p^mu, x^nu] = i*eta^{mu nu}*Im
             e = eta4(mu, nu)
             if e:
-                spec.set_bracket(p_id(mu), x_id(nu), _gen(IM, S_I * Scalar.of(e)))
+                set_bracket(table, p_id(mu), x_id(nu),
+                            _gen(IM, _I_TIMES[e]))
         for nu in range(mu + 1, 4):
             gid, _ = m_id(mu, nu)
             # [x^mu, x^nu] = -i*eps4*ell^2*M^{mu nu}
-            spec.set_bracket(x_id(mu), x_id(nu),
-                             _gen(gid, S_MINUS_I * eps4 * ell2))
+            set_bracket(table, x_id(mu), x_id(nu),
+                        _gen(gid, S_MINUS_I * eps4 * ell2))
             # [p^mu, p^nu] = -i*phi*M^{mu nu}  (0 in the tangent regime)
             if regime == "full":
-                spec.set_bracket(p_id(mu), p_id(nu), _gen(gid, S_MINUS_I * phi))
+                set_bracket(table, p_id(mu), p_id(nu),
+                            _gen(gid, S_MINUS_I * phi))
         # [x^mu, Im] = i*eps4*ell^2*p^mu  (kept in both regimes: Jacobi)
-        spec.set_bracket(x_id(mu), IM, _gen(p_id(mu), S_I * eps4 * ell2))
+        set_bracket(table, x_id(mu), IM, _gen(p_id(mu), S_I * eps4 * ell2))
         # [p^mu, Im] = -i*phi*x^mu  (0 in the tangent regime)
         if regime == "full":
-            spec.set_bracket(p_id(mu), IM, _gen(x_id(mu), S_MINUS_I * phi))
-    return spec
+            set_bracket(table, p_id(mu), IM, _gen(x_id(mu), S_MINUS_I * phi))
+    return LieAlgebraSpec(sig, regime, X_IDS + P_IDS + M_IDS + (IM,), table)
 
 
-def _fill_lorentz_sector(spec: LieAlgebraSpec, vector_ids) -> None:
+def _fill_lorentz_sector(table: dict, vector_ids) -> None:
     """[M,M] and the vector action [M, v] for each listed 4-vector family."""
     for (mu, nu) in M_PAIRS:
         a, _ = m_id(mu, nu)
@@ -304,32 +330,32 @@ def _fill_lorentz_sector(spec: LieAlgebraSpec, vector_ids) -> None:
                     (nu, sg, mu, rho, -1), (mu, rho, nu, sg, -1)):
                 e = eta4(k1, l1)
                 if e:
-                    out = out + _m_elem(i1, j1, S_I * Scalar.of(s * e))
-            spec.set_bracket(a, b, out)
+                    out = out + _m_elem(i1, j1, _I_TIMES[s * e])
+            set_bracket(table, a, b, out)
         for _name, vid in vector_ids:
             for lam in range(4):
                 # [M^{mu nu}, v^lam] = i(v^mu eta^{nu lam} - v^nu eta^{mu lam})
                 out = AlgebraElement.zero()
                 e1, e2 = eta4(nu, lam), eta4(mu, lam)
                 if e1:
-                    out = out + _gen(vid(mu), S_I * Scalar.of(e1))
+                    out = out + _gen(vid(mu), _I_TIMES[e1])
                 if e2:
-                    out = out - _gen(vid(nu), S_I * Scalar.of(e2))
+                    out = out - _gen(vid(nu), _I_TIMES[e2])
                 if not out.is_zero:
-                    spec.set_bracket(a, vid(lam), out)
+                    set_bracket(table, a, vid(lam), out)
 
 
 def contract_tangent(spec: LieAlgebraSpec) -> LieAlgebraSpec:
     """R -> infinity contraction: substitute R_inv -> 0 and phi -> 0."""
     if spec.regime != "full":
         raise ValueError("contraction applies to the full regime")
-    out = LieAlgebraSpec(spec.signature, "tangent", spec.basis)
-    for (a, b), elem in spec.table.items():
+    table = {}
+    for pair, elem in spec.table.items():
         reduced = elem.map_scalars(
             lambda s: s.set_param_zero("R_inv").set_param_zero("phi"))
         if not reduced.is_zero:
-            out.table[(a, b)] = reduced
-    return out
+            table[pair] = reduced
+    return LieAlgebraSpec(spec.signature, "tangent", spec.basis, table)
 
 
 def jacobi_defect(spec: LieAlgebraSpec):
@@ -355,7 +381,7 @@ def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
                          - M^{bd}eta^{ac} - M^{ac}eta^{bd}).
     """
     eta = sig.eta6
-    spec = LieAlgebraSpec(sig, "so6", tuple(range(15)))
+    table = {}
     for k1, (a, b) in enumerate(MAB_PAIRS):
         for k2, (c, d) in enumerate(MAB_PAIRS):
             if k2 <= k1:
@@ -367,10 +393,10 @@ def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
                     e = eta[m1]
                     sign = 1 if i1 < j1 else -1
                     idx = _MAB_INDEX[(i1, j1) if i1 < j1 else (j1, i1)]
-                    out = out + _gen(idx, S_I * Scalar.of(s * e * sign))
+                    out = out + _gen(idx, _I_TIMES[s * e * sign])
             if not out.is_zero:
-                spec.set_bracket(k1, k2, out)
-    return spec
+                set_bracket(table, k1, k2, out)
+    return LieAlgebraSpec(sig, "so6", tuple(range(15)), table)
 
 
 class OrthogonalIdentification:

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .algebra import (GEN_NAMES, IM, P_IDS, X_IDS,
+from .algebra import (IM, P_IDS, X_IDS,
                       LieAlgebraSpec, Signature, build_deformed_algebra,
                       build_so6_algebra, contract_tangent, defining_rep,
                       element_matrix, identify_orthogonal, jacobi_defect,
@@ -66,8 +66,9 @@ def check_jacobi(spec: LieAlgebraSpec) -> Check:
                   "count": len(defects)})
 
 
-def check_orthogonal_symbolic(sig: Signature) -> Check:
-    full = build_deformed_algebra(sig, "full")
+def check_orthogonal_symbolic(full: LieAlgebraSpec) -> Check:
+    """full is the clean full-regime table of its signature."""
+    sig = full.signature
     so6 = build_so6_algebra(sig)
     ident = identify_orthogonal(sig)
     phi_locus = {"phi": Scalar.param("R_inv", 2, coeff=sig.eps5)}
@@ -88,8 +89,9 @@ def check_orthogonal_symbolic(sig: Signature) -> Check:
                  "the full table with phi = eps5*R_inv^2")
 
 
-def check_orthogonal_oracle(sig: Signature, tol: float = 1e-12) -> Check:
-    full = build_deformed_algebra(sig, "full")
+def check_orthogonal_oracle(full: LieAlgebraSpec,
+                            tol: float = 1e-12) -> Check:
+    sig = full.signature
     rep = physical_rep(sig, ell=1.0, r_inv=0.5)
     env = {"ell": 1.0, "R_inv": 0.5, "phi": sig.eps5 * 0.25}
     worst = 0.0
@@ -104,9 +106,7 @@ def check_orthogonal_oracle(sig: Signature, tol: float = 1e-12) -> Check:
                  "105 brackets vs 6x6 matrix commutators at ell=1, R=2")
 
 
-def check_contraction(sig: Signature) -> Check:
-    full = build_deformed_algebra(sig, "full")
-    tangent = build_deformed_algebra(sig, "tangent")
+def check_contraction(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
     ok = contract_tangent(full).table_equal(tangent)
     return Check("tangent_contraction", "pass" if ok else "fail",
                  EXACT_ZERO if ok else 1.0,
@@ -140,9 +140,9 @@ def check_casimir_oracle(sig: Signature, kind: str, elem: EnvElement,
                  "matrix image commutes with all defining-rep generators")
 
 
-def check_d_squared(sig: Signature) -> Check:
-    for regime in ("full", "tangent"):
-        spec = build_deformed_algebra(sig, regime)
+def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
+    for spec in (full, tangent):
+        regime = spec.regime
         derivs = derivation_set(regime, spec)
         for gid in spec.basis:
             one_form = differential_of_generator(gid, regime, spec, derivs)
@@ -154,8 +154,8 @@ def check_d_squared(sig: Signature) -> Check:
                  "d(d(g)) = 0 for every generator, both regimes (exact)")
 
 
-def check_worked_differentials(sig: Signature) -> Check:
-    spec = build_deformed_algebra(sig, "full")
+def check_worked_differentials(spec: LieAlgebraSpec) -> Check:
+    sig = spec.signature
     derivs = derivation_set("full", spec)
     for mu in range(4):
         dx = differential_of_generator(X_IDS[mu], "full", spec, derivs)
@@ -170,8 +170,7 @@ def check_worked_differentials(sig: Signature) -> Check:
                  "dx^mu and dp^mu match the printed one-forms exactly")
 
 
-def check_tangent_translation_sector(sig: Signature) -> Check:
-    spec = build_deformed_algebra(sig, "tangent")
+def check_tangent_translation_sector(spec: LieAlgebraSpec) -> Check:
     entries = {}
     for mu in range(4):
         for nu in range(mu + 1, 4):
@@ -196,25 +195,27 @@ def cmd_verify(spec_file: SpecFile, args) -> Report:
     spec = spec_file.build()
     oracle_tol = args.tolerance if args.tolerance is not None else 1e-12
     casimir_tol = args.tolerance if args.tolerance is not None else 1e-10
+    # the clean tables of the signature, each built once
+    full = build_deformed_algebra(sig, "full")
+    tangent = build_deformed_algebra(sig, "tangent")
     report.add(check_jacobi(spec))
-    report.add(check_orthogonal_symbolic(sig))
-    report.add(check_orthogonal_oracle(sig, oracle_tol))
-    report.add(check_contraction(sig))
-    clean_full = build_deformed_algebra(sig, "full")
+    report.add(check_orthogonal_symbolic(full))
+    report.add(check_orthogonal_oracle(full, oracle_tol))
+    report.add(check_contraction(full, tangent))
     report.add(check_casimir_centrality(
-        "C1", casimir("C1", sig, clean_full), clean_full))
+        "C1", casimir("C1", sig, full), full))
     for kind in ("C2", "C3"):
-        elem = casimir(kind, sig, clean_full)
+        elem = casimir(kind, sig, full)
         report.add(check_casimir_oracle(sig, kind, elem, casimir_tol))
         if args.deep:
-            report.add(check_casimir_centrality(kind, elem, clean_full))
+            report.add(check_casimir_centrality(kind, elem, full))
         else:
             report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
                              EXACT_ZERO, "symbolic check runs under --deep"))
-    report.add(check_d_squared(sig))
-    report.add(check_worked_differentials(sig))
+    report.add(check_d_squared(full, tangent))
+    report.add(check_worked_differentials(full))
     if spec_file.regime == "tangent":
-        report.add(check_tangent_translation_sector(sig))
+        report.add(check_tangent_translation_sector(tangent))
     return report
 
 
@@ -257,8 +258,7 @@ def cmd_diff(spec_file: SpecFile, args) -> Report:
             "regimes; pick one in the spec file")
     regime = spec_file.regime
     spec = build_deformed_algebra(spec_file.signature, regime)
-    ids = {GEN_NAMES[g]: g for g in spec.basis}
-    gid = ids.get(args.generator)
+    gid = spec.gen_ids().get(args.generator)
     if gid is None:
         raise MiniLangError(f"unknown generator {args.generator!r}", 0)
     form = differential_of_generator(gid, regime, spec)

@@ -8,15 +8,15 @@ with the fifteen derivations to form the Dirac operator D = i Gamma_a d^a.
 
 The cell sector realizes the space-time operators as sums of second-order
 elements over N Clifford cells: each cell carries a six-generator Clifford
-algebra on an 8-dimensional spinor factor (metric eta6), first-order
-generators are embedded with a Jordan-Wigner chirality chain so that
-different cells anticommute, and the even bilinears gamma^{ab}(n) then live
-on single tensor factors.  Each family operator is c_F * sum_n gamma^{ab}(n)
-(family_terms), and even elements on different cells commute, so
-closure_report derives the whole closure table from one 8x8 cell in exact
-arithmetic, at any N in constant time and memory.  finkelstein_operators
-builds the dense 8^N x 8^N operators as the numeric oracle, for N small
-enough to fit the NCST_CLIFFORD_MAX_DIM budget.
+algebra on an 8-dimensional spinor factor (metric eta6).  With the
+first-order generators embedded along a Jordan-Wigner chirality chain,
+different cells anticommute (the test suite checks this), and the even
+bilinears gamma^{ab}(n) live on single tensor factors.  Each family
+operator is c_F * sum_n gamma^{ab}(n) (family_terms), and even elements on
+different cells commute, so closure_report derives the whole closure table
+from one 8x8 cell in exact arithmetic, at any N in constant time and
+memory.  finkelstein_operators builds the dense 8^N x 8^N operators as the
+numeric oracle, for N small enough to fit the NCST_CLIFFORD_MAX_DIM budget.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .algebra import IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec, \
     Signature, eta4
 from .diffcalc import derivation_labels, derivation_set
 from .enveloping import EnvElement
-from .scalars import QQI_I, QQI_ONE, QQi
+from .scalars import QQI_I, QQi
 
 CELL_DIM_ENV = "NCST_CLIFFORD_MAX_DIM"
 DEFAULT_MAX_DIM = 512  # 8^3: three cells
@@ -259,19 +259,6 @@ def cl6_generators(sig: Signature) -> tuple:
                  for a, m in enumerate(euclid))
 
 
-def cell_chirality(sig: Signature) -> tuple:
-    """Normalized product of the six generators; squares to +1 and
-    anticommutes with each of them."""
-    gens = cl6_generators(sig)
-    m = gens[0]
-    for g in gens[1:]:
-        m = qmat_mul(m, g)
-    sq = qmat_mul(m, m)
-    if sq[0][0] == QQI_ONE:
-        return m
-    return qmat_scale(m, _I)
-
-
 def max_cell_dim() -> int:
     """Largest dense cell dimension 8^N the oracle may build."""
     raw = os.environ.get(CELL_DIM_ENV)
@@ -295,22 +282,6 @@ def _check_budget(n_cells: int) -> int:
             f"{n_cells} cells need dimension {dim} > budget {budget}"
             f" (override with {CELL_DIM_ENV})")
     return dim
-
-
-def embed_first_order(mat8, n: int, n_cells: int, sig: Signature) -> np.ndarray:
-    """gamma^a(n) with a Jordan-Wigner chirality chain: cells anticommute."""
-    _check_budget(n_cells)
-    omega = qmat_to_numpy(cell_chirality(sig))
-    m = qmat_to_numpy(mat8)
-    out = np.ones((1, 1), dtype=complex)
-    for k in range(1, n_cells + 1):
-        if k < n:
-            out = np.kron(out, omega)
-        elif k == n:
-            out = np.kron(out, m)
-        else:
-            out = np.kron(out, np.eye(8))
-    return out
 
 
 def embed_even(mat8, n: int, n_cells: int) -> np.ndarray:

@@ -69,10 +69,7 @@ class Connection:
 
 def connection_apply(conn: Connection, a: EnvElement) -> dict[int, EnvElement]:
     """One-form components of nabla(a): a*A^i + d^i(a)."""
-    out = {}
-    for lab, comp in conn.components.items():
-        out[lab] = env_product(a, comp, conn.spec) + conn.derivation(lab).apply(a)
-    return out
+    return {lab: covariant_derivative(conn, a, lab) for lab in conn.components}
 
 
 def covariant_derivative(conn: Connection, a: EnvElement, label: int) -> EnvElement:

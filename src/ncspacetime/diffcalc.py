@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .algebra import IM, M_IDS, P_IDS, X_IDS, LieAlgebraSpec
-from .enveloping import EnvElement, leibniz
+from .algebra import IM, M_IDS, P_IDS, X_IDS, LieAlgebraSpec, eta4
+from .enveloping import EnvElement, leibniz, packed_terms
 from .scalars import S_MINUS_I, Scalar
 
 FULL_LABELS = X_IDS + P_IDS + M_IDS + (IM,)
@@ -73,7 +73,13 @@ class Derivation:
     def apply(self, a: EnvElement) -> EnvElement:
         """Leibniz extension to arbitrary canonical elements; formal
         symbols are constants."""
-        return leibniz(a, self.action, self.spec)
+        images = {}  # packed for this call, for the letters a holds
+        for word in a.terms:
+            for g in word:
+                if g not in images:
+                    image = self.action.get(g)
+                    images[g] = () if image is None else packed_terms(image)
+        return leibniz(a, images, self.spec)
 
 
 def derivation_labels(regime: str) -> tuple[int, ...]:
@@ -97,13 +103,12 @@ def derivation_set(regime: str, spec: LieAlgebraSpec) -> dict[int, Derivation]:
         raise ValueError("spec regime does not match requested derivation set")
     out = {}
     if regime == "full":
+        brackets = spec.engine.brackets  # the nonzero ones
         for label in FULL_LABELS:
             scale = _inner_scale(label)
-            action = {}
-            for g in spec.basis:
-                val = spec.bracket_ids(label, g)
-                if not val.is_zero:
-                    action[g] = EnvElement.from_algebra_element(val).scale(scale)
+            action = {g: EnvElement.from_algebra_element(
+                brackets[label, g]).scale(scale)
+                for g in spec.basis if (label, g) in brackets}
             out[label] = Derivation(label, action, spec)
         return out
     # tangent: the printed five-derivation table, unlisted actions zero
@@ -306,12 +311,6 @@ def differential_of_generator(gid: int, regime: str, spec: LieAlgebraSpec,
         PForm.zero_form(EnvElement.generator(gid)), regime, spec, derivs)
 
 
-def _eta(mu: int, nu: int) -> int:
-    if mu != nu:
-        return 0
-    return 1 if mu == 0 else -1
-
-
 def reference_differential_x(mu: int, sig) -> PForm:
     """The worked closed form of dx^mu in the full regime:
 
@@ -323,17 +322,17 @@ def reference_differential_x(mu: int, sig) -> PForm:
     eps4 = sig.eps4
     comps = {}
     comps[(P_IDS[mu],)] = EnvElement.generator(IM).scale(
-        Scalar.of(_eta(mu, mu)))
+        Scalar.of(eta4(mu, mu)))
     comps[(IM,)] = EnvElement.generator(P_IDS[mu]).scale(
         Scalar.param("ell", 1, coeff=-eps4))
     for k, (a, b) in enumerate(M_PAIRS):
         val = EnvElement.zero()
-        if _eta(b, mu):
+        if eta4(b, mu):
             val = val + EnvElement.generator(X_IDS[a]).scale(
-                Scalar.of(_eta(b, mu)))
-        if _eta(a, mu):
+                Scalar.of(eta4(b, mu)))
+        if eta4(a, mu):
             val = val - EnvElement.generator(X_IDS[b]).scale(
-                Scalar.of(_eta(a, mu)))
+                Scalar.of(eta4(a, mu)))
         if not val.is_zero:
             comps[(M_IDS[k],)] = val
     for a in range(4):
@@ -364,14 +363,14 @@ def reference_differential_p(mu: int, sig) -> PForm:
         Scalar.param("phi") * Scalar.param("ell", -1))
     for k, (a, b) in enumerate(M_PAIRS):
         val = EnvElement.zero()
-        if _eta(b, mu):
+        if eta4(b, mu):
             val = val + EnvElement.generator(P_IDS[a]).scale(
-                Scalar.of(_eta(b, mu)))
-        if _eta(a, mu):
+                Scalar.of(eta4(b, mu)))
+        if eta4(a, mu):
             val = val - EnvElement.generator(P_IDS[b]).scale(
-                Scalar.of(_eta(a, mu)))
+                Scalar.of(eta4(a, mu)))
         if not val.is_zero:
             comps[(M_IDS[k],)] = val
     comps[(X_IDS[mu],)] = EnvElement.generator(IM).scale(
-        Scalar.of(-_eta(mu, mu)))
+        Scalar.of(-eta4(mu, mu)))
     return PForm(1, comps)

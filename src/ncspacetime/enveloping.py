@@ -9,8 +9,10 @@ the Poincare-Birkhoff-Witt normal form.  Each step rewrites the leftmost
 out-of-order pair, so the result is a function of the word even for a
 table that violates Jacobi.
 
-The kernel (_Run) is one call of env_product, env_commutator, leibniz
-(ad_generator, derivations) or casimir.  Inside it a coefficient term is
+Each spec's RewriteEngine is made with the spec and holds its complete
+letter-bracket table; nothing in it changes afterwards.  The kernel (_Run)
+is one call of env_product, env_commutator, leibniz (ad_generator,
+derivations) or casimir.  Inside it a coefficient term is
 a parameter monomial packed into one int (the seven exponents as balanced
 base-2^64 digits, so multiplying monomials is one int add) times a QQi, and
 a normal form is a dict {(word, packed monomial): QQi}.  Scalars are built
@@ -43,8 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, LieAlgebraSpec,
-                      AlgebraElement, Signature, _MAB_INDEX,
-                      build_deformed_algebra, identify_orthogonal)
+                      AlgebraElement, Signature, UnknownGeneratorError,
+                      _MAB_INDEX, build_deformed_algebra, identify_orthogonal)
 from .scalars import (_NPAR, QQI_ONE, S_ONE, QQi, Scalar, _new,
                       _norm, _scalar)
 
@@ -165,10 +167,14 @@ class EnvElement:
 
 
 class RewriteEngine:
-    """Normal-ordering engine bound to one structure-constant table.
+    """Normal-ordering engine bound to one frozen structure-constant table.
 
-    Only the letter brackets (at most 16x16, each also in packed form) are
-    kept between calls; every normal-order memo belongs to one kernel call.
+    Made once with its spec and never changed afterwards.  brackets holds
+    the nonzero [g_a, g_b] of the basis in both orientations; rows[a][b]
+    holds the same brackets in packed form, plus those of ImInv where
+    allow_iminv holds, as lists of (word, [(mono, QQi)], exponent bound).
+    rows has a key for every letter a word may hold, formal symbols aside.
+    Every normal-order memo belongs to one kernel call (_Run).
     """
 
     def __init__(self, spec: LieAlgebraSpec):
@@ -176,79 +182,50 @@ class RewriteEngine:
         # Always empty: memos are local to one call (see _Run).  Kept so
         # that tools inspecting an engine find the attribute.
         self._norm_cache: dict[Word, dict[Word, Scalar]] = {}
-        self._bracket_cache: dict[tuple[int, int], list] = {}
-        self._packed_cache: dict[tuple[int, int], list] = {}
-        self.allow_iminv = self._iminv_allowed()
-        # largest exponent magnitude of any bracket coefficient
-        monos = {pows for elem in spec.table.values()
-                 for s in (elem.central, *elem.coeffs.values())
-                 for pows in s.terms}
-        self.exp_bound = max((max(max(p), -min(p)) for p in monos), default=0)
-
-    def _iminv_allowed(self) -> bool:
-        spec = self.spec
-        if IM not in spec.basis:
-            return False
-        if spec.im_is_central:
-            return True
-        if spec.regime != "tangent":
-            return False
-        # Sound iff every [Im, g] lands on generators commuting with Im.
-        for g in spec.basis:
-            for k in spec.bracket_ids(IM, g).coeffs:
-                if not spec.bracket_ids(IM, k).is_zero:
-                    return False
-        return True
-
-    def letter_bracket(self, a: int, b: int):
-        """[g_a, g_b] expanded as a list of (word, Scalar) terms."""
-        key = (a, b)
-        cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
-        out = []
-        if a == IMINV or b == IMINV:
-            if a == IMINV and b == IMINV:
-                pass
-            elif IM in (a, b):
-                pass  # Im and ImInv commute
-            else:
-                g = b if a == IMINV else a
-                t = self.spec.bracket_ids(IM, g)
-                # [ImInv, g] = -ImInv [Im, g] ImInv = -sum t_k g_k ImInv^2
-                for k, s in t.coeffs.items():
-                    if not self.spec.bracket_ids(IM, k).is_zero:
-                        raise UnsupportedInverseError(
-                            "ImInv rewriting does not close in this regime")
-                    word = (k, IMINV, IMINV)
-                    out.append((word, -s if a == IMINV else s))
-        else:
-            elem = self.spec.bracket_ids(a, b)
-            out = [((k,), s) for k, s in elem.coeffs.items()]
+        self.brackets = brackets = {}
+        self.rows = rows = {g: {} for g in spec.basis}
+        for (a, b), elem in spec.table.items():
+            if elem.is_zero:
+                continue
+            brackets[(a, b)] = elem
+            brackets[(b, a)] = -elem
+            terms = [((k,), *_packed(s)) for k, s in elem.coeffs.items()]
             if elem.central:
-                out.append(((), elem.central))
-        self._bracket_cache[key] = out
-        return out
+                terms.append(((), *_packed(elem.central)))
+            rows[a][b] = terms
+            rows[b][a] = _negated(terms)
+        im_row = {g: e for (a, g), e in brackets.items() if a == IM}
+        # ImInv closes when Im is central, or in the tangent regime when
+        # every [Im, g] lands on generators commuting with Im.
+        self.allow_iminv = IM in spec.basis and (not im_row or (
+            spec.regime == "tangent"
+            and not any(k in im_row for e in im_row.values() for k in e.coeffs)))
+        if self.allow_iminv:
+            rows[IMINV] = {}
+            # [g, ImInv] = ImInv [Im, g] ImInv = sum t_k g_k ImInv^2
+            for g, elem in im_row.items():
+                terms = [((k, IMINV, IMINV), *_packed(s))
+                         for k, s in elem.coeffs.items()]
+                rows[g][IMINV] = terms
+                rows[IMINV][g] = _negated(terms)
+        # largest exponent magnitude of any bracket coefficient
+        self.exp_bound = max((bound for row in self.rows.values()
+                              for terms in row.values()
+                              for _, _, bound in terms), default=0)
 
-    def packed_bracket(self, a: int, b: int):
-        """[g_a, g_b] as a list of (word, [(mono, QQi)]) terms."""
-        key = (a, b)
-        cached = self._packed_cache.get(key)
-        if cached is None:
-            cached = self._packed_cache[key] = [
-                (w, _packed(s)[0]) for w, s in self.letter_bracket(a, b)]
-        return cached
+    def check_letter(self, gid: int) -> None:
+        """Raise unless gid is a letter of this engine's words."""
+        if gid not in self.rows:
+            if gid == IMINV:
+                raise UnsupportedInverseError(
+                    f"ImInv is not supported in the {self.spec.regime} regime")
+            raise UnknownGeneratorError(
+                f"generator id {gid} not in {self.spec.regime} basis")
 
     def check_word(self, word: Word) -> None:
         for gid in word:
-            if gid >= FORMAL_BASE:
-                continue
-            if gid == IMINV:
-                if not self.allow_iminv:
-                    raise UnsupportedInverseError(
-                        f"ImInv is not supported in the {self.spec.regime} regime")
-            elif gid not in self.spec.basis:
-                raise KeyError(f"generator id {gid} not in basis")
+            if gid < FORMAL_BASE and gid not in self.rows:
+                self.check_letter(gid)
 
     def rewrite_step(self, w: Word, start: int, known):
         """None if w is normal-ordered, else (first, rest, hint) with
@@ -263,6 +240,7 @@ class RewriteEngine:
         word of the step agrees with w before position hint, so its own
         leftmost rewrite lies at hint or later.
         """
+        rows = self.rows
         for k in range(start, len(w) - 1):
             u = w[k]
             v = w[k + 1]
@@ -274,7 +252,7 @@ class RewriteEngine:
                     while True:
                         head = w[:j]
                         mid = w[j + 1:k + 1] + tail
-                        for bw, coeff in self.packed_bracket(w[j], v):
+                        for bw, coeff, _ in rows[w[j]].get(v, ()):
                             rest.append((head + bw + mid, coeff))
                         first = head + (v,) + w[j:k + 1] + tail
                         if not j or not v < w[j - 1] < FORMAL_BASE \
@@ -288,6 +266,7 @@ class RewriteEngine:
 
     def normal_order(self, word: Word) -> dict[Word, Scalar]:
         """Normal form of one word, in one kernel call of its own."""
+        self.check_word(word)
         run = _Run(self)
         run.add(word, _UNIT, 0)
         return run.element().terms
@@ -335,6 +314,10 @@ def _packed(s: Scalar):
         if b > bound:
             bound = b
     return out, bound
+
+
+def _negated(terms) -> list:
+    return [(w, [(m, -q) for m, q in c], bound) for w, c, bound in terms]
 
 
 def _times(c1, c2) -> list:
@@ -458,7 +441,13 @@ class _Run:
         return r
 
 
+def packed_terms(a: EnvElement) -> list:
+    """a as a list of (word, [(mono, QQi)], exponent bound)."""
+    return [(w, *_packed(s)) for w, s in a.terms.items()]
+
+
 def _packed_terms(eng: RewriteEngine, a: EnvElement) -> list:
+    """packed_terms(a), each word checked against the engine's letters."""
     out = []
     for w, s in a.terms.items():
         eng.check_word(w)
@@ -467,9 +456,8 @@ def _packed_terms(eng: RewriteEngine, a: EnvElement) -> list:
 
 
 def get_engine(spec: LieAlgebraSpec) -> RewriteEngine:
-    if getattr(spec, "_engine", None) is None:
-        spec._engine = RewriteEngine(spec)
-    return spec._engine
+    """The rewrite engine made with spec."""
+    return spec.engine
 
 
 def env_product(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
@@ -498,26 +486,21 @@ def env_commutator(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvEle
     return run.element()
 
 
-def leibniz(a: EnvElement, action: dict, spec: LieAlgebraSpec) -> EnvElement:
-    """The derivation D with D(g) = action[g] applied to a.
+def leibniz(a: EnvElement, images: dict, spec: LieAlgebraSpec) -> EnvElement:
+    """The derivation D with D(g) = images[g] applied to a.
 
-    action maps a letter to its image, an EnvElement; a letter it does not
-    map is a constant.  Each word u*g*v of a contributes the normal forms
-    of u*w*v over the terms w of D(g), all in one kernel call.
+    images maps a letter to its image in packed form (packed_terms); a
+    letter it does not map is a constant.  Each word u*g*v of a
+    contributes the normal forms of u*w*v over the terms w of D(g), all in
+    one kernel call.
     """
     if not a.terms:
         return EnvElement()
     eng = get_engine(spec)
     run = _Run(eng)
-    packed = {}
     for word, c, bc in _packed_terms(eng, a):
         for k, letter in enumerate(word):
-            terms = packed.get(letter)
-            if terms is None:
-                image = action.get(letter)
-                terms = packed[letter] = [] if image is None else [
-                    (w, *_packed(s)) for w, s in image.terms.items()]
-            for w, cs, bs in terms:
+            for w, cs, bs in images.get(letter, ()):
                 run.add(word[:k] + w + word[k + 1:], _times(c, cs), bc + bs)
     return run.element()
 
@@ -532,16 +515,10 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     regime -ad_generator(p0, ImInv*x0^30) takes 24.8 s against 4.5 s.
     """
     eng = get_engine(spec)
-    action = {}
-    for word in a.terms:
-        eng.check_word(word)
-        for letter in word:
-            if letter >= FORMAL_BASE:
-                raise ValueError("ad_generator does not support formal symbols")
-            if letter not in action:
-                action[letter] = EnvElement(
-                    dict(eng.letter_bracket(gid, letter)))
-    return leibniz(a, action, spec)
+    eng.check_letter(gid)
+    if any(letter >= FORMAL_BASE for word in a.terms for letter in word):
+        raise ValueError("ad_generator does not support formal symbols")
+    return leibniz(a, eng.rows[gid], spec)
 
 
 # -- Casimir invariants ----------------------------------------------------
@@ -585,12 +562,14 @@ def casimir(kind: str, sig: Signature,
         raise ValueError(f"unknown Casimir kind {kind!r}")
     if spec is None:
         spec = build_deformed_algebra(sig, "full")
-    run = _Run(get_engine(spec))
+    eng = get_engine(spec)
+    run = _Run(eng)
     ident = identify_orthogonal(sig)
     eta = sig.eta6
     factors = {}
     for (a, b) in MAB_PAIRS:
         gid, f = _phys_mab_factor(ident, a, b)
+        eng.check_letter(gid)
         factors[(a, b)] = (gid, *_packed(f))
         factors[(b, a)] = (gid, *_packed(-f))
 

@@ -106,12 +106,14 @@ class Poly:
             for pows, c in self.terms.items() if pows[k])))
 
     def evaluate(self, env: dict) -> complex:
+        """The value at env, whose values are floats or numpy float arrays
+        over sample points (as for Expr.evaluate)."""
         total = 0j
         for pows, c in self.terms.items():
             v = c.to_complex()
             for name, e in zip(self.vars, pows):
                 if e:
-                    v *= complex(env[name]) ** e
+                    v *= (env[name] + 0j) ** e
             total += v
         return total
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GEN_NAMES, IMINV, ST_NAMES, LieAlgebraSpec
-from .enveloping import EnvElement, env_product, get_engine
+from .algebra import IMINV, LieAlgebraSpec, gen_name
+from .enveloping import EnvElement, env_product
 from .scalars import PARAMS, QQI_ONE, S_ONE, QQi, Scalar
 
 
@@ -76,9 +76,8 @@ class _Parser:
         if spec is None:
             self.gen_ids = {}
         else:
-            names = ST_NAMES if spec.regime == "spacetime" else GEN_NAMES
-            self.gen_ids = {names[g]: g for g in spec.basis}
-            if get_engine(spec).allow_iminv:
+            self.gen_ids = spec.gen_ids()
+            if spec.engine.allow_iminv:
                 self.gen_ids["ImInv"] = IMINV
 
     def peek(self):
@@ -248,7 +247,6 @@ def format_scalar(s: Scalar, product_context: bool = False) -> str:
 
 
 def _format_word(word, regime: str) -> str:
-    names = ST_NAMES if regime == "spacetime" else GEN_NAMES
     parts = []
     k = 0
     while k < len(word):
@@ -256,7 +254,7 @@ def _format_word(word, regime: str) -> str:
         while j < len(word) and word[j] == word[k]:
             j += 1
         gid = word[k]
-        name = f"A{gid - 100}" if gid >= 100 else names[gid]
+        name = gen_name(gid, regime)
         parts.append(name if j - k == 1 else f"{name}^{j - k}")
         k = j
     return "*".join(parts)

@@ -7,8 +7,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (GEN_NAMES, ST_NAMES, LieAlgebraSpec, Signature,
-                      build_deformed_algebra)
+from .algebra import (LieAlgebraSpec, Signature, build_deformed_algebra,
+                      set_bracket)
 from .clifford import FinkelsteinParams
 from .minilang import MiniLangError, parse_element, parse_scalar
 from .scalars import PARAMS, Scalar
@@ -48,23 +48,26 @@ class SpecFile:
     raw: dict = field(default_factory=dict)
 
     def build(self) -> LieAlgebraSpec:
-        """Structure-constant table per the file, overrides applied."""
+        """Structure-constant table per the file: the built-in table with
+        the overrides, each parsed against the built-in table, and then
+        the numeric bindings applied."""
         spec = build_deformed_algebra(self.signature, self.regime)
+        numeric = {name: val for name, val in self.bindings.items()
+                   if val is not None}
+        if not self.structure_overrides and not numeric:
+            return spec
+        table = dict(spec.table)
         for key, text in self.structure_overrides.items():
             a, b = _parse_override_key(key, spec)
             elem = parse_element(text, spec)
             if elem.degree() > 1:
                 raise SpecFileError(
                     f"override {key} must be degree <= 1, got {text!r}")
-            spec.set_bracket(a, b, _env_to_algebra(elem))
-        numeric = {name: val for name, val in self.bindings.items()
-                   if val is not None}
+            set_bracket(table, a, b, _env_to_algebra(elem))
         if numeric:
-            for pair in list(spec.table):
-                spec.table[pair] = spec.table[pair].map_scalars(
-                    lambda s: s.substitute(numeric))
-            spec._engine = None
-        return spec
+            table = {pair: elem.map_scalars(lambda s: s.substitute(numeric))
+                     for pair, elem in table.items()}
+        return LieAlgebraSpec(spec.signature, spec.regime, spec.basis, table)
 
 
 def _env_to_algebra(elem):
@@ -83,8 +86,7 @@ def _parse_override_key(key: str, spec: LieAlgebraSpec) -> tuple[int, int]:
     if not (text.startswith("[") and text.endswith("]") and "," in text):
         raise SpecFileError(f"override key must look like [p0,x0]: {key!r}")
     left, right = text[1:-1].split(",", 1)
-    names = ST_NAMES if spec.regime == "spacetime" else GEN_NAMES
-    ids = {names[g]: g for g in spec.basis}
+    ids = spec.gen_ids()
     try:
         return ids[left.strip()], ids[right.strip()]
     except KeyError as exc:

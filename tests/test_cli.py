@@ -156,6 +156,29 @@ class TestCasimirBuiltOnce:
         assert sorted(built) == kinds
 
 
+class TestSpecsBuiltOnce:
+    """verify builds the spec file's table and each clean table once."""
+
+    @pytest.mark.parametrize("regime", ["full", "tangent"])
+    @pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["", "deep"])
+    def test_one_build_per_table(self, monkeypatch, capsys, tmp_path,
+                                 regime, deep):
+        from ncspacetime import cli, enveloping, specfile
+        built = []
+        real = cli.build_deformed_algebra
+
+        def counting(sig, regime, *rest):
+            built.append(regime)
+            return real(sig, regime, *rest)
+
+        for module in (cli, enveloping, specfile):
+            monkeypatch.setattr(module, "build_deformed_algebra", counting)
+        spec = write_spec(tmp_path, {"regime": regime})
+        assert cli.main(["--spec", spec, "verify"] + deep) == 0
+        capsys.readouterr()
+        assert sorted(built) == sorted([regime, "full", "tangent"])
+
+
 class TestCommands:
     def test_commute_p0_x0(self):
         out = run_cli("commute", "p0", "x0")

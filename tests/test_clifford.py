@@ -9,16 +9,15 @@ from ncspacetime.algebra import (IM, M_IDS, P_IDS, X_IDS, Signature,
 from ncspacetime import clifford
 from ncspacetime.clifford import (CELL_DIM_ENV, FAMILY_NAMES,
                                   ConstraintViolation, FinkelsteinParams,
-                                  ResourceBudgetError, cell_chirality,
-                                  cl6_generators, closure_report,
-                                  d_form_via_D, dirac_operator,
-                                  embed_first_order, finkelstein_operators,
+                                  ResourceBudgetError, cl6_generators,
+                                  closure_report, d_form_via_D,
+                                  dirac_operator, finkelstein_operators,
                                   gamma_basis, gamma_basis_for, gamma_set_15,
                                   qmat, qmat_anticommutator, qmat_eye,
                                   qmat_mul, qmat_scale, qmat_to_numpy)
 from ncspacetime.diffcalc import derivation_set, differential_of_generator
 from ncspacetime.enveloping import EnvElement, random_env_element
-from ncspacetime.scalars import QQi
+from ncspacetime.scalars import QQI_I, QQI_ONE, QQi
 
 SIG = Signature(1, 1)
 SIGNATURES = [Signature(e4, e5) for e4 in (1, -1) for e5 in (1, -1)]
@@ -47,6 +46,33 @@ def dense_closure(params, sig):
                        if abs(coeffs[k]) > 1e-12]
             rows.append((name_a, name_b, matches, float(residual)))
     return rows
+
+
+def cell_chirality(sig: Signature) -> tuple:
+    """Oracle for the Jordan-Wigner chain: the normalized product of the six
+    cell generators, which squares to +1 and anticommutes with each."""
+    gens = cl6_generators(sig)
+    m = gens[0]
+    for g in gens[1:]:
+        m = qmat_mul(m, g)
+    if qmat_mul(m, m)[0][0] == QQI_ONE:
+        return m
+    return qmat_scale(m, QQI_I)
+
+
+def embed_first_order(mat8, n: int, n_cells: int, sig: Signature):
+    """gamma^a(n) on 8^n_cells dimensions with a Jordan-Wigner chirality
+    chain, so that generators of different cells anticommute."""
+    omega = qmat_to_numpy(cell_chirality(sig))
+    out = np.ones((1, 1), dtype=complex)
+    for k in range(1, n_cells + 1):
+        if k < n:
+            out = np.kron(out, omega)
+        elif k == n:
+            out = np.kron(out, qmat_to_numpy(mat8))
+        else:
+            out = np.kron(out, np.eye(8))
+    return out
 
 
 def assert_matches_oracle(params, sig):

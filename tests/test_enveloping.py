@@ -6,9 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS, Signature,
+from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS,
+                                 AlgebraElement, Signature,
+                                 UnknownGeneratorError,
                                  build_deformed_algebra, identify_orthogonal,
                                  defining_rep, physical_rep)
+from ncspacetime.diffcalc import derivation_set
+from ncspacetime.minilang import format_env, parse_element
 from ncspacetime.enveloping import (EnvElement, ExponentRangeError,
                                     UnsupportedInverseError, ad_generator,
                                     casimir, centrality_defect,
@@ -322,6 +326,98 @@ class TestMemoLifetime:
         assert not any(t.is_alive() for t in threads)
         assert [results.get(k) for k in range(4)] == [want] * 4
         assert memo_size(spec) == 0
+
+
+def spec_state(spec) -> dict:
+    """Identity and size of each spec field and of every engine attribute
+    (each bracket row too)."""
+    def state(value):
+        return id(value), len(value) if hasattr(value, "__len__") else value
+    eng = spec.engine
+    out = {name: state(getattr(spec, name))
+           for name in ("signature", "regime", "basis", "table", "engine")}
+    out.update({f"engine.{k}": state(v) for k, v in vars(eng).items()})
+    out.update({f"row {a}": state(row) for a, row in eng.rows.items()})
+    return out
+
+
+def mixed_calls(spec, seed: int) -> list[str]:
+    """env_product, env_commutator, ad_generator, a derivation, casimir and
+    parse_element on one spec; their results, printed."""
+    rng = random.Random(seed)
+    derivs = derivation_set(spec.regime, spec)
+    out = []
+    for _ in range(4):
+        a = random_env_element(rng, spec, 3, 3)
+        b = random_env_element(rng, spec, 3, 3)
+        if spec.engine.allow_iminv:
+            b = b + EnvElement.monomial((rng.choice(spec.basis), IMINV))
+        out.append(format_env(env_product(a, b, spec)))
+        out.append(format_env(env_commutator(a, b, spec)))
+        out.append(format_env(ad_generator(rng.choice(spec.basis), b, spec)))
+        out.append(format_env(derivs[rng.choice(sorted(derivs))].apply(b)))
+        out.append(format_env(parse_element(f"({format_env(a)})*p0", spec)))
+    out.append(format_env(casimir("C1", spec.signature, spec)))
+    return out
+
+
+class TestFrozenSpec:
+    """A spec and its engine are complete at construction and never change."""
+
+    def test_table_is_read_only(self, full):
+        with pytest.raises(TypeError):
+            full.table[(X_IDS[0], P_IDS[0])] = AlgebraElement.zero()
+        with pytest.raises(AttributeError):
+            full.regime = "tangent"
+
+    @pytest.mark.parametrize("regime", ["full", "tangent"])
+    def test_calls_change_nothing(self, regime):
+        spec = build_deformed_algebra(SIG, regime)
+        before = spec_state(spec)
+        mixed_calls(spec, 3)
+        assert spec_state(spec) == before
+
+    @pytest.mark.parametrize("regime", ["full", "tangent"])
+    def test_eight_threads_match_sequential(self, regime):
+        spec = build_deformed_algebra(SIG, regime)
+        before = spec_state(spec)
+        twin = build_deformed_algebra(SIG, regime)
+        want = [mixed_calls(twin, seed) for seed in range(8)]
+        results = {}
+        start = threading.Barrier(8)
+
+        def work(seed):
+            start.wait()
+            results[seed] = mixed_calls(spec, seed)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert [results.get(k) for k in range(8)] == want
+        assert spec_state(spec) == before
+
+    def test_ad_generator_rejects_foreign_ids(self, full, tangent):
+        x0 = gen(X_IDS[0])
+        with pytest.raises(UnsupportedInverseError):
+            ad_generator(IMINV, x0, full)
+        for gid in (16, 99, 100):
+            with pytest.raises(UnknownGeneratorError):
+                ad_generator(gid, x0, full)
+        spacetime = build_deformed_algebra(SIG, "spacetime")
+        with pytest.raises(UnknownGeneratorError):
+            ad_generator(P_IDS[0], x0, spacetime)
+        with pytest.raises(UnsupportedInverseError):
+            ad_generator(IMINV, x0, spacetime)
+        assert ad_generator(IMINV, x0, tangent) == \
+            env_commutator(gen(IMINV), x0, tangent)
 
 
 def test_long_word_commutator_within_recursion_limit(full):

@@ -42,6 +42,18 @@ class TestPoly:
         p = pconst(QQi(0, 1)) * pvar("u")
         assert (p * p) == pconst(-1) * pvar("u") * pvar("u")
 
+    @pytest.mark.parametrize("poly", [
+        Poly(VARS), pconst(QQi(2, -1)), pvar("u"), pvar("u") + pvar("v"),
+        pvar("u") * pvar("u") * pvar("v") + pconst(QQi(0, 1)) * pvar("v"),
+        (pvar("u") + pconst(QQi(1, 3))) * (pvar("u") + pconst(QQi(1, 3)))
+        * (pvar("u") + pconst(QQi(1, 3))) * pvar("v") * pvar("v"),
+    ], ids=repr)
+    def test_array_env_matches_pointwise(self, poly):
+        pts = [{"u": u, "v": 0.7 - u} for u in (-1.3, -0.4, 0.0, 0.6, 2.1)]
+        want = [poly.evaluate(pt) for pt in pts]
+        got = np.broadcast_to(poly.evaluate(stack_points(pts)), (len(pts),))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
 
 class TestExpr:
     def test_trig_diff(self):
