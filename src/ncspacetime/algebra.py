@@ -112,68 +112,133 @@ def eta4(mu: int, nu: int) -> int:
     return 1 if mu == 0 else -1
 
 
-class AlgebraElement:
-    """Finite linear combination of generators plus an optional central term."""
+Word = tuple  # tuple[int, ...]
 
-    __slots__ = ("coeffs", "central")
 
-    def __init__(self, coeffs=None, central=None):
-        self.coeffs: dict[int, Scalar] = {}
-        if coeffs:
-            for gid, s in coeffs.items():
+class EnvElement:
+    """Normal-ordered polynomial in the enveloping algebra: a map from
+    words (tuples of generator ids) to Scalar coefficients.
+
+    A Lie-algebra element is an EnvElement of degree <= 1: the word (g,)
+    for a generator and () for the central part.  Every structure-constant
+    entry has this form; the enveloping module supplies the products.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms: dict[Word, Scalar] = {}
+        if terms:
+            for w, s in terms.items():
                 if s:
-                    self.coeffs[gid] = s
-        self.central: Scalar = central if central is not None else Scalar.zero()
+                    self.terms[w] = s
 
     @classmethod
-    def zero(cls) -> "AlgebraElement":
+    def zero(cls) -> "EnvElement":
         return cls()
 
     @classmethod
-    def generator(cls, gid: int, coeff=None) -> "AlgebraElement":
-        return cls({gid: coeff if coeff is not None else S_ONE})
+    def one(cls) -> "EnvElement":
+        return cls({(): S_ONE})
+
+    @classmethod
+    def scalar(cls, s) -> "EnvElement":
+        return cls({(): s if isinstance(s, Scalar) else Scalar.of(s)})
+
+    @classmethod
+    def generator(cls, gid: int) -> "EnvElement":
+        return cls({(gid,): S_ONE})
+
+    @classmethod
+    def monomial(cls, word, coeff=None) -> "EnvElement":
+        return cls({tuple(word): coeff if coeff is not None else S_ONE})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs and self.central.is_zero
+        return not self.terms
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.coeffs)
-        for gid, s in other.coeffs.items():
-            t = out.get(gid)
-            t = s if t is None else t + s
-            if t:
-                out[gid] = t
-            elif gid in out:
-                del out[gid]
-        return AlgebraElement(out, self.central + other.central)
+    def degree(self) -> int:
+        return max((len(w) for w in self.terms), default=0)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def monomial_support(self) -> set:
+        letters = set()
+        for w in self.terms:
+            letters.update(w)
+        return letters
+
+    def __add__(self, other: "EnvElement") -> "EnvElement":
+        out = dict(self.terms)
+        _accumulate(out, other.terms, None)
+        r = EnvElement()
+        r.terms = out
+        return r
+
+    def __sub__(self, other: "EnvElement") -> "EnvElement":
         return self + (-other)
 
-    def __neg__(self) -> "AlgebraElement":
-        out = AlgebraElement.__new__(AlgebraElement)  # no zeros to drop
-        out.coeffs = {g: -s for g, s in self.coeffs.items()}
-        out.central = -self.central
-        return out
+    def __neg__(self) -> "EnvElement":
+        r = EnvElement()
+        r.terms = {w: -s for w, s in self.terms.items()}
+        return r
 
-    def scale(self, s) -> "AlgebraElement":
+    def scale(self, s) -> "EnvElement":
         s = s if isinstance(s, Scalar) else Scalar.of(s)
-        return AlgebraElement({g: s * c for g, c in self.coeffs.items()},
-                              s * self.central)
+        if not s:
+            return EnvElement.zero()
+        return EnvElement({w: s * c for w, c in self.terms.items()})
 
-    def map_scalars(self, f) -> "AlgebraElement":
-        return AlgebraElement({g: f(s) for g, s in self.coeffs.items()},
-                              f(self.central))
+    def map_scalars(self, f) -> "EnvElement":
+        return EnvElement({w: f(s) for w, s in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, EnvElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.central == other.central
+        return self.terms == other.terms
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def evaluate_matrix(self, rep: dict[int, np.ndarray], env: dict) -> np.ndarray:
+        """Numeric image under a matrix representation of the generators."""
+        n = next(iter(rep.values())).shape[0]
+        out = np.zeros((n, n), dtype=complex)
+        eye = np.eye(n)
+        for w, s in self.terms.items():
+            m = eye
+            for gid in w:
+                m = m @ rep[gid]
+            out += complex(s.evaluate(env)) * m
+        return out
 
     def __repr__(self) -> str:
-        from .minilang import format_algebra_element
-        return format_algebra_element(self)
+        from .minilang import format_env
+        return format_env(self)
+
+
+def _accumulate(out: dict, terms: dict, s) -> None:
+    """out += s * terms (s None for 1), dropping words whose values cancel."""
+    for w, c in terms.items():
+        if s is not None:
+            c = s * c
+        t = out.get(w)
+        t = c if t is None else t + c
+        if t:
+            out[w] = t
+        elif w in out:
+            del out[w]
+
+
+def _linear_part(elem: EnvElement) -> list:
+    """The (generator, coefficient) pairs of a degree <= 1 element."""
+    out = []
+    for w, s in elem.terms.items():
+        if len(w) == 1:
+            out.append((w[0], s))
+        elif w:
+            raise ValueError(
+                f"a Lie-algebra element has degree <= 1, got a term of "
+                f"degree {len(w)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,7 +254,7 @@ class LieAlgebraSpec:
     signature: Signature
     regime: str
     basis: tuple[int, ...]
-    table: Mapping[tuple[int, int], AlgebraElement]
+    table: Mapping[tuple[int, int], EnvElement]
     engine: "RewriteEngine" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -197,21 +262,25 @@ class LieAlgebraSpec:
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         object.__setattr__(self, "engine", RewriteEngine(self))
 
-    def bracket_ids(self, a: int, b: int) -> AlgebraElement:
+    def bracket_ids(self, a: int, b: int) -> EnvElement:
         for gid in (a, b):
             if gid not in self.basis:
                 raise UnknownGeneratorError(
                     f"generator id {gid} not in {self.regime} basis")
         entry = self.engine.brackets.get((a, b))
-        return entry if entry is not None else AlgebraElement.zero()
+        return entry if entry is not None else EnvElement.zero()
 
-    def bracket(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        """Bilinear antisymmetric extension of the table; centrals drop out."""
-        out = AlgebraElement.zero()
-        for ga, sa in a.coeffs.items():
-            for gb, sb in b.coeffs.items():
-                out = out + self.bracket_ids(ga, gb).scale(sa * sb)
-        return out
+    def bracket(self, a: EnvElement, b: EnvElement) -> EnvElement:
+        """Bilinear antisymmetric extension of the table to degree <= 1
+        elements; centrals drop out, a term of degree >= 2 is a ValueError."""
+        lin_a, lin_b = _linear_part(a), _linear_part(b)
+        out = {}
+        for ga, sa in lin_a:
+            for gb, sb in lin_b:
+                _accumulate(out, self.bracket_ids(ga, gb).terms, sa * sb)
+        r = EnvElement()
+        r.terms = out
+        return r
 
     @property
     def im_is_central(self) -> bool:
@@ -235,7 +304,7 @@ class LieAlgebraSpec:
         return {gen_name(g, self.regime): g for g in self.basis}
 
 
-def set_bracket(table: dict, a: int, b: int, elem: AlgebraElement) -> None:
+def set_bracket(table: dict, a: int, b: int, elem: EnvElement) -> None:
     """Write [g_a, g_b] = elem into a builder's table, keyed a < b."""
     if a == b:
         raise ValueError("diagonal brackets vanish identically")
@@ -248,13 +317,13 @@ def set_bracket(table: dict, a: int, b: int, elem: AlgebraElement) -> None:
 _I_TIMES = {1: S_I, -1: S_MINUS_I}  # i * sign, for the builders
 
 
-def _gen(gid, coeff) -> AlgebraElement:
-    return AlgebraElement.generator(gid, coeff)
+def _gen(gid, coeff) -> EnvElement:
+    return EnvElement.monomial((gid,), coeff)
 
 
-def _m_elem(mu: int, nu: int, coeff: Scalar) -> AlgebraElement:
+def _m_elem(mu: int, nu: int, coeff: Scalar) -> EnvElement:
     if mu == nu:
-        return AlgebraElement.zero()
+        return EnvElement.zero()
     gid, sign = m_id(mu, nu)
     return _gen(gid, coeff if sign > 0 else -coeff)
 
@@ -324,7 +393,7 @@ def _fill_lorentz_sector(table: dict, vector_ids) -> None:
                 continue
             # i(M^{mu sg}eta^{nu rho} + M^{nu rho}eta^{mu sg}
             #   - M^{nu sg}eta^{mu rho} - M^{mu rho}eta^{nu sg})
-            out = AlgebraElement.zero()
+            out = EnvElement.zero()
             for (i1, j1, k1, l1, s) in (
                     (mu, sg, nu, rho, 1), (nu, rho, mu, sg, 1),
                     (nu, sg, mu, rho, -1), (mu, rho, nu, sg, -1)):
@@ -335,7 +404,7 @@ def _fill_lorentz_sector(table: dict, vector_ids) -> None:
         for _name, vid in vector_ids:
             for lam in range(4):
                 # [M^{mu nu}, v^lam] = i(v^mu eta^{nu lam} - v^nu eta^{mu lam})
-                out = AlgebraElement.zero()
+                out = EnvElement.zero()
                 e1, e2 = eta4(nu, lam), eta4(mu, lam)
                 if e1:
                     out = out + _gen(vid(mu), _I_TIMES[e1])
@@ -362,7 +431,7 @@ def jacobi_defect(spec: LieAlgebraSpec):
     """All basis triples with nonzero Jacobiator; empty means a Lie algebra."""
     defects = []
     for a, b, c in itertools.combinations(sorted(spec.basis), 3):
-        ea, eb, ec = (AlgebraElement.generator(g) for g in (a, b, c))
+        ea, eb, ec = (EnvElement.generator(g) for g in (a, b, c))
         j = (spec.bracket(spec.bracket(ea, eb), ec)
              + spec.bracket(spec.bracket(eb, ec), ea)
              + spec.bracket(spec.bracket(ec, ea), eb))
@@ -386,7 +455,7 @@ def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
         for k2, (c, d) in enumerate(MAB_PAIRS):
             if k2 <= k1:
                 continue
-            out = AlgebraElement.zero()
+            out = EnvElement.zero()
             for (i1, j1, m1, n1, s) in ((a, d, b, c, 1), (b, c, a, d, 1),
                                         (b, d, a, c, -1), (a, c, b, d, -1)):
                 if m1 == n1 and i1 != j1:
@@ -433,12 +502,14 @@ class OrthogonalIdentification:
     def to_phys(self, mab_index: int) -> tuple[int, Scalar]:
         return self._mab_to_phys[mab_index]
 
-    def mab_element_to_phys(self, elem: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement(central=elem.central)
-        for k, s in elem.coeffs.items():
-            gid, f = self.to_phys(k)
-            out = out + _gen(gid, s * f)
-        return out
+    def mab_element_to_phys(self, elem: EnvElement) -> EnvElement:
+        out = {}
+        for w, s in elem.terms.items():
+            if w:
+                gid, f = self.to_phys(*w)
+                w, s = (gid,), s * f
+            out[w] = s
+        return EnvElement(out)
 
 
 def identify_orthogonal(sig: Signature) -> OrthogonalIdentification:
@@ -472,13 +543,3 @@ def physical_rep(sig: Signature, ell: float = 1.0,
         out[gid] = complex(s.evaluate(env)) * mab[k]
     return out
 
-
-def element_matrix(elem: AlgebraElement, rep: dict[int, np.ndarray],
-                   env: dict) -> np.ndarray:
-    """Numeric image of a linear combination under a matrix representation."""
-    n = next(iter(rep.values())).shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for gid, s in elem.coeffs.items():
-        out += complex(s.evaluate(env)) * rep[gid]
-    out += complex(elem.central.evaluate(env)) * np.eye(n)
-    return out

@@ -106,8 +106,7 @@ def derivation_set(regime: str, spec: LieAlgebraSpec) -> dict[int, Derivation]:
         brackets = spec.engine.brackets  # the nonzero ones
         for label in FULL_LABELS:
             scale = _inner_scale(label)
-            action = {g: EnvElement.from_algebra_element(
-                brackets[label, g]).scale(scale)
+            action = {g: brackets[label, g].scale(scale)
                 for g in spec.basis if (label, g) in brackets}
             out[label] = Derivation(label, action, spec)
         return out
@@ -149,7 +148,10 @@ def derivation_commutator_coeffs(a: int, b: int, regime: str,
     if regime == "tangent":
         return []
     out = []
-    for gid, t in spec.bracket_ids(a, b).coeffs.items():
+    for word, t in spec.bracket_ids(a, b).terms.items():
+        if not word:
+            continue  # central
+        (gid,) = word
         if gid not in FULL_LABELS:
             raise CalculusClosureError(
                 "derivation commutator leaves the derivation basis")

@@ -1,11 +1,13 @@
 """Canonical-form arithmetic in the enveloping algebra.
 
-Elements are stored as maps from normal-ordered words (tuples of generator
-ids, non-decreasing in the fixed order x < p < M < Im < ImInv) to Scalar
-coefficients.  Products are canonicalized by the rewriting g*h = h*g + [g,h];
-every swap strictly lowers a well-founded disorder measure because bracket
-terms have lower word degree, so the rewriting terminates and the result is
-the Poincare-Birkhoff-Witt normal form.  Each step rewrites the leftmost
+Elements (EnvElement, defined in algebra because the bracket table holds
+them, and re-exported here) are stored as maps from normal-ordered words
+(tuples of generator ids, non-decreasing in the fixed order
+x < p < M < Im < ImInv) to Scalar coefficients.  Products are canonicalized
+by the rewriting g*h = h*g + [g,h]; every swap strictly lowers a
+well-founded disorder measure because bracket terms have lower word degree,
+so the rewriting terminates and the result is the Poincare-Birkhoff-Witt
+normal form.  Each step rewrites the leftmost
 out-of-order pair, so the result is a function of the word even for a
 table that violates Jacobi.
 
@@ -42,128 +44,16 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-import numpy as np
-
-from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, LieAlgebraSpec,
-                      AlgebraElement, Signature, UnknownGeneratorError,
+from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
+                      LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
                       _MAB_INDEX, build_deformed_algebra, identify_orthogonal)
-from .scalars import (_NPAR, QQI_ONE, S_ONE, QQi, Scalar, _new,
-                      _norm, _scalar)
-
-Word = tuple  # tuple[int, ...]
+from .scalars import (_NPAR, QQI_ONE, QQi, Scalar, _new, _norm, _scalar)
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
 
 
 class UnsupportedInverseError(ValueError):
     pass
-
-
-class EnvElement:
-    """Normal-ordered polynomial in the enveloping algebra."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[Word, Scalar] = {}
-        if terms:
-            for w, s in terms.items():
-                if s:
-                    self.terms[w] = s
-
-    @classmethod
-    def zero(cls) -> "EnvElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "EnvElement":
-        return cls({(): S_ONE})
-
-    @classmethod
-    def scalar(cls, s) -> "EnvElement":
-        return cls({(): s if isinstance(s, Scalar) else Scalar.of(s)})
-
-    @classmethod
-    def generator(cls, gid: int) -> "EnvElement":
-        return cls({(gid,): S_ONE})
-
-    @classmethod
-    def monomial(cls, word, coeff=None) -> "EnvElement":
-        return cls({tuple(word): coeff if coeff is not None else S_ONE})
-
-    @classmethod
-    def from_algebra_element(cls, elem: AlgebraElement) -> "EnvElement":
-        terms = {(gid,): s for gid, s in elem.coeffs.items()}
-        if elem.central:
-            terms[()] = elem.central
-        return cls(terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def monomial_support(self) -> set:
-        letters = set()
-        for w in self.terms:
-            letters.update(w)
-        return letters
-
-    def __add__(self, other: "EnvElement") -> "EnvElement":
-        out = dict(self.terms)
-        for w, s in other.terms.items():
-            t = out.get(w)
-            t = s if t is None else t + s
-            if t:
-                out[w] = t
-            elif w in out:
-                del out[w]
-        r = EnvElement()
-        r.terms = out
-        return r
-
-    def __sub__(self, other: "EnvElement") -> "EnvElement":
-        return self + (-other)
-
-    def __neg__(self) -> "EnvElement":
-        r = EnvElement()
-        r.terms = {w: -s for w, s in self.terms.items()}
-        return r
-
-    def scale(self, s) -> "EnvElement":
-        s = s if isinstance(s, Scalar) else Scalar.of(s)
-        if not s:
-            return EnvElement.zero()
-        return EnvElement({w: s * c for w, c in self.terms.items()})
-
-    def map_scalars(self, f) -> "EnvElement":
-        return EnvElement({w: f(s) for w, s in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def evaluate_matrix(self, rep: dict[int, np.ndarray], env: dict) -> np.ndarray:
-        """Numeric image under a matrix representation of the generators."""
-        n = next(iter(rep.values())).shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        eye = np.eye(n)
-        for w, s in self.terms.items():
-            m = eye
-            for gid in w:
-                m = m @ rep[gid]
-            out += complex(s.evaluate(env)) * m
-        return out
-
-    def __repr__(self) -> str:
-        from .minilang import format_env
-        return format_env(self)
 
 
 class RewriteEngine:
@@ -189,9 +79,7 @@ class RewriteEngine:
                 continue
             brackets[(a, b)] = elem
             brackets[(b, a)] = -elem
-            terms = [((k,), *_packed(s)) for k, s in elem.coeffs.items()]
-            if elem.central:
-                terms.append(((), *_packed(elem.central)))
+            terms = packed_terms(elem)
             rows[a][b] = terms
             rows[b][a] = _negated(terms)
         im_row = {g: e for (a, g), e in brackets.items() if a == IM}
@@ -199,13 +87,15 @@ class RewriteEngine:
         # every [Im, g] lands on generators commuting with Im.
         self.allow_iminv = IM in spec.basis and (not im_row or (
             spec.regime == "tangent"
-            and not any(k in im_row for e in im_row.values() for k in e.coeffs)))
+            and not any(k in im_row for e in im_row.values()
+                        for w in e.terms for k in w)))
         if self.allow_iminv:
             rows[IMINV] = {}
-            # [g, ImInv] = ImInv [Im, g] ImInv = sum t_k g_k ImInv^2
+            # [g, ImInv] = ImInv [Im, g] ImInv = [Im, g] ImInv^2, the
+            # central part of [Im, g] included
             for g, elem in im_row.items():
-                terms = [((k, IMINV, IMINV), *_packed(s))
-                         for k, s in elem.coeffs.items()]
+                terms = [(w + (IMINV, IMINV), c, bound)
+                         for w, c, bound in packed_terms(elem)]
                 rows[g][IMINV] = terms
                 rows[IMINV][g] = _negated(terms)
         # largest exponent magnitude of any bracket coefficient

@@ -16,8 +16,6 @@ element re-parses to an equal one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import IMINV, LieAlgebraSpec, gen_name
 from .enveloping import EnvElement, env_product
 from .scalars import PARAMS, QQI_ONE, S_ONE, QQi, Scalar
@@ -185,25 +183,21 @@ _QQI_MINUS_ONE = -QQI_ONE
 _S_MINUS_ONE = -S_ONE
 
 
-def _format_fraction(f: int | Fraction) -> str:
-    return str(f)
-
-
-def format_qqi(q: QQi, product_context: bool = False) -> str:
+def format_qqi(q: QQi) -> str:
     if q.is_zero:
         return "0"
     if not q.im:
-        return _format_fraction(q.re)
+        return str(q.re)
     if not q.re:
         if q.im == 1:
             return "i"
         if q.im == -1:
             return "-i"
-        return f"{_format_fraction(q.im)}*i"
+        return f"{q.im}*i"
     im = q.im
     sign = "+" if im > 0 else "-"
-    mag = "i" if abs(im) == 1 else f"{_format_fraction(abs(im))}*i"
-    return f"({_format_fraction(q.re)}{sign}{mag})"
+    mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    return f"({q.re}{sign}{mag})"
 
 
 def _format_monomial_params(pows) -> list[str]:
@@ -218,12 +212,12 @@ def _format_monomial_params(pows) -> list[str]:
 def _format_scalar_term(pows, coeff: QQi) -> str:
     parts = _format_monomial_params(pows)
     if not parts:
-        return format_qqi(coeff, product_context=True)
+        return format_qqi(coeff)
     if coeff == QQI_ONE:
         return "*".join(parts)
     if coeff == _QQI_MINUS_ONE:
         return "-" + "*".join(parts)
-    return "*".join([format_qqi(coeff, product_context=True)] + parts)
+    return "*".join([format_qqi(coeff)] + parts)
 
 
 def _join_terms(terms: list[str]) -> str:
@@ -278,8 +272,3 @@ def format_env(e: EnvElement, regime: str = "full") -> str:
         else:
             bits.append(f"{format_scalar(s, product_context=True)}*{wtxt}")
     return _join_terms(bits)
-
-
-def format_algebra_element(a, regime: str = "full") -> str:
-    from .enveloping import EnvElement as _E
-    return format_env(_E.from_algebra_element(a), regime)

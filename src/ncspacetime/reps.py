@@ -115,10 +115,13 @@ def rep_of_element(elem, rep: dict[int, DiffOperator],
     """
     some = next(iter(rep.values()))
     out = DiffOperator(some.vars, some.zeroth.zero(), {})
-    for gid, s in elem.coeffs.items():
-        out = out.add(rep[gid].map_coeffs(lambda c, k=coeff(s): k * c))
-    if elem.central:
-        out = out.add(DiffOperator(some.vars, coeff(elem.central), {}))
+    for word, s in elem.terms.items():
+        if word:
+            (gid,) = word
+            out = out.add(rep[gid].map_coeffs(lambda c, k=coeff(s): k * c))
+    central = elem.terms.get(())
+    if central:
+        out = out.add(DiffOperator(some.vars, coeff(central), {}))
     return out
 
 

@@ -63,22 +63,11 @@ class SpecFile:
             if elem.degree() > 1:
                 raise SpecFileError(
                     f"override {key} must be degree <= 1, got {text!r}")
-            set_bracket(table, a, b, _env_to_algebra(elem))
+            set_bracket(table, a, b, elem)
         if numeric:
             table = {pair: elem.map_scalars(lambda s: s.substitute(numeric))
                      for pair, elem in table.items()}
         return LieAlgebraSpec(spec.signature, spec.regime, spec.basis, table)
-
-
-def _env_to_algebra(elem):
-    from .algebra import AlgebraElement
-    out = AlgebraElement()
-    for word, s in elem.terms.items():
-        if len(word) == 0:
-            out.central = out.central + s
-        else:
-            out = out + AlgebraElement({word[0]: s})
-    return out
 
 
 def _parse_override_key(key: str, spec: LieAlgebraSpec) -> tuple[int, int]:
@@ -88,9 +77,14 @@ def _parse_override_key(key: str, spec: LieAlgebraSpec) -> tuple[int, int]:
     left, right = text[1:-1].split(",", 1)
     ids = spec.gen_ids()
     try:
-        return ids[left.strip()], ids[right.strip()]
+        a, b = ids[left.strip()], ids[right.strip()]
     except KeyError as exc:
         raise SpecFileError(f"unknown generator in override key {key!r}") from exc
+    if a == b:
+        raise SpecFileError(
+            f"override key {key!r} brackets a generator with itself, "
+            "which vanishes identically")
+    return a, b
 
 
 def _parse_binding(name: str, value) -> Scalar | None:

@@ -19,7 +19,7 @@ import pytest
 from ncspacetime.algebra import (P_IDS, X_IDS, Signature,
                                  build_deformed_algebra, build_so6_algebra,
                                  contract_tangent, defining_rep,
-                                 element_matrix, identify_orthogonal,
+                                 identify_orthogonal,
                                  jacobi_defect, physical_rep)
 from ncspacetime.clifford import (FinkelsteinParams, closure_report,
                                   d_form_via_D, gamma_basis_for)
@@ -83,7 +83,7 @@ def test_criterion_02_orthogonal_realization():
         pairs = 0
         for a, b in itertools.combinations(sorted(full.basis), 2):
             lhs = rep[a] @ rep[b] - rep[b] @ rep[a]
-            rhs = element_matrix(full.bracket_ids(a, b), rep, env)
+            rhs = full.bracket_ids(a, b).evaluate_matrix(rep, env)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
             pairs += 1
         assert pairs == 105

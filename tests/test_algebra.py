@@ -6,20 +6,21 @@ import time
 import numpy as np
 import pytest
 
-from ncspacetime.algebra import (IM, M_IDS, P_IDS, X_IDS, AlgebraElement,
+from ncspacetime.algebra import (IM, M_IDS, P_IDS, X_IDS, EnvElement,
                                  Signature, build_deformed_algebra,
                                  build_so6_algebra, contract_tangent,
-                                 defining_rep, element_matrix, eta4,
+                                 defining_rep, eta4,
                                  identify_orthogonal, jacobi_defect, m_id,
                                  physical_rep, set_bracket,
                                  UnknownGeneratorError)
 from ncspacetime.scalars import S_I, S_MINUS_I, Scalar
+from ncspacetime.specfile import load_specfile
 
 ALL_SIGS = [Signature(e4, e5) for e4 in (1, -1) for e5 in (1, -1)]
 
 
 def gen(gid):
-    return AlgebraElement.generator(gid)
+    return EnvElement.generator(gid)
 
 
 class TestBracketTable:
@@ -82,7 +83,7 @@ class TestTangent:
         spec = build_deformed_algebra(Signature(1, 1), "tangent")
         table = dict(spec.table)
         for mu in range(4):
-            set_bracket(table, X_IDS[mu], IM, AlgebraElement.zero())
+            set_bracket(table, X_IDS[mu], IM, EnvElement.zero())
         defects = jacobi_defect(dataclasses.replace(spec, table=table))
         assert defects, "the printed all-zero tangent sector is not a Lie algebra"
 
@@ -106,7 +107,7 @@ class TestJacobi:
     def test_mutated_table_detected(self):
         spec = build_deformed_algebra(Signature(1, 1), "full")
         table = dict(spec.table)
-        set_bracket(table, P_IDS[0], X_IDS[0], AlgebraElement.zero())
+        set_bracket(table, P_IDS[0], X_IDS[0], EnvElement.zero())
         defects = jacobi_defect(dataclasses.replace(spec, table=table))
         assert defects
         triples = {t for t, _ in defects}
@@ -120,8 +121,8 @@ class TestJacobi:
         def rand_elem():
             coeffs = {}
             for _ in range(3):
-                coeffs[rng.choice(spec.basis)] = Scalar.of(rng.randrange(-3, 4))
-            return AlgebraElement(coeffs)
+                coeffs[(rng.choice(spec.basis),)] = Scalar.of(rng.randrange(-3, 4))
+            return EnvElement(coeffs)
 
         for _ in range(25):
             a, b, c = rand_elem(), rand_elem(), rand_elem()
@@ -173,7 +174,7 @@ class TestOrthogonalRealization:
         count = 0
         for a, b in itertools.combinations(sorted(full.basis), 2):
             lhs = rep[a] @ rep[b] - rep[b] @ rep[a]
-            rhs = element_matrix(full.bracket_ids(a, b), rep, env)
+            rhs = full.bracket_ids(a, b).evaluate_matrix(rep, env)
             assert np.abs(lhs - rhs).max() <= 1e-12
             count += 1
         assert count == 105
@@ -200,7 +201,7 @@ class TestDefiningRep:
             rep = defining_rep(sig)
             for a, b in itertools.combinations(range(15), 2):
                 lhs = rep[a] @ rep[b] - rep[b] @ rep[a]
-                rhs = element_matrix(so6.bracket_ids(a, b), rep, {})
+                rhs = so6.bracket_ids(a, b).evaluate_matrix(rep, {})
                 assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -239,10 +240,47 @@ def test_signature_metric_entries():
 
 
 def test_algebra_element_prunes_zeros():
-    elem = AlgebraElement({X_IDS[0]: Scalar.one(), P_IDS[0]: Scalar.zero()})
-    assert P_IDS[0] not in elem.coeffs
+    elem = EnvElement({(X_IDS[0],): Scalar.one(), (P_IDS[0],): Scalar.zero()})
+    assert (P_IDS[0],) not in elem.terms
     diff = elem - elem
-    assert diff.is_zero and not diff.coeffs
+    assert diff.is_zero and not diff.terms
+
+
+SPEC_BUILDERS = {
+    "full": lambda: build_deformed_algebra(Signature(1, -1), "full"),
+    "tangent": lambda: build_deformed_algebra(Signature(-1, 1), "tangent"),
+    "spacetime": lambda: build_deformed_algebra(Signature(1, 1), "spacetime"),
+    "spacetime-im": lambda: build_deformed_algebra(
+        Signature(1, 1), "spacetime", extend_im=True),
+    "so6": lambda: build_so6_algebra(Signature(-1, -1)),
+    "contracted": lambda: contract_tangent(
+        build_deformed_algebra(Signature(1, 1), "full")),
+    "override": lambda: load_specfile({"structure_overrides": {
+        "[x1,M01]": "x0 + 2*i*p1 - 3", "[p0,x0]": "0"}}).build(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_BUILDERS))
+def test_brackets_are_degree_one_env_elements(name):
+    spec = SPEC_BUILDERS[name]()
+    for elem in spec.table.values():
+        assert isinstance(elem, EnvElement) and elem.degree() <= 1
+    for a, b in itertools.product(spec.basis, repeat=2):
+        elem = spec.bracket_ids(a, b)
+        assert isinstance(elem, EnvElement) and elem.degree() <= 1
+
+
+def test_bracket_degree_one_only():
+    spec = build_deformed_algebra(Signature(1, 1), "full")
+    quad = EnvElement.monomial((X_IDS[0], P_IDS[0]))
+    with pytest.raises(ValueError):
+        spec.bracket(quad, gen(X_IDS[1]))
+    with pytest.raises(ValueError):
+        spec.bracket(gen(X_IDS[1]), quad)
+    # a central term drops out
+    shifted = gen(X_IDS[0]) + EnvElement.scalar(3)
+    assert spec.bracket(shifted, gen(P_IDS[0])) == \
+        spec.bracket_ids(X_IDS[0], P_IDS[0])
 
 
 def test_m_id_sign_resolution():

@@ -51,6 +51,14 @@ class TestExitCodes:
         out = run_cli("fnord")
         assert out.returncode == 2
 
+    def test_diagonal_override_exits_two(self, tmp_path):
+        spec = write_spec(tmp_path, {"structure_overrides": {"[p0,p0]": "x0"}})
+        out = run_cli("--spec", spec, "commute", "p0", "x0")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("ncst: ") and "[p0,p0]" in out.stderr
+
     def test_constraint_violation_exits_one(self, tmp_path):
         spec = write_spec(tmp_path, {"finkelstein": {
             "n_cells": 2, "chi": "1/2", "phi_cell": "1/2"}})
@@ -222,6 +230,14 @@ class TestCommands:
         assert text == "i*ell^2*p0*ImInv^2"
         full = run_cli("commute", "ImInv", "x0")
         assert full.returncode == 2  # not a name in the full regime
+
+    def test_commute_iminv_keeps_central_bracket(self, tmp_path):
+        # [ImInv, x0] = ImInv [x0, Im] ImInv = ImInv^2 when [x0, Im] = 1
+        spec = write_spec(tmp_path, {"regime": "tangent",
+                                     "structure_overrides": {"[x0,Im]": "1"}})
+        out = run_cli("--spec", spec, "commute", "ImInv", "x0")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["result"]["commutator"] == "ImInv^2"
 
     def test_diff_x0_reports_four_sectors(self):
         out = run_cli("diff", "x0")

@@ -6,8 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS,
-                                 AlgebraElement, Signature,
+from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS, Signature,
                                  UnknownGeneratorError,
                                  build_deformed_algebra, identify_orthogonal,
                                  defining_rep, physical_rep)
@@ -19,6 +18,7 @@ from ncspacetime.enveloping import (EnvElement, ExponentRangeError,
                                     env_commutator, env_product, get_engine,
                                     levi_civita6, random_env_element)
 from ncspacetime.scalars import S_I, S_ONE, QQi, Scalar
+from ncspacetime.specfile import load_specfile
 
 SIG = Signature(1, 1)
 
@@ -103,7 +103,7 @@ class TestCommutator:
     def test_degree_one_reduces_to_bracket(self, full):
         for a, b in itertools.combinations(sorted(full.basis), 2):
             got = env_commutator(gen(a), gen(b), full)
-            want = EnvElement.from_algebra_element(full.bracket_ids(a, b))
+            want = full.bracket_ids(a, b)
             assert got == want
 
     def test_antisymmetry_random(self, full):
@@ -152,6 +152,18 @@ class TestImInverse:
         want = EnvElement.monomial((X_IDS[0], IMINV)) + EnvElement.monomial(
             (P_IDS[0], IMINV, IMINV), S_I * Scalar.param("ell", 2))
         assert got == want
+
+    @pytest.mark.parametrize("overrides", [{}, {"[x0,Im]": "1"}],
+                             ids=["clean", "central-x0-Im"])
+    def test_rule_is_conjugated_bracket(self, overrides):
+        # [ImInv, g] = ImInv [g, Im] ImInv, a central part of [g, Im] included
+        spec = load_specfile({"regime": "tangent",
+                              "structure_overrides": overrides}).build()
+        inv = EnvElement.monomial((IMINV,))
+        for g in spec.basis:
+            want = env_product(env_product(inv, spec.bracket_ids(g, IM), spec),
+                               inv, spec)
+            assert env_commutator(inv, gen(g), spec) == want
 
     def test_inverse_relation_two_sided(self, tangent):
         # (x0 * ImInv) * Im = x0 exactly
@@ -366,7 +378,7 @@ class TestFrozenSpec:
 
     def test_table_is_read_only(self, full):
         with pytest.raises(TypeError):
-            full.table[(X_IDS[0], P_IDS[0])] = AlgebraElement.zero()
+            full.table[(X_IDS[0], P_IDS[0])] = EnvElement.zero()
         with pytest.raises(AttributeError):
             full.regime = "tangent"
 

@@ -42,7 +42,7 @@ class TestSpecFile:
         # [x0, x1] = -i*eps4*ell^2*M01 becomes -i*M01 with ell = 1
         from ncspacetime.scalars import S_MINUS_I
         got = spec.bracket_ids(X_IDS[0], X_IDS[1])
-        assert got.coeffs[8] == S_MINUS_I
+        assert got.terms[(8,)] == S_MINUS_I
 
     def test_bad_binding(self):
         with pytest.raises(SpecFileError):
