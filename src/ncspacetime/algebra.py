@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .scalars import S_I, S_MINUS_I, S_ONE, Scalar
+from .scalars import S_I, S_MINUS_I, S_ONE, Scalar, _accumulate
 
 if TYPE_CHECKING:
     from .enveloping import RewriteEngine
@@ -112,6 +112,19 @@ def eta4(mu: int, nu: int) -> int:
     return 1 if mu == 0 else -1
 
 
+def levi_civita(*idx) -> int:
+    """Totally antisymmetric symbol: the sign of the permutation that sorts
+    idx, 0 if an index repeats; levi_civita(0, 1, ..., n-1) = +1."""
+    sign = 1
+    for k, a in enumerate(idx):
+        for b in idx[k + 1:]:
+            if a > b:
+                sign = -sign
+            elif a == b:
+                return 0
+    return sign
+
+
 Word = tuple  # tuple[int, ...]
 
 
@@ -167,10 +180,8 @@ class EnvElement:
         return letters
 
     def __add__(self, other: "EnvElement") -> "EnvElement":
-        out = dict(self.terms)
-        _accumulate(out, other.terms, None)
         r = EnvElement()
-        r.terms = out
+        r.terms = _accumulate(dict(self.terms), other.terms.items())
         return r
 
     def __sub__(self, other: "EnvElement") -> "EnvElement":
@@ -215,19 +226,6 @@ class EnvElement:
         return format_env(self)
 
 
-def _accumulate(out: dict, terms: dict, s) -> None:
-    """out += s * terms (s None for 1), dropping words whose values cancel."""
-    for w, c in terms.items():
-        if s is not None:
-            c = s * c
-        t = out.get(w)
-        t = c if t is None else t + c
-        if t:
-            out[w] = t
-        elif w in out:
-            del out[w]
-
-
 def _linear_part(elem: EnvElement) -> list:
     """The (generator, coefficient) pairs of a degree <= 1 element."""
     out = []
@@ -243,12 +241,13 @@ def _linear_part(elem: EnvElement) -> list:
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Basis plus total antisymmetric structure-constant table, frozen.
+    """Basis plus antisymmetric structure-constant table, frozen.
 
-    table maps (a, b) with a < b to [g_a, g_b] and is read-only: a builder
-    fills a plain dict (set_bracket) and constructs the spec from it once.
-    The rewrite engine of the enveloping algebra is made with the spec and
-    holds the complete bracket table from then on (enveloping.RewriteEngine).
+    table maps every ordered pair (a, b) whose bracket is nonzero to
+    [g_a, g_b], in both orientations, and is read-only: a builder fills a
+    plain dict (set_bracket) and constructs the spec from it once; zero
+    values are dropped here.  The rewrite engine of the enveloping algebra
+    is made with the spec and packs the table (enveloping.RewriteEngine).
     """
 
     signature: Signature
@@ -259,7 +258,12 @@ class LieAlgebraSpec:
 
     def __post_init__(self):
         from .enveloping import RewriteEngine  # enveloping imports this module
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        table = {pair: elem for pair, elem in self.table.items() if elem.terms}
+        for a, b in table:
+            if (b, a) not in table:
+                raise ValueError(
+                    f"bracket table key {(a, b)} has no mirror key {(b, a)}")
+        object.__setattr__(self, "table", MappingProxyType(table))
         object.__setattr__(self, "engine", RewriteEngine(self))
 
     def bracket_ids(self, a: int, b: int) -> EnvElement:
@@ -267,7 +271,7 @@ class LieAlgebraSpec:
             if gid not in self.basis:
                 raise UnknownGeneratorError(
                     f"generator id {gid} not in {self.regime} basis")
-        entry = self.engine.brackets.get((a, b))
+        entry = self.table.get((a, b))
         return entry if entry is not None else EnvElement.zero()
 
     def bracket(self, a: EnvElement, b: EnvElement) -> EnvElement:
@@ -277,24 +281,20 @@ class LieAlgebraSpec:
         out = {}
         for ga, sa in lin_a:
             for gb, sb in lin_b:
-                _accumulate(out, self.bracket_ids(ga, gb).terms, sa * sb)
+                s = sa * sb
+                _accumulate(out, ((w, s * c) for w, c in
+                                  self.bracket_ids(ga, gb).terms.items()))
         r = EnvElement()
         r.terms = out
         return r
 
     @property
     def im_is_central(self) -> bool:
-        if IM not in self.basis:
-            return False
-        return all(self.bracket_ids(IM, g).is_zero
-                   for g in self.basis if g != IM)
+        return IM in self.basis and not any(a == IM for a, _ in self.table)
 
     def table_equal(self, other: "LieAlgebraSpec") -> bool:
-        if tuple(sorted(self.basis)) != tuple(sorted(other.basis)):
-            return False
-        pairs = itertools.combinations(sorted(self.basis), 2)
-        return all(self.bracket_ids(a, b) == other.bracket_ids(a, b)
-                   for a, b in pairs)
+        return (sorted(self.basis) == sorted(other.basis)
+                and self.table == other.table)
 
     def gen_name(self, gid: int) -> str:
         return gen_name(gid, self.regime)
@@ -305,13 +305,12 @@ class LieAlgebraSpec:
 
 
 def set_bracket(table: dict, a: int, b: int, elem: EnvElement) -> None:
-    """Write [g_a, g_b] = elem into a builder's table, keyed a < b."""
+    """Write [g_a, g_b] = elem and [g_b, g_a] = -elem into a builder's
+    table."""
     if a == b:
         raise ValueError("diagonal brackets vanish identically")
-    if a < b:
-        table[(a, b)] = elem
-    else:
-        table[(b, a)] = -elem
+    table[(a, b)] = elem
+    table[(b, a)] = -elem
 
 
 _I_TIMES = {1: S_I, -1: S_MINUS_I}  # i * sign, for the builders
@@ -410,20 +409,16 @@ def _fill_lorentz_sector(table: dict, vector_ids) -> None:
                     out = out + _gen(vid(mu), _I_TIMES[e1])
                 if e2:
                     out = out - _gen(vid(nu), _I_TIMES[e2])
-                if not out.is_zero:
-                    set_bracket(table, a, vid(lam), out)
+                set_bracket(table, a, vid(lam), out)
 
 
 def contract_tangent(spec: LieAlgebraSpec) -> LieAlgebraSpec:
     """R -> infinity contraction: substitute R_inv -> 0 and phi -> 0."""
     if spec.regime != "full":
         raise ValueError("contraction applies to the full regime")
-    table = {}
-    for pair, elem in spec.table.items():
-        reduced = elem.map_scalars(
-            lambda s: s.set_param_zero("R_inv").set_param_zero("phi"))
-        if not reduced.is_zero:
-            table[pair] = reduced
+    table = {pair: elem.map_scalars(
+                 lambda s: s.set_param_zero("R_inv").set_param_zero("phi"))
+             for pair, elem in spec.table.items()}
     return LieAlgebraSpec(spec.signature, "tangent", spec.basis, table)
 
 
@@ -463,8 +458,7 @@ def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
                     sign = 1 if i1 < j1 else -1
                     idx = _MAB_INDEX[(i1, j1) if i1 < j1 else (j1, i1)]
                     out = out + _gen(idx, _I_TIMES[s * e * sign])
-            if not out.is_zero:
-                set_bracket(table, k1, k2, out)
+            set_bracket(table, k1, k2, out)
     return LieAlgebraSpec(sig, "so6", tuple(range(15)), table)
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .algebra import IM, M_IDS, P_IDS, X_IDS, LieAlgebraSpec, eta4
+from .algebra import (IM, M_IDS, P_IDS, X_IDS, LieAlgebraSpec, eta4,
+                      levi_civita)
 from .enveloping import EnvElement, leibniz, packed_terms
 from .scalars import S_MINUS_I, Scalar
 
@@ -103,11 +104,11 @@ def derivation_set(regime: str, spec: LieAlgebraSpec) -> dict[int, Derivation]:
         raise ValueError("spec regime does not match requested derivation set")
     out = {}
     if regime == "full":
-        brackets = spec.engine.brackets  # the nonzero ones
+        table = spec.table  # the nonzero brackets
         for label in FULL_LABELS:
             scale = _inner_scale(label)
-            action = {g: brackets[label, g].scale(scale)
-                for g in spec.basis if (label, g) in brackets}
+            action = {g: table[label, g].scale(scale)
+                      for g in spec.basis if (label, g) in table}
             out[label] = Derivation(label, action, spec)
         return out
     # tangent: the printed five-derivation table, unlisted actions zero
@@ -194,12 +195,8 @@ class PForm:
         """Evaluate on an arbitrary label tuple (sign of the sorting perm)."""
         if len(labels) != self.degree:
             raise DegreeError("wrong number of arguments")
-        if len(set(labels)) != len(labels):
-            return EnvElement.zero()
-        order = sorted(range(len(labels)), key=lambda k: labels[k])
-        sign = _perm_sign(order)
-        key = tuple(sorted(labels))
-        val = self.comps.get(key)
+        sign = levi_civita(*labels)
+        val = self.comps.get(tuple(sorted(labels))) if sign else None
         if val is None:
             return EnvElement.zero()
         return val if sign > 0 else -val
@@ -217,13 +214,6 @@ class PForm:
                 del out[k]
         return PForm(self.degree, out)
 
-    def __sub__(self, other: "PForm") -> "PForm":
-        return self + other.scale(Scalar.of(-1))
-
-    def scale(self, s) -> "PForm":
-        return PForm(self.degree,
-                     {k: v.scale(s) for k, v in self.comps.items()})
-
     @property
     def is_zero(self) -> bool:
         return not self.comps
@@ -232,23 +222,6 @@ class PForm:
         if not isinstance(other, PForm):
             return NotImplemented
         return self.degree == other.degree and self.comps == other.comps
-
-
-def _perm_sign(order) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,

@@ -46,7 +46,8 @@ from functools import lru_cache
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
-                      _MAB_INDEX, build_deformed_algebra, identify_orthogonal)
+                      _MAB_INDEX, build_deformed_algebra, identify_orthogonal,
+                      levi_civita)
 from .scalars import (_NPAR, QQI_ONE, QQi, Scalar, _new, _norm, _scalar)
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
@@ -59,10 +60,10 @@ class UnsupportedInverseError(ValueError):
 class RewriteEngine:
     """Normal-ordering engine bound to one frozen structure-constant table.
 
-    Made once with its spec and never changed afterwards.  brackets holds
-    the nonzero [g_a, g_b] of the basis in both orientations; rows[a][b]
-    holds the same brackets in packed form, plus those of ImInv where
-    allow_iminv holds, as lists of (word, [(mono, QQi)], exponent bound).
+    Made once with its spec and never changed afterwards.  rows[a][b] holds
+    [g_a, g_b] for every key of spec.table in packed form, plus the
+    brackets of ImInv where allow_iminv holds, as lists of
+    (word, [(mono, QQi)], exponent bound).
     rows has a key for every letter a word may hold, formal symbols aside.
     Every normal-order memo belongs to one kernel call (_Run).
     """
@@ -72,17 +73,11 @@ class RewriteEngine:
         # Always empty: memos are local to one call (see _Run).  Kept so
         # that tools inspecting an engine find the attribute.
         self._norm_cache: dict[Word, dict[Word, Scalar]] = {}
-        self.brackets = brackets = {}
+        table = spec.table
         self.rows = rows = {g: {} for g in spec.basis}
-        for (a, b), elem in spec.table.items():
-            if elem.is_zero:
-                continue
-            brackets[(a, b)] = elem
-            brackets[(b, a)] = -elem
-            terms = packed_terms(elem)
-            rows[a][b] = terms
-            rows[b][a] = _negated(terms)
-        im_row = {g: e for (a, g), e in brackets.items() if a == IM}
+        for (a, b), elem in table.items():
+            rows[a][b] = packed_terms(elem)
+        im_row = {g: e for (a, g), e in table.items() if a == IM}
         # ImInv closes when Im is central, or in the tangent regime when
         # every [Im, g] lands on generators commuting with Im.
         self.allow_iminv = IM in spec.basis and (not im_row or (
@@ -91,13 +86,15 @@ class RewriteEngine:
                         for w in e.terms for k in w)))
         if self.allow_iminv:
             rows[IMINV] = {}
-            # [g, ImInv] = ImInv [Im, g] ImInv = [Im, g] ImInv^2, the
-            # central part of [Im, g] included
-            for g, elem in im_row.items():
-                terms = [(w + (IMINV, IMINV), c, bound)
-                         for w, c, bound in packed_terms(elem)]
-                rows[g][IMINV] = terms
-                rows[IMINV][g] = _negated(terms)
+
+            def squared(elem):  # elem * ImInv^2, packed
+                return [(w + (IMINV, IMINV), c, bound)
+                        for w, c, bound in packed_terms(elem)]
+            # [g, ImInv] = ImInv [Im, g] ImInv = [Im, g] ImInv^2 and
+            # [ImInv, g] = [g, Im] ImInv^2, central parts included
+            for g in im_row:
+                rows[g][IMINV] = squared(table[IM, g])
+                rows[IMINV][g] = squared(table[g, IM])
         # largest exponent magnitude of any bracket coefficient
         self.exp_bound = max((bound for row in self.rows.values()
                               for terms in row.values()
@@ -204,10 +201,6 @@ def _packed(s: Scalar):
         if b > bound:
             bound = b
     return out, bound
-
-
-def _negated(terms) -> list:
-    return [(w, [(m, -q) for m, q in c], bound) for w, c, bound in terms]
 
 
 def _times(c1, c2) -> list:
@@ -425,21 +418,6 @@ def _phys_mab_factor(ident, a: int, b: int):
     return gid, (f if sgn > 0 else -f)
 
 
-def levi_civita6(a, b, c, d, e, f) -> int:
-    """Totally antisymmetric symbol on six indices, value of (012345) = +1."""
-    idx = (a, b, c, d, e, f)
-    if len(set(idx)) != 6:
-        return 0
-    sign = 1
-    lst = list(idx)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if lst[i] > lst[j]:
-                lst[i], lst[j] = lst[j], lst[i]
-                sign = -sign
-    return sign
-
-
 def casimir(kind: str, sig: Signature,
             spec: LieAlgebraSpec | None = None) -> EnvElement:
     """Invariants of the 6d orthogonal algebra, in the physical basis.
@@ -482,7 +460,7 @@ def casimir(kind: str, sig: Signature,
     elif kind == "C2":
         for perm in itertools.permutations(range(6)):
             a, b, c, d, e, f = perm
-            accumulate(((a, b), (c, d), (e, f)), levi_civita6(*perm))
+            accumulate(((a, b), (c, d), (e, f)), levi_civita(*perm))
     else:  # C3
         for a, b, c, d in itertools.product(range(6), repeat=4):
             if a == b or b == c or c == d or d == a:

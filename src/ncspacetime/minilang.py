@@ -111,14 +111,12 @@ class _Parser:
         return out
 
     def _mul(self, a: EnvElement, b: EnvElement) -> EnvElement:
-        if self.spec is not None:
-            return env_product(a, b, self.spec)
-        # scalar-only mode: products of degree-0 elements
-        if a.degree() or b.degree():
-            raise MiniLangError("generators are not allowed here", 0)
-        sa = a.terms.get((), Scalar.zero())
-        sb = b.terms.get((), Scalar.zero())
-        return EnvElement.scalar(sa * sb)
+        # every operand is normal-ordered, so a degree-0 factor only scales
+        if not a.degree():
+            return b.scale(a.terms.get((), Scalar.zero()))
+        if not b.degree():
+            return a.scale(b.terms.get((), Scalar.zero()))
+        return env_product(a, b, self.spec)
 
     def factor(self) -> EnvElement:
         if self.peek()[0] == "-":

@@ -146,8 +146,7 @@ def _v(name: str) -> Var:
     return Var(name)
 
 
-def build_rep_so32(sigma: float, eps: int = 0,
-                   m20_phi1_sign: int = -1) -> dict[int, DiffOperator]:
+def build_rep_so32(sigma: float, eps: int = 0) -> dict[int, DiffOperator]:
     """The ten contour operators, keyed by upper-index generator ids.
 
     The operator table is written for i times the lower-index generators;
@@ -160,7 +159,8 @@ def build_rep_so32(sigma: float, eps: int = 0,
     g^{-1}).  The phi1-derivative term of the M_{20} operator carries the
     sign -sin(theta1)sin(phi1)/sin(phi2), matching the theta-rotated image
     of X_2; with the opposite sign the ten operators do not span a closed
-    Lie algebra at all (the mutation test exercises exactly this failure).
+    Lie algebra at all (tests/test_reps.py flips it and checks that the
+    sampled relations fail).
     """
     if eps not in (0, 1):
         raise ValueError("the parity label must be 0 or 1")
@@ -207,7 +207,7 @@ def build_rep_so32(sigma: float, eps: int = 0,
         ("M", 2, 0): op(Mul(s, sin(th), sin(f2), cos(f1)),
                         theta1=Mul(cos(th), sin(f2), cos(f1)),
                         phi2=Mul(sin(th), cos(f2), cos(f1)),
-                        phi1=Mul(Const(m20_phi1_sign), sin(th), sin(f1), csc2)),
+                        phi1=Mul(Const(-1), sin(th), sin(f1), csc2)),
         # iM_{30}
         ("M", 3, 0): op(Mul(s, sin(th), sin(f2), sin(f1)),
                         theta1=Mul(cos(th), sin(f2), sin(f1)),

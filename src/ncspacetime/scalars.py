@@ -356,17 +356,19 @@ def _scalar(terms: dict) -> Scalar:
 
 
 def _accumulate(out: dict, items) -> dict:
-    """Add (pows, QQi) items into out, dropping terms that cancel."""
-    for pows, c in items:
-        s = out.get(pows)
+    """Add nonzero (key, value) items into out, dropping keys whose values
+    cancel: (pows, QQi) for Scalar and Poly terms, (word, Scalar) for
+    EnvElement terms."""
+    for key, c in items:
+        s = out.get(key)
         if s is None:
-            out[pows] = c
+            out[key] = c
         else:
             s = s + c
             if s:
-                out[pows] = s
+                out[key] = s
             else:
-                del out[pows]
+                del out[key]
     return out
 
 

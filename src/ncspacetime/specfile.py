@@ -63,6 +63,10 @@ class SpecFile:
             if elem.degree() > 1:
                 raise SpecFileError(
                     f"override {key} must be degree <= 1, got {text!r}")
+            if not elem.monomial_support().issubset(spec.basis):
+                raise SpecFileError(
+                    f"override {key} uses a generator outside the "
+                    f"{spec.regime} basis: {text!r}")
             set_bracket(table, a, b, elem)
         if numeric:
             table = {pair: elem.map_scalars(lambda s: s.substitute(numeric))

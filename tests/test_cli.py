@@ -59,6 +59,17 @@ class TestExitCodes:
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("ncst: ") and "[p0,p0]" in out.stderr
 
+    @pytest.mark.parametrize("args", [("verify",), ("commute", "x0", "Im")])
+    def test_override_outside_basis_exits_two(self, tmp_path, args):
+        # ImInv is a letter of the tangent engine, not a basis generator
+        spec = write_spec(tmp_path, {"regime": "tangent",
+                                     "structure_overrides": {"[x0,Im]": "ImInv"}})
+        out = run_cli("--spec", spec, *args)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("ncst: ") and "[x0,Im]" in out.stderr
+
     def test_constraint_violation_exits_one(self, tmp_path):
         spec = write_spec(tmp_path, {"finkelstein": {
             "n_cells": 2, "chi": "1/2", "phi_cell": "1/2"}})

@@ -6,6 +6,7 @@ from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS, Signature,
                                  build_deformed_algebra)
 from ncspacetime.enveloping import (EnvElement, env_commutator, env_product,
                                     random_env_element)
+from ncspacetime import minilang
 from ncspacetime.minilang import (MiniLangError, format_env, format_qqi,
                                   format_scalar, parse_element, parse_scalar)
 from ncspacetime.scalars import QQi, Scalar
@@ -92,6 +93,20 @@ class TestParse:
         b = parse_element("x0", full)
         assert format_env(env_commutator(a, b, full)) == "i*Im"
         assert format_env(env_commutator(a, a, full)) == "0"
+
+    def test_one_product_per_generator_pair(self, full, monkeypatch):
+        # a degree-0 factor scales; env_product runs only when both
+        # factors hold generators
+        calls = []
+
+        def counted(a, b, spec):
+            calls.append((a, b))
+            return env_product(a, b, spec)
+        monkeypatch.setattr(minilang, "env_product", counted)
+        e = parse_element(
+            "(3-2*i)*x0*p1*M01*Im + (1+1*i)*x2 + (-4+0*i)*p0*p0", full)
+        assert len(calls) == 4
+        assert format_env(e) == "(1+i)*x2 - 4*p0^2 + (3-2*i)*x0*p1*M01*Im"
 
     def test_parse_scalar(self):
         assert parse_scalar("1/2") == Scalar.rational(1, 2)

@@ -95,6 +95,16 @@ class TestRepSO32:
         res = verify_relations(rep, target, points[:40], funcs[:3])
         assert max(res.values()) > 1e-3
 
+    def test_m20_phi1_sign_mutation_detected(self, target, points, funcs):
+        # the opposite sign of the phi1 term of M_{20} (the M02 operator)
+        # leaves the ten operators without a closed Lie algebra
+        rep = build_rep_so32(0.37, 0)
+        rep[M_IDS[1]].firsts["phi1"] = Mul(
+            Const(-1), rep[M_IDS[1]].firsts["phi1"])
+        res = verify_relations(rep, target, points[:40], funcs[:3])
+        assert max(res.values()) == pytest.approx(20.2549, abs=1e-3)
+        assert sum(r > 1e-3 for r in res.values()) == 11
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_residual_fails(self, sigma, target, points, funcs):
         rep = build_rep_so32(sigma, 0)
