@@ -27,7 +27,7 @@ from .diffcalc import (derivation_labels, derivation_set,
 from .enveloping import (EnvElement, ExponentRangeError,
                          UnsupportedInverseError, casimir, centrality_defect,
                          env_commutator, env_product)
-from .minilang import MiniLangError, format_env, parse_element
+from .minilang import MiniLangError, format_env, format_qqi, parse_element
 from .report import EXACT_ZERO, Check, Report
 from .reps import (build_rep_5d, build_rep_so32, check_rep_exact,
                    finite_boost_14, make_sample_points, make_test_functions,
@@ -276,6 +276,9 @@ def _load_connection(path: str) -> dict:
     except ValueError as exc:
         raise SpecFileError(
             f"connection file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(
+            f"connection file {path!r} is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SpecFileError(f"connection file {path!r} must hold a JSON "
                             "object of components")
@@ -357,7 +360,7 @@ def cmd_clifford(spec_file: SpecFile, args) -> Report:
     for name_a, name_b, matches, residual in rows:
         table.append({
             "commutator": f"[{name_a},{name_b}]",
-            "matches": [[n, c] for n, c in matches],
+            "matches": [[n, format_qqi(c)] for n, c in matches],
             "residual": residual,
         })
     report.payload["closure"] = table

@@ -12,23 +12,24 @@ algebra on an 8-dimensional spinor factor (metric eta6).  With the
 first-order generators embedded along a Jordan-Wigner chirality chain,
 different cells anticommute (the test suite checks this), and the even
 bilinears gamma^{ab}(n) live on single tensor factors.  Each family
-operator is c_F * sum_n gamma^{ab}(n) (family_terms), and even elements on
-different cells commute, so closure_report derives the whole closure table
-from one 8x8 cell in exact arithmetic, at any N in constant time and
+operator is c_F * sum_n gamma^{ab}(n) (family_terms).  Even elements on
+different cells commute, and the fifteen cell bilinears realize so(eta6),
+so closure_report reads the whole closure table off the so(eta6) bracket
+table in exact arithmetic, with no matrices, at any N in constant time and
 memory.  finkelstein_operators builds the dense 8^N x 8^N operators as the
-numeric oracle, for N small enough to fit the NCST_CLIFFORD_MAX_DIM budget.
+numeric oracle, for N small enough to fit the NCST_CLIFFORD_MAX_DIM budget;
+numpy is imported only by the functions that build numeric arrays.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec, \
-    Signature, eta4
+from .algebra import IM, M_IDS, M_PAIRS, MAB_PAIRS, P_IDS, X_IDS, \
+    LieAlgebraSpec, Signature, build_so6_algebra, eta4
 from .diffcalc import derivation_labels, derivation_set
 from .enveloping import EnvElement
 from .scalars import QQI_I, QQi
@@ -89,7 +90,8 @@ def qmat_commutator(a, b):
     return qmat_add(qmat_mul(a, b), qmat_scale(qmat_mul(b, a), -1))
 
 
-def qmat_to_numpy(a) -> np.ndarray:
+def qmat_to_numpy(a):
+    import numpy as np
     return np.array([[x.to_complex() for x in row] for row in a])
 
 
@@ -284,8 +286,9 @@ def _check_budget(n_cells: int) -> int:
     return dim
 
 
-def embed_even(mat8, n: int, n_cells: int) -> np.ndarray:
+def embed_even(mat8, n: int, n_cells: int):
     """Embedding for even (second-order) per-cell elements: plain factor."""
+    import numpy as np
     _check_budget(n_cells)
     m = qmat_to_numpy(mat8)
     out = np.ones((1, 1), dtype=complex)
@@ -357,18 +360,18 @@ def family_terms(params: FinkelsteinParams) -> dict[str, tuple]:
     return terms
 
 
-def finkelstein_operators(params: FinkelsteinParams,
-                          sig: Signature) -> dict[str, np.ndarray]:
-    """Dense 8^N x 8^N realizations of the families (see family_terms).
+def finkelstein_operators(params: FinkelsteinParams, sig: Signature) -> dict:
+    """Dense 8^N x 8^N numpy realizations of the families (see family_terms).
 
     This is the numeric oracle for closure_report, bounded by
     NCST_CLIFFORD_MAX_DIM.
     """
+    import numpy as np
     params.check()
     n_cells = params.n_cells
     dim = _check_budget(n_cells)
     gens = cl6_generators(sig)
-    out: dict[str, np.ndarray] = {}
+    out = {}
     for name, (a, b, c) in family_terms(params).items():
         # gamma^{ab} = (1/2)[G^a, G^b] on one cell (= G^a G^b)
         mat = qmat_scale(qmat_commutator(gens[a], gens[b]), Fraction(1, 2))
@@ -379,74 +382,52 @@ def finkelstein_operators(params: FinkelsteinParams,
     return out
 
 
-def _unit_entry_array(mat) -> np.ndarray:
-    """Exact matrix -> complex array; entries must have parts in {-1, 0, 1}.
-
-    Products of such 8x8 matrices, their halves and traces are then small
-    dyadic rationals, which float arithmetic represents and combines exactly.
-    """
-    for row in mat:
-        for x in row:
-            if x.re not in (-1, 0, 1) or x.im not in (-1, 0, 1):
-                raise ValueError(f"cell generator entry {x!r} is not a unit "
-                                 "Gaussian integer; the closure would be "
-                                 "inexact")
-    return qmat_to_numpy(mat)
-
-
 def closure_report(params: FinkelsteinParams, sig: Signature):
     """Exact closure of every family commutator onto the family span.
 
     Even elements on different cells commute, so
     [sum_n A(n), sum_m B(m)] = sum_n [A, B](n) and the whole table is fixed
-    by one 8x8 cell, for any N.  The bilinears are orthogonal under the
-    trace form with norm 8, so [gamma_A, gamma_B] = sum_G k_G gamma_G with
-    k_G = tr(gamma_G^dagger [gamma_A, gamma_B]) / 8, and the coefficient of
-    family G in [A, B] is c_A c_B k_G / c_G, exact in QQi.
+    by one cell.  There the bilinear gamma^{ab} stands for the so(eta6)
+    generator M^{ab}: [gamma^A, gamma^B] = -2i sum_G s_G gamma^G with
+    s = [M^A, M^B] read from the so(eta6) bracket table, so the coefficient
+    of family G in [A, B] is c_A c_B (-2i s_G) / c_G, exact in QQi.
 
     Returns a list of rows
-        (name_a, name_b, matches: list[(name, complex)], relative_residual)
+        (name_a, name_b, matches: list[(name, QQi)], relative_residual)
     listing the nonzero coefficients.  The residual is 0.0 when the
     commutator lies exactly in the family span.  Otherwise (a family with a
     zero prefactor drops out of the span) it is the relative Frobenius norm
-    of the remainder; commutators and bilinears are traceless, so the one
-    cell gives the same ratio as the N-cell operators.
+    of the remainder.  The bilinears are orthogonal with equal norms under
+    the trace form, so that is sqrt(sum_out |s_G|^2 / sum_all |s_G|^2) over
+    the families G out of the span; the one cell gives the same ratio as the
+    N-cell operators.
     """
     params.check()
     by_name = family_terms(params)
     terms = [by_name[name] for name in FAMILY_NAMES]
-    gens = [_unit_entry_array(g) for g in cl6_generators(sig)]
-    basis = np.stack([(gens[a] @ gens[b] - gens[b] @ gens[a]) / 2
-                      for a, b, _c in terms])
-    if not np.array_equal(basis, basis.round()):
-        raise ValueError("cell bilinears have non-integral entries")
-    gram = np.einsum("gij,hij->gh", basis.conj(), basis)
-    if not np.array_equal(gram, 8 * np.eye(len(basis))):
-        raise ValueError("cell bilinears are not orthogonal with norm 8 "
-                         "under the trace form")
-    prods = basis[:, None] @ basis[None, :]
-    comms = prods - prods.transpose(1, 0, 2, 3)
-    # traces[a, b, g] = tr(gamma_g^dagger [gamma_a, gamma_b]) = 8 k_g
-    traces = np.einsum("gij,abij->abg", basis.conj(), comms)
+    so6 = build_so6_algebra(sig).table
+    ids = [MAB_PAIRS.index((a, b)) for a, b, _c in terms]
+    family_of = {gid: g for g, gid in enumerate(ids)}
     prefactors = [c for _a, _b, c in terms]
-    in_span = np.array([bool(c) for c in prefactors])
+    minus_2i = QQi(0, -2)
     rows = []
     for i, name_a in enumerate(FAMILY_NAMES):
         for j in range(i + 1, len(FAMILY_NAMES)):
             c_ab = prefactors[i] * prefactors[j]
+            bracket = so6.get((ids[i], ids[j])) if c_ab else None
             matches = []
             residual = 0.0
-            if c_ab:
-                for g, t in enumerate(traces[i, j]):
-                    if t and in_span[g]:
-                        k = QQi(Fraction(int(t.real), 8),
-                                Fraction(int(t.imag), 8))
-                        coeff = c_ab * k / prefactors[g]
-                        matches.append((FAMILY_NAMES[g], coeff.to_complex()))
-                rest = 8 * comms[i, j] - np.tensordot(
-                    traces[i, j] * in_span, basis, axes=1)
-                if rest.any():
-                    residual = float(np.linalg.norm(rest)
-                                     / np.linalg.norm(8 * comms[i, j]))
+            if bracket is not None:
+                norm_out = norm_all = Fraction(0)
+                for g, s in sorted((family_of[gid], coeff.constant_value())
+                                   for (gid,), coeff in bracket.terms.items()):
+                    norm = s.re * s.re + s.im * s.im
+                    norm_all += norm
+                    if prefactors[g]:
+                        coeff = c_ab * minus_2i * s / prefactors[g]
+                        matches.append((FAMILY_NAMES[g], coeff))
+                    else:
+                        norm_out += norm
+                residual = math.sqrt(norm_out / norm_all)
             rows.append((name_a, FAMILY_NAMES[j], matches, residual))
     return rows

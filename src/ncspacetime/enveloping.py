@@ -392,10 +392,12 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     """[g, a] computed by the Leibniz rule letter by letter.
 
     Agrees with env_commutator(generator, a) on the PBW part of the
-    algebra.  Which of the two is faster depends on the element (measured
-    on a 2-core x86 machine): the 15 brackets of the full-regime C3 take
-    0.044 s here against 0.068 s by env_commutator, but in the tangent
-    regime -ad_generator(p0, ImInv*x0^30) takes 24.8 s against 4.5 s.
+    algebra.  Which of the two is faster depends on the element (best of 5
+    in-process, Python 3.11 on a shared 2-core x86 machine, all four
+    signatures): the 15 brackets of the full-regime C3 take 0.04-0.06 s
+    here against 0.08-0.10 s by env_commutator, while in the tangent regime
+    -ad_generator(p0, ImInv*x0^30) takes 0.12-0.15 s against 0.10-0.14 s
+    (parsing ImInv*x0^30 itself takes 2.4-2.8 s).
     """
     eng = get_engine(spec)
     eng.check_letter(gid)

@@ -119,10 +119,14 @@ class _Parser:
         return env_product(a, b, self.spec)
 
     def factor(self) -> EnvElement:
-        if self.peek()[0] == "-":
+        # a loop, not recursion: a long run of signs must not reach the
+        # interpreter's recursion limit
+        negate = False
+        while self.peek()[0] == "-":
             self.take()
-            return -self.factor()
-        return self.atom()
+            negate = not negate
+        out = self.atom()
+        return -out if negate else out
 
     def atom(self) -> EnvElement:
         kind, value, pos = self.peek()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXACT_ZERO = "exact-zero"
 
@@ -110,8 +110,6 @@ def canonical_dumps(obj, indent: int = 0) -> str:
         return _format_float(obj)
     if isinstance(obj, str):
         return _escape_string(obj)
-    if isinstance(obj, complex):
-        return _escape_string(format_complex(obj))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -126,8 +124,3 @@ def canonical_dumps(obj, indent: int = 0) -> str:
             for k, v in items)
         return "{\n" + body + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
-
-
-def format_complex(z: complex) -> str:
-    return f"{_format_float(z.real)}{'+' if z.imag >= 0 else '-'}" \
-           f"{_format_float(abs(z.imag))}j"

@@ -127,6 +127,9 @@ def load_specfile(data) -> SpecFile:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise SpecFileError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            # the decoder recurses once per nesting level, in C and Python
+            raise SpecFileError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise SpecFileError("spec document must be a JSON object")
     known = {"signature", "regime", "parameters", "finkelstein", "rep",

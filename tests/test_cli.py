@@ -110,6 +110,27 @@ class TestExitCodes:
         assert len(out.stderr.splitlines()) == 1
 
 
+class TestCliffordReport:
+    @pytest.mark.parametrize("fink, want", [
+        (None, {"[x0,x1]": [["M01", "i"]], "[x0,p0]": [["Im", "-i"]]}),
+        ({"n_cells": 3, "chi": "1/4", "phi_cell": "1"},
+         {"[x0,x1]": [["M01", "1/4*i"]], "[p0,p1]": [["M01", "4*i"]]}),
+    ], ids=["default", "chi=1/4"])
+    def test_exact_coefficient_strings(self, tmp_path, fink, want):
+        args = ["clifford"]
+        if fink is not None:
+            spec = write_spec(tmp_path, {"finkelstein": fink})
+            args = ["--spec", spec] + args
+        out = run_cli(*args)
+        assert out.returncode == 0
+        assert '"schema_version": "2"' in out.stdout
+        closure = {row["commutator"]: row["matches"]
+                   for row in json.loads(out.stdout)["result"]["closure"]}
+        assert {k: closure[k] for k in want} == want
+        assert all(isinstance(c, str)
+                   for matches in closure.values() for _n, c in matches)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("verify",), ("commute", "x0*p1", "M01"), ("diff", "p0"),
@@ -151,6 +172,26 @@ class TestLongAndLargeInput:
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("ncst: ")
+
+    @pytest.mark.parametrize("signs, want", [(3000, "-i*Im"), (3001, "i*Im")])
+    def test_long_run_of_unary_minus(self, signs, want):
+        out = run_cli("commute", "0+" + "-" * signs + "x0", "p0")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["result"]["commutator"] == want
+
+    @pytest.mark.parametrize("args", [
+        ("--spec", "{deep}", "verify"),
+        ("curvature", "--connection", "{deep}"),
+    ], ids=["spec", "connection"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, args):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        out = run_cli(*(a.format(deep=deep) for a in args))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("ncst: ")
+        assert "nested too deeply" in out.stderr
 
 
 class TestCasimirBuiltOnce:
