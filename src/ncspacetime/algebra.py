@@ -17,7 +17,8 @@ LieAlgebraSpec from it; a changed table is a new spec.
 
 The independent numerical oracle is the defining 6x6 matrix representation
 of the pseudo-orthogonal algebra so(eta6); identify_orthogonal carries the
-generator dictionary between the two bases.
+generator dictionary between the two bases.  numpy is imported only by the
+functions that build or evaluate matrices.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .scalars import S_I, S_MINUS_I, S_ONE, Scalar, _accumulate
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .enveloping import RewriteEngine
 
 # Generator ids.  Canonical order for enveloping-algebra normal forms:
@@ -211,6 +212,7 @@ class EnvElement:
 
     def evaluate_matrix(self, rep: dict[int, np.ndarray], env: dict) -> np.ndarray:
         """Numeric image under a matrix representation of the generators."""
+        import numpy as np
         n = next(iter(rep.values())).shape[0]
         out = np.zeros((n, n), dtype=complex)
         eye = np.eye(n)
@@ -515,6 +517,7 @@ def defining_rep(sig: Signature) -> dict[int, np.ndarray]:
 
     Independent numerical oracle for every structure constant.
     """
+    import numpy as np
     eta = sig.eta6
     mats = {}
     for k, (a, b) in enumerate(MAB_PAIRS):

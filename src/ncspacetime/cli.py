@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .algebra import (IM, P_IDS, X_IDS,
                       LieAlgebraSpec, Signature, build_deformed_algebra,
                       build_so6_algebra, contract_tangent, defining_rep,
@@ -89,6 +87,7 @@ def check_orthogonal_symbolic(full: LieAlgebraSpec) -> Check:
 
 def check_orthogonal_oracle(full: LieAlgebraSpec,
                             tol: float = 1e-12) -> Check:
+    import numpy as np
     sig = full.signature
     rep = physical_rep(sig, ell=1.0, r_inv=0.5)
     env = {"ell": 1.0, "R_inv": 0.5, "phi": sig.eps5 * 0.25}
@@ -125,6 +124,7 @@ def check_casimir_centrality(kind: str, elem: EnvElement,
 def check_casimir_oracle(sig: Signature, kind: str, elem: EnvElement,
                          tol: float = 1e-10) -> Check:
     """elem is the full-regime Casimir of sig."""
+    import numpy as np
     rep = defining_rep(sig)
     c_mat = elem.evaluate_matrix(physical_rep(sig, ell=1.0, r_inv=0.5),
                                  {"ell": 1.0, "R_inv": 0.5,

@@ -10,7 +10,9 @@ Two coefficient types feed the differential-operator layer:
   cosh, exp, abs, sign} with symbolic differentiation and numeric
   evaluation, used for the trigonometric-coefficient operators.  An env
   maps each variable to a float or to a numpy array of floats; with arrays,
-  one walk of the tree evaluates it at every point at once.
+  one walk of the tree evaluates it at every point at once.  numpy is
+  imported on first evaluation of a sin/cos/sinh/cosh/exp/abs/sign node
+  (see _numpy_fn) and by the helpers that stack points into arrays.
 
 Both share one coefficient protocol: ``c.zero()`` (the zero of c's ring),
 ``c.is_zero`` (true only for an exact zero) and the class attribute
@@ -25,8 +27,6 @@ only for a coefficient type without that declaration.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .scalars import QQi, _accumulate
 
@@ -294,6 +294,25 @@ class Pow(Expr):
         return f"({self.base!r})^{self.exponent}"
 
 
+class _numpy_fn:
+    """Class attribute holding the numpy function make(np), bound on first
+    use: the first lookup imports numpy and puts staticmethod(make(np)) on
+    the class in place of this descriptor, so evaluate then pays one class
+    attribute lookup plus one call."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.owner, self.name = owner, name
+
+    def __get__(self, obj, objtype=None):
+        import numpy as np
+        fn = self.make(np)
+        setattr(self.owner, self.name, staticmethod(fn))
+        return fn
+
+
 class _Unary(Expr):
     fn = None
     name = "?"
@@ -310,7 +329,7 @@ class _Unary(Expr):
 
 class Sin(_Unary):
     name = "sin"
-    fn = staticmethod(np.sin)
+    fn = _numpy_fn(lambda np: np.sin)
 
     def diff(self, var):
         return _prod(Cos(self.arg), self.arg.diff(var))
@@ -318,7 +337,7 @@ class Sin(_Unary):
 
 class Cos(_Unary):
     name = "cos"
-    fn = staticmethod(np.cos)
+    fn = _numpy_fn(lambda np: np.cos)
 
     def diff(self, var):
         return _prod(Const(-1), Sin(self.arg), self.arg.diff(var))
@@ -326,7 +345,7 @@ class Cos(_Unary):
 
 class Sinh(_Unary):
     name = "sinh"
-    fn = staticmethod(np.sinh)
+    fn = _numpy_fn(lambda np: np.sinh)
 
     def diff(self, var):
         return _prod(Cosh(self.arg), self.arg.diff(var))
@@ -334,7 +353,7 @@ class Sinh(_Unary):
 
 class Cosh(_Unary):
     name = "cosh"
-    fn = staticmethod(np.cosh)
+    fn = _numpy_fn(lambda np: np.cosh)
 
     def diff(self, var):
         return _prod(Sinh(self.arg), self.arg.diff(var))
@@ -342,7 +361,7 @@ class Cosh(_Unary):
 
 class Exp(_Unary):
     name = "exp"
-    fn = staticmethod(np.exp)
+    fn = _numpy_fn(lambda np: np.exp)
 
     def diff(self, var):
         return _prod(Exp(self.arg), self.arg.diff(var))
@@ -350,7 +369,7 @@ class Exp(_Unary):
 
 class Abs(_Unary):
     name = "abs"
-    fn = staticmethod(lambda z: np.abs(z) + 0j)
+    fn = _numpy_fn(lambda np: lambda z: np.abs(z) + 0j)
 
     def diff(self, var):
         # d|u| = sign(u) du on the real line
@@ -359,7 +378,7 @@ class Abs(_Unary):
 
 class Sign(_Unary):
     name = "sign"
-    fn = staticmethod(lambda z: np.sign(np.real(z)) + 0j)
+    fn = _numpy_fn(lambda np: lambda z: np.sign(np.real(z)) + 0j)
 
     def diff(self, var):
         return Const(0)
@@ -434,6 +453,7 @@ class DiffOperator:
         # coefficient of dv dw in [A,B], symmetrized over the slot order:
         # (a_v b_w - b_v a_w) + (a_w b_v - b_w a_v); zero iff coefficients
         # commute, which is what makes the commutator first order again.
+        import numpy as np
         env = stack_points(check_points or _default_points(self.vars))
 
         def get(op, v):
@@ -478,5 +498,6 @@ def _default_points(variables):
 
 def stack_points(points) -> dict:
     """One env holding every point: variable -> float array over points."""
+    import numpy as np
     return {v: np.array([pt[v] for pt in points], dtype=float)
             for v in points[0]}

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from .algebra import IMINV, LieAlgebraSpec, gen_name
 from .enveloping import EnvElement, env_product
-from .scalars import PARAMS, QQI_ONE, S_ONE, QQi, Scalar
+from .scalars import (_ZERO_POWS, PARAMS, QQI_ONE, S_ONE, QQi, Scalar,
+                      _scalar)
 
 
 class MiniLangError(ValueError):
@@ -96,45 +97,58 @@ class _Parser:
         return out
 
     def expr(self) -> EnvElement:
-        out = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
-
-    def term(self) -> EnvElement:
-        out = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            out = self._mul(out, self.factor())
-        return out
+        """expr, term and factor in one loop, in the grammar's order of
+        evaluation.  Unary minus is a counter, and an open parenthesis
+        pushes the enclosing (sum, op, product, negate) onto a stack, so
+        neither a long run of signs nor deep nesting recurses."""
+        tokens = self.tokens
+        stack = []
+        total = op = prod = None
+        while True:
+            negate = False
+            while tokens[self.pos][0] == "-":
+                self.pos += 1
+                negate = not negate
+            if tokens[self.pos][0] == "(":
+                self.pos += 1
+                stack.append((total, op, prod, negate))
+                total = op = prod = None
+                continue
+            value = self.atom()
+            while True:
+                if negate:
+                    value = -value
+                prod = value if prod is None else self._mul(prod, value)
+                kind = tokens[self.pos][0]
+                if kind == "*":
+                    self.pos += 1
+                    break
+                if op is None:
+                    total = prod
+                else:
+                    total = total + prod if op == "+" else total - prod
+                prod = None
+                if kind == "+" or kind == "-":
+                    self.pos += 1
+                    op = kind
+                    break
+                if not stack:
+                    return total
+                self.take(")")
+                value = total
+                total, op, prod, negate = stack.pop()
 
     def _mul(self, a: EnvElement, b: EnvElement) -> EnvElement:
         # every operand is normal-ordered, so a degree-0 factor only scales
         if not a.degree():
-            return b.scale(a.terms.get((), Scalar.zero()))
+            return _scale(b, a)
         if not b.degree():
-            return a.scale(b.terms.get((), Scalar.zero()))
+            return _scale(a, b)
         return env_product(a, b, self.spec)
 
-    def factor(self) -> EnvElement:
-        # a loop, not recursion: a long run of signs must not reach the
-        # interpreter's recursion limit
-        negate = False
-        while self.peek()[0] == "-":
-            self.take()
-            negate = not negate
-        out = self.atom()
-        return -out if negate else out
-
     def atom(self) -> EnvElement:
+        """Any atom but a parenthesized expr, which expr handles."""
         kind, value, pos = self.peek()
-        if kind == "(":
-            self.take()
-            out = self.expr()
-            self.take(")")
-            return out
         if kind == "int":
             self.take()
             num = value
@@ -168,6 +182,21 @@ class _Parser:
                 raise MiniLangError("generator powers must be >= 0", pos)
             return EnvElement.monomial((gid,) * exp)
         raise MiniLangError(f"unexpected token {value!r}", pos)
+
+
+def _scale(e: EnvElement, c: EnvElement) -> EnvElement:
+    """e times the degree-0 element c: by the QQi value when c is one
+    parameter-free constant, so no Scalar product is formed."""
+    s = c.terms.get(())
+    if s is None:
+        return EnvElement.zero()
+    q = s.terms.get(_ZERO_POWS) if len(s.terms) == 1 else None
+    if q is None:
+        return e.scale(s)
+    out = EnvElement()
+    out.terms = {w: _scalar({p: q * v for p, v in t.terms.items()})
+                 for w, t in e.terms.items()}
+    return out
 
 
 def parse_element(text: str, spec: LieAlgebraSpec) -> EnvElement:

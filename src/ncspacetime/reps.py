@@ -15,6 +15,9 @@ Index conventions (recorded): a lower coordinate derivative is
 d/dxi_mu = eta_{mu mu} d/dxi^mu with eta = (1,-1,-1,-1); the lower-index
 generators of the cone representation are converted to upper-index ones by
 the same diagonal metric before any bracket check.
+
+numpy is imported only by the numeric checks (verify_relations and
+ConeChart.jacobian_determinant), on first use.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec,
                       Signature, eta4, m_id)
@@ -278,6 +279,7 @@ def verify_relations(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
     (a constant tree broadcasts), and reused across the test functions.  A
     pair whose residual is not finite at some point reports inf.
     """
+    import numpy as np
     ids = sorted(k for k in rep if k in target.basis)
     variables = next(iter(rep.values())).vars
     env = stack_points(points)
@@ -428,6 +430,7 @@ class ConeChart:
     def jacobian_determinant(self, s: float, angles: dict,
                              step: float = 1e-6) -> float:
         """Numeric Gram determinant of the chart differential."""
+        import numpy as np
         names = ("s",) + self.angle_names
         base = dict(angles)
 

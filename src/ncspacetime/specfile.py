@@ -120,6 +120,14 @@ def _parse_exact_complex(name: str, value):
     raise SpecFileError(f"{name} must be an int or exact-constant string")
 
 
+def _object(data: dict, name: str) -> dict:
+    """The block data[name] ({} when absent), which must be a JSON object."""
+    blk = data.get(name, {})
+    if not isinstance(blk, dict):
+        raise SpecFileError(f"{name} must be an object")
+    return blk
+
+
 def load_specfile(data) -> SpecFile:
     """Validate and load a spec document (dict or JSON text)."""
     if isinstance(data, str):
@@ -138,11 +146,11 @@ def load_specfile(data) -> SpecFile:
     if unknown:
         raise SpecFileError(f"unknown spec fields: {sorted(unknown)}")
 
-    sig_block = data.get("signature", {})
+    sig_block = _object(data, "signature")
     try:
         sig = Signature(int(sig_block.get("eps4", 1)),
                         int(sig_block.get("eps5", 1)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFileError(f"bad signature block: {exc}") from exc
 
     regime = data.get("regime", "full")
@@ -150,14 +158,14 @@ def load_specfile(data) -> SpecFile:
         raise SpecFileError(f"unknown regime {regime!r}")
 
     bindings = {}
-    for name, value in data.get("parameters", {}).items():
+    for name, value in _object(data, "parameters").items():
         if name not in PARAMS:
             raise SpecFileError(f"unknown parameter {name!r}")
         bindings[name] = _parse_binding(name, value)
 
     fink = None
     if "finkelstein" in data:
-        blk = data["finkelstein"]
+        blk = _object(data, "finkelstein")
         try:
             fink = FinkelsteinParams(
                 n_cells=int(blk.get("n_cells", blk.get("N", 2))),
@@ -166,22 +174,26 @@ def load_specfile(data) -> SpecFile:
                     "phi_cell", blk.get("phi_cell", "1/2")),
                 hbar=Fraction(str(blk.get("hbar", 1))),
                 enforce_constraint=bool(blk.get("enforce_constraint", True)))
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFileError(f"bad finkelstein block: {exc}") from exc
 
     rep_cfg = RepConfig()
     if "rep" in data:
-        blk = data["rep"]
-        rep_cfg = RepConfig(
-            sigma=float(blk.get("sigma", 0.37)),
-            epsilon=int(blk.get("epsilon", 0)),
-            samples=int(blk.get("samples", 120)),
-            seed=int(blk.get("seed", 0)),
-            tolerance=float(blk.get("tolerance", 1e-8)))
+        blk = _object(data, "rep")
+        try:
+            fields = {"sigma": float(blk.get("sigma", 0.37)),
+                      "epsilon": int(blk.get("epsilon", 0)),
+                      "samples": int(blk.get("samples", 120)),
+                      "seed": int(blk.get("seed", 0)),
+                      "tolerance": float(blk.get("tolerance", 1e-8))}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecFileError(f"bad rep block: {exc}") from exc
+        rep_cfg = RepConfig(**fields)
 
-    overrides = data.get("structure_overrides", {})
-    if not isinstance(overrides, dict):
-        raise SpecFileError("structure_overrides must be an object")
+    overrides = _object(data, "structure_overrides")
+    for key, text in overrides.items():
+        if not isinstance(text, str):
+            raise SpecFileError(f"override {key} must be a string")
 
     return SpecFile(signature=sig, regime=regime, bindings=bindings,
                     finkelstein=fink, rep=rep_cfg,

@@ -194,6 +194,41 @@ class TestLongAndLargeInput:
         assert "nested too deeply" in out.stderr
 
 
+    @pytest.mark.parametrize("depth", [250, 5000])
+    def test_deeply_nested_parentheses(self, depth):
+        out = run_cli("commute", "(" * depth + "x0" + ")" * depth, "p0")
+        assert out.returncode == 0, out.stderr[-500:]
+        assert json.loads(out.stdout)["result"]["commutator"] == "-i*Im"
+
+
+class TestSpecBlockTypes:
+    """A spec-file block or value of the wrong JSON type exits 2 with one
+    line, not a traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        {"parameters": []},
+        {"signature": []},
+        {"finkelstein": []},
+        {"rep": []},
+        {"finkelstein": {"n_cells": []}},
+        {"rep": {"sigma": []}},
+        {"rep": {"tolerance": []}},
+        {"rep": {"samples": 1e400}},
+        {"finkelstein": {"n_cells": 1e400}},
+        {"signature": {"eps4": 1e400}},
+        {"structure_overrides": []},
+        {"structure_overrides": {"[p0,x0]": 3}},
+    ], ids=json.dumps)
+    def test_wrong_type_exits_two(self, tmp_path, capsys, doc):
+        from ncspacetime import cli
+        spec = write_spec(tmp_path, doc)
+        assert cli.main(["--spec", spec, "commute", "p0", "x0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("ncst: spec error: ")
+
+
 class TestCasimirBuiltOnce:
     @pytest.mark.parametrize("args, kinds", [
         (["casimir", "1"], ["C1"]),

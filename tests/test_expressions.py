@@ -194,3 +194,40 @@ class TestDiffOperator:
         env = {"u": 3.0, "v": 5.0}
         # 2*u*v + v*(v) = 30 + 25
         assert op.apply(f, env) == pytest.approx(55.0)
+
+
+UNARY_CHECK = """
+import json, sys
+import numpy as np
+from ncspacetime.expressions import (Abs, Cos, Cosh, Exp, Sign, Sin, Sinh,
+                                     Var)
+want = {Sin: np.sin, Cos: np.cos, Sinh: np.sinh, Cosh: np.cosh, Exp: np.exp,
+        Abs: lambda z: np.abs(z) + 0j,
+        Sign: lambda z: np.sign(np.real(z)) + 0j}
+x, arr = -0.7, np.array([-1.3, 0.0, 0.6, 2.1])
+envs = [{"u": x}, {"u": arr}]
+if sys.argv[1] == "array":
+    envs.reverse()
+bad = []
+for cls, fn in want.items():
+    for env in envs:
+        got = cls(Var("u")).evaluate(env)
+        ref = fn(env["u"] + 0j)
+        if np.shape(got) != np.shape(ref) or not np.array_equal(got, ref):
+            bad.append([cls.__name__, repr(got), repr(ref)])
+    if not isinstance(vars(cls)["fn"], staticmethod):
+        bad.append([cls.__name__, "fn is not bound on the class"])
+print(json.dumps(bad))
+"""
+
+
+@pytest.mark.parametrize("first", ["float", "array"])
+def test_unary_numpy_binding_on_first_use(first):
+    # a fresh interpreter, so the first evaluation binds the numpy function
+    import json
+    import subprocess
+    import sys
+    out = subprocess.run([sys.executable, "-c", UNARY_CHECK, first],
+                         capture_output=True, text=True, check=False)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []

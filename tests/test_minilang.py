@@ -108,6 +108,22 @@ class TestParse:
         assert len(calls) == 4
         assert format_env(e) == "(1+i)*x2 - 4*p0^2 + (3-2*i)*x0*p1*M01*Im"
 
+    def test_constant_factor_scales_without_scalar_products(
+            self, full, monkeypatch):
+        calls = []
+        real = Scalar.__mul__
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        e = parse_element("(3-2*i)*x0 + 2*(1/2*p1) + x2*(-4)", full)
+        assert calls == []
+        assert format_env(e) == "(3-2*i)*x0 - 4*x2 + p1"
+        # a factor with a parameter still scales by its Scalar
+        assert format_env(parse_element("ell*(2*x0)", full)) == "2*ell*x0"
+        assert len(calls) == 1
+
     def test_parse_scalar(self):
         assert parse_scalar("1/2") == Scalar.rational(1, 2)
         assert parse_scalar("-i") == -Scalar.i()
@@ -128,6 +144,29 @@ class TestFuzz:
                 parse_element(text, full)
             except MiniLangError:
                 pass  # tagged errors are the only acceptable failure
+
+
+class TestDeepNesting:
+    """Parenthesis depth is an explicit stack, not recursion."""
+
+    @pytest.mark.parametrize("depth", [250, 5000])
+    def test_deep_parentheses(self, full, depth):
+        text = "(" * depth + "-(x0 + p0)*Im" + ")" * depth
+        assert parse_element(text, full) == parse_element("-(x0 + p0)*Im",
+                                                          full)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(" * 5000 + "x0", "expected ), found None (at position 5002)"),
+        ("(" * 5000 + "x0" + ")" * 5001,
+         "unexpected trailing ')' (at position 10002)"),
+        ("(" * 5000 + ")" * 5000, "unexpected token ')' (at position 5000)"),
+        ("(" * 250 + "x0^" + ")" * 250,
+         "expected int, found ')' (at position 253)"),
+    ], ids=["unclosed", "extra-close", "empty", "bad-power"])
+    def test_deep_errors_keep_their_positions(self, full, text, message):
+        with pytest.raises(MiniLangError) as info:
+            parse_element(text, full)
+        assert str(info.value) == message
 
 
 class TestFormatting:
