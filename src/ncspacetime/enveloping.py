@@ -48,9 +48,11 @@ from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
                       _MAB_INDEX, build_deformed_algebra, identify_orthogonal,
                       levi_civita)
-from .scalars import (_NPAR, QQI_ONE, QQi, Scalar, _new, _norm, _scalar)
+from .scalars import (_NPAR, PARAMS, QQI_ONE, QQi, Scalar, _accumulate, _new,
+                      _norm, _scalar)
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
+_R_INV, _PHI = PARAMS.index("R_inv"), PARAMS.index("phi")
 
 
 class UnsupportedInverseError(ValueError):
@@ -472,6 +474,30 @@ def casimir(kind: str, sig: Signature,
     return run.element()
 
 
+def _restore_phi(pows: tuple, q: QQi, eps5: int):
+    """The term q*pows with phi = eps5 * R_inv^2."""
+    k = pows[_PHI]
+    if not k:
+        return pows, q
+    out = list(pows)
+    out[_R_INV] += 2 * k
+    out[_PHI] = 0
+    return tuple(out), (-q if eps5 < 0 and k % 2 else q)
+
+
+def _on_locus(e: EnvElement, eps5: int) -> EnvElement:
+    """e with phi = eps5 * R_inv^2; e itself when it holds no phi."""
+    if not any(p[_PHI] for s in e.terms.values() for p in s.terms):
+        return e
+    r = EnvElement()
+    for w, s in e.terms.items():
+        t = _scalar(_accumulate({}, (_restore_phi(p, q, eps5)
+                                     for p, q in s.terms.items())))
+        if t:
+            r.terms[w] = t
+    return r
+
+
 def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
     """Generators g with [c, g] != 0 after restoring phi = eps5 * R_inv^2.
 
@@ -480,11 +506,10 @@ def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
     orthogonal-algebra invariants is an identity only on the locus relating
     them, so the defect is evaluated there.
     """
-    sub = {"phi": Scalar.param("R_inv", 2, coeff=spec.signature.eps5)}
+    eps5 = spec.signature.eps5
     out = []
     for gid in sorted(spec.basis):
-        d = -ad_generator(gid, c, spec)
-        d = d.map_scalars(lambda s: s.substitute(sub))
+        d = _on_locus(-ad_generator(gid, c, spec), eps5)
         if not d.is_zero:
             out.append((gid, d))
     return out

@@ -16,10 +16,11 @@ element re-parses to an equal one.
 
 from __future__ import annotations
 
-from .algebra import IMINV, LieAlgebraSpec, gen_name
+from .algebra import (FORMAL_BASE, GEN_NAMES, IM, IMINV, ST_NAMES,
+                      LieAlgebraSpec)
 from .enveloping import EnvElement, env_product
-from .scalars import (_ZERO_POWS, PARAMS, QQI_ONE, S_ONE, QQi, Scalar,
-                      _scalar)
+from .scalars import (_ZERO_POWS, PARAMS, QQI_I, S_ONE, QQi, Scalar, _new,
+                      _qqi, _scalar)
 
 
 class MiniLangError(ValueError):
@@ -139,7 +140,22 @@ class _Parser:
                 total, op, prod, negate = stack.pop()
 
     def _mul(self, a: EnvElement, b: EnvElement) -> EnvElement:
-        # every operand is normal-ordered, so a degree-0 factor only scales
+        # Every operand is normal-ordered, so a degree-0 factor only
+        # scales, and two monomials whose junction is no rewrite of the
+        # kernel (enveloping.RewriteEngine.rewrite_step) concatenate.
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            (wa, sa), = a.terms.items()
+            (wb, sb), = b.terms.items()
+            if not wa:
+                return _scale(b, a)
+            if not wb:
+                return _scale(a, b)
+            u, v = wa[-1], wb[0]
+            if not (u > v and u < FORMAL_BASE or u == IM and v == IMINV):
+                # a generator atom's coefficient is the shared S_ONE
+                return _monomial(wa + wb, sa if sb is S_ONE else
+                                 sb if sa is S_ONE else sa * sb)
+            return env_product(a, b, self.spec)
         if not a.degree():
             return _scale(b, a)
         if not b.degree():
@@ -158,13 +174,15 @@ class _Parser:
                 if den == 0:
                     raise MiniLangError("division by zero", pos)
                 return EnvElement.scalar(Scalar.rational(num, den))
-            return EnvElement.scalar(Scalar.rational(num))
+            if not num:
+                return EnvElement()
+            return _monomial((), _scalar({_ZERO_POWS: _qqi(num, 0)}))
         if kind == "end":
             raise MiniLangError("unexpected end of input", pos)
         if kind == "name":
             self.take()
             if value == "i":
-                return EnvElement.scalar(Scalar.i())
+                return _monomial((), _scalar({_ZERO_POWS: QQI_I}))
             exp = 1
             if self.peek()[0] == "^":
                 self.take()
@@ -180,8 +198,15 @@ class _Parser:
                 raise MiniLangError(f"unknown name {value!r}", pos)
             if exp < 0:
                 raise MiniLangError("generator powers must be >= 0", pos)
-            return EnvElement.monomial((gid,) * exp)
+            return _monomial((gid,) * exp, S_ONE)
         raise MiniLangError(f"unexpected token {value!r}", pos)
+
+
+def _monomial(word, coeff: Scalar) -> EnvElement:
+    """coeff*word for a nonzero coeff, without the constructor's checks."""
+    out = _new(EnvElement)
+    out.terms = {word: coeff}
+    return out
 
 
 def _scale(e: EnvElement, c: EnvElement) -> EnvElement:
@@ -209,97 +234,92 @@ def parse_scalar(text: str) -> Scalar:
 
 
 # -- printer -----------------------------------------------------------------
-
-_QQI_MINUS_ONE = -QQI_ONE
-_S_MINUS_ONE = -S_ONE
+#
+# Each term is read directly: a coefficient's single (pows, QQi) pair, a
+# word's letters against the regime's names, so printing makes no Scalar
+# comparison and no per-letter call.
 
 
 def format_qqi(q: QQi) -> str:
-    if q.is_zero:
-        return "0"
-    if not q.im:
-        return str(q.re)
-    if not q.re:
-        if q.im == 1:
+    re, im = q.re, q.im
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
             return "i"
-        if q.im == -1:
+        if im == -1:
             return "-i"
-        return f"{q.im}*i"
-    im = q.im
-    sign = "+" if im > 0 else "-"
-    mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
-    return f"({q.re}{sign}{mag})"
-
-
-def _format_monomial_params(pows) -> list[str]:
-    parts = []
-    for name, e in zip(PARAMS, pows):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return parts
+        return f"{im}*i"
+    if im == 1:
+        return f"({re}+i)"
+    if im == -1:
+        return f"({re}-i)"
+    return f"({re}+{im}*i)" if im > 0 else f"({re}{im}*i)"
 
 
 def _format_scalar_term(pows, coeff: QQi) -> str:
-    parts = _format_monomial_params(pows)
-    if not parts:
+    if pows == _ZERO_POWS:
         return format_qqi(coeff)
-    if coeff == QQI_ONE:
-        return "*".join(parts)
-    if coeff == _QQI_MINUS_ONE:
-        return "-" + "*".join(parts)
-    return "*".join([format_qqi(coeff)] + parts)
+    parts = "*".join([name if e == 1 else f"{name}^{e}"
+                      for name, e in zip(PARAMS, pows) if e])
+    if not coeff.im:
+        if coeff.re == 1:
+            return parts
+        if coeff.re == -1:
+            return "-" + parts
+    return f"{format_qqi(coeff)}*{parts}"
 
 
 def _join_terms(terms: list[str]) -> str:
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+    # no printed term holds " + -" (an exponent's minus follows "^"), so
+    # the replace only turns "+ -t" at a term boundary into "- t"
+    return " + ".join(terms).replace(" + -", " - ")
 
 
 def format_scalar(s: Scalar, product_context: bool = False) -> str:
-    if s.is_zero:
+    terms = s.terms
+    if len(terms) == 1:
+        (pows, coeff), = terms.items()
+        return _format_scalar_term(pows, coeff)
+    if not terms:
         return "0"
-    terms = [_format_scalar_term(p, c) for p, c in s.sorted_terms()]
-    text = _join_terms(terms)
-    if product_context and len(terms) > 1:
-        return f"({text})"
-    return text
+    text = _join_terms([_format_scalar_term(p, c)
+                        for p, c in s.sorted_terms()])
+    return f"({text})" if product_context else text
 
 
-def _format_word(word, regime: str) -> str:
+def _format_word(word, names) -> str:
     parts = []
+    n = len(word)
     k = 0
-    while k < len(word):
-        j = k
-        while j < len(word) and word[j] == word[k]:
+    while k < n:
+        g = word[k]
+        j = k + 1
+        while j < n and word[j] == g:
             j += 1
-        gid = word[k]
-        name = gen_name(gid, regime)
+        name = names[g] if g < FORMAL_BASE else f"A{g - FORMAL_BASE}"
         parts.append(name if j - k == 1 else f"{name}^{j - k}")
         k = j
     return "*".join(parts)
 
 
 def format_env(e: EnvElement, regime: str = "full") -> str:
-    if e.is_zero:
+    if not e.terms:
         return "0"
+    names = ST_NAMES if regime == "spacetime" else GEN_NAMES
+    parens = len(e.terms) > 1
     bits = []
     for word, s in e.sorted_terms():
         if not word:
-            bits.append(format_scalar(s, product_context=False)
-                        if len(e.terms) == 1 else
-                        format_scalar(s, product_context=True))
+            bits.append(format_scalar(s, parens))
             continue
-        wtxt = _format_word(word, regime)
-        if s == S_ONE:
+        wtxt = _format_word(word, names)
+        c = format_scalar(s, True)
+        # only the constants 1 and -1 print as "1" and "-1"
+        if c == "1":
             bits.append(wtxt)
-        elif s == _S_MINUS_ONE:
+        elif c == "-1":
             bits.append("-" + wtxt)
         else:
-            bits.append(f"{format_scalar(s, product_context=True)}*{wtxt}")
+            bits.append(f"{c}*{wtxt}")
     return _join_terms(bits)

@@ -116,6 +116,8 @@ class QQi:
         return _qqi(self.re, -self.im)
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is QQi:
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             other = QQi(other)
         if not isinstance(other, QQi):
@@ -274,6 +276,8 @@ class Scalar:
         return _as_scalar(other) * self.inverse()
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is Scalar:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction, QQi)):
             other = Scalar.of(other)
         if not isinstance(other, Scalar):

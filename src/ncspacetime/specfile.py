@@ -62,15 +62,22 @@ class SpecFile:
             elem = parse_element(text, spec)
             if elem.degree() > 1:
                 raise SpecFileError(
-                    f"override {key} must be degree <= 1, got {text!r}")
+                    f"override {key!r} must be degree <= 1, got {text!r}")
             if not elem.monomial_support().issubset(spec.basis):
                 raise SpecFileError(
-                    f"override {key} uses a generator outside the "
+                    f"override {key!r} uses a generator outside the "
                     f"{spec.regime} basis: {text!r}")
             set_bracket(table, a, b, elem)
         if numeric:
-            table = {pair: elem.map_scalars(lambda s: s.substitute(numeric))
-                     for pair, elem in table.items()}
+            def bind(s: Scalar) -> Scalar:
+                return s.substitute(numeric)
+            try:
+                table = {pair: elem.map_scalars(bind)
+                         for pair, elem in table.items()}
+            except ValueError as exc:  # Scalar.inverse of a zero binding
+                raise SpecFileError(
+                    "a structure constant holds a negative power of a "
+                    "parameter bound to 0") from exc
         return LieAlgebraSpec(spec.signature, spec.regime, spec.basis, table)
 
 
@@ -109,7 +116,7 @@ def _parse_binding(name: str, value) -> Scalar | None:
 
 def _parse_exact_complex(name: str, value):
     from .scalars import QQi
-    if isinstance(value, int):
+    if value.__class__ is int:
         return QQi(value)
     if isinstance(value, str):
         try:
@@ -118,6 +125,16 @@ def _parse_exact_complex(name: str, value):
             raise SpecFileError(
                 f"{name}: not an exact constant: {value!r}") from exc
     raise SpecFileError(f"{name} must be an int or exact-constant string")
+
+
+def _integer(blk: dict, key: str, default: int, block: str) -> int:
+    """blk[key] (default when absent), which must be a JSON integer: a
+    bool, a float or a string is an error, not converted."""
+    value = blk.get(key, default)
+    if value.__class__ is not int:
+        raise SpecFileError(f"bad {block} block: {key} must be an integer, "
+                            f"not {type(value).__name__}")
+    return value
 
 
 def _object(data: dict, name: str) -> dict:
@@ -147,10 +164,11 @@ def load_specfile(data) -> SpecFile:
         raise SpecFileError(f"unknown spec fields: {sorted(unknown)}")
 
     sig_block = _object(data, "signature")
+    eps4 = _integer(sig_block, "eps4", 1, "signature")
+    eps5 = _integer(sig_block, "eps5", 1, "signature")
     try:
-        sig = Signature(int(sig_block.get("eps4", 1)),
-                        int(sig_block.get("eps5", 1)))
-    except (TypeError, ValueError, OverflowError) as exc:
+        sig = Signature(eps4, eps5)
+    except ValueError as exc:
         raise SpecFileError(f"bad signature block: {exc}") from exc
 
     regime = data.get("regime", "full")
@@ -166,26 +184,33 @@ def load_specfile(data) -> SpecFile:
     fink = None
     if "finkelstein" in data:
         blk = _object(data, "finkelstein")
+        n_cells = _integer(blk, "n_cells" if "n_cells" in blk else "N", 2,
+                           "finkelstein")
+        enforce = blk.get("enforce_constraint", True)
+        if enforce.__class__ is not bool:
+            raise SpecFileError("bad finkelstein block: enforce_constraint "
+                                f"must be true or false, not "
+                                f"{type(enforce).__name__}")
         try:
             fink = FinkelsteinParams(
-                n_cells=int(blk.get("n_cells", blk.get("N", 2))),
+                n_cells=n_cells,
                 chi=_parse_exact_complex("chi", blk.get("chi", "1/2")),
                 phi_cell=_parse_exact_complex(
                     "phi_cell", blk.get("phi_cell", "1/2")),
                 hbar=Fraction(str(blk.get("hbar", 1))),
-                enforce_constraint=bool(blk.get("enforce_constraint", True)))
+                enforce_constraint=enforce)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFileError(f"bad finkelstein block: {exc}") from exc
 
     rep_cfg = RepConfig()
     if "rep" in data:
         blk = _object(data, "rep")
+        fields = {key: _integer(blk, key, default, "rep")
+                  for key, default in (("epsilon", 0), ("samples", 120),
+                                       ("seed", 0))}
         try:
-            fields = {"sigma": float(blk.get("sigma", 0.37)),
-                      "epsilon": int(blk.get("epsilon", 0)),
-                      "samples": int(blk.get("samples", 120)),
-                      "seed": int(blk.get("seed", 0)),
-                      "tolerance": float(blk.get("tolerance", 1e-8))}
+            fields["sigma"] = float(blk.get("sigma", 0.37))
+            fields["tolerance"] = float(blk.get("tolerance", 1e-8))
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFileError(f"bad rep block: {exc}") from exc
         rep_cfg = RepConfig(**fields)
@@ -193,7 +218,7 @@ def load_specfile(data) -> SpecFile:
     overrides = _object(data, "structure_overrides")
     for key, text in overrides.items():
         if not isinstance(text, str):
-            raise SpecFileError(f"override {key} must be a string")
+            raise SpecFileError(f"override {key!r} must be a string")
 
     return SpecFile(signature=sig, regime=regime, bindings=bindings,
                     finkelstein=fink, rep=rep_cfg,

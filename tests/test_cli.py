@@ -218,6 +218,16 @@ class TestSpecBlockTypes:
         {"signature": {"eps4": 1e400}},
         {"structure_overrides": []},
         {"structure_overrides": {"[p0,x0]": 3}},
+        # a wrong value of a scalar field, which a conversion used to hide
+        {"finkelstein": {"enforce_constraint": "false"}},
+        {"finkelstein": {"enforce_constraint": 0}},
+        {"signature": {"eps4": 1.9}},
+        {"signature": {"eps4": True}},
+        {"signature": {"eps5": "-1"}},
+        {"rep": {"samples": 2.9}},
+        {"rep": {"seed": False}},
+        {"finkelstein": {"N": 3.5}},
+        {"finkelstein": {"chi": True}},
     ], ids=json.dumps)
     def test_wrong_type_exits_two(self, tmp_path, capsys, doc):
         from ncspacetime import cli
@@ -227,6 +237,18 @@ class TestSpecBlockTypes:
         assert out.out == ""
         assert len(out.err.splitlines()) == 1
         assert out.err.startswith("ncst: spec error: ")
+
+
+    def test_strict_fields_keep_their_valid_forms(self):
+        from ncspacetime.specfile import load_specfile
+        sf = load_specfile({"signature": {"eps4": -1, "eps5": 1},
+                            "finkelstein": {"N": 3,
+                                            "enforce_constraint": False},
+                            "rep": {"epsilon": 1, "samples": 7, "seed": 5}})
+        assert (sf.signature.eps4, sf.signature.eps5) == (-1, 1)
+        assert sf.finkelstein.n_cells == 3
+        assert sf.finkelstein.enforce_constraint is False
+        assert (sf.rep.epsilon, sf.rep.samples, sf.rep.seed) == (1, 7, 5)
 
 
 class TestCasimirBuiltOnce:

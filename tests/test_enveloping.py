@@ -284,6 +284,61 @@ class TestCasimirs:
             casimir("C4", SIG, full)
 
 
+def defects_by_substitution(c, spec):
+    """centrality_defect's meaning spelled out: [c, g] with phi replaced
+    by eps5*R_inv^2 through the generic Scalar.substitute."""
+    sub = {"phi": Scalar.param("R_inv", 2, coeff=spec.signature.eps5)}
+    out = []
+    for gid in sorted(spec.basis):
+        d = (-ad_generator(gid, c, spec)).map_scalars(
+            lambda s: s.substitute(sub))
+        if not d.is_zero:
+            out.append((gid, d))
+    return out
+
+
+class TestCentralityOnLocus:
+    """centrality_defect restores phi by a monomial map; on mutated tables,
+    where the defects are not zero, it agrees term for term with the
+    generic substitution."""
+
+    @pytest.mark.parametrize("doc, kinds, defective", [
+        ({"signature": {"eps4": 1, "eps5": 1},
+          "structure_overrides": {"[p0,x0]": "0"}}, "C1 C2 C3", True),
+        ({"signature": {"eps4": -1, "eps5": 1}, "regime": "tangent",
+          "structure_overrides": {f"[x{mu},Im]": "0" for mu in range(4)}},
+         "C1 C2", True),
+        # phi in an override, an odd power of phi under eps5 = -1
+        ({"signature": {"eps4": 1, "eps5": -1},
+          "structure_overrides": {"[x0,x1]": "(ell^2 + 2*phi)*M01 - "
+                                             "i*ell*R_inv*Im",
+                                  "[p2,p3]": "phi^3*M23"}}, "C1 C2 C3", True),
+        # an override that vanishes on the locus
+        ({"signature": {"eps4": -1, "eps5": -1},
+          "structure_overrides": {"[p0,p1]": "(phi + R_inv^2)*M01 + "
+                                             "x2"}}, "C1 C2", True),
+        ({"signature": {"eps4": -1, "eps5": -1}}, "C1 C2 C3", False),
+    ], ids=["p0x0", "xIm", "phi-override", "locus-zero", "clean"])
+    def test_matches_generic_substitution(self, doc, kinds, defective):
+        sf = load_specfile(doc)
+        spec = sf.build()
+        found = False
+        for kind in kinds.split():
+            c = casimir(kind, sf.signature, spec)
+            want = defects_by_substitution(c, spec)
+            assert centrality_defect(c, spec) == want, kind
+            found |= bool(want)
+        assert found == defective
+
+    def test_restores_phi_in_the_element(self):
+        # (phi + R_inv^2)*x0 is zero on the locus at eps5 = -1
+        spec = build_deformed_algebra(Signature(1, -1), "full")
+        c = EnvElement.monomial((X_IDS[0],), Scalar.param("phi")
+                                + Scalar.param("R_inv", 2))
+        assert not ad_generator(P_IDS[0], c, spec).is_zero
+        assert centrality_defect(c, spec) == []
+
+
 def memo_size(spec) -> int:
     return len(get_engine(spec)._norm_cache)
 

@@ -95,18 +95,23 @@ class TestParse:
         assert format_env(env_commutator(a, a, full)) == "0"
 
     def test_one_product_per_generator_pair(self, full, monkeypatch):
-        # a degree-0 factor scales; env_product runs only when both
-        # factors hold generators
+        # a degree-0 factor scales, two monomials whose junction is
+        # already in order concatenate, and env_product runs only on the
+        # other products of two factors that hold generators
         calls = []
 
         def counted(a, b, spec):
-            calls.append((a, b))
+            calls.append((format_env(a), format_env(b)))
             return env_product(a, b, spec)
         monkeypatch.setattr(minilang, "env_product", counted)
         e = parse_element(
             "(3-2*i)*x0*p1*M01*Im + (1+1*i)*x2 + (-4+0*i)*p0*p0", full)
-        assert len(calls) == 4
+        assert calls == []
         assert format_env(e) == "(1+i)*x2 - 4*p0^2 + (3-2*i)*x0*p1*M01*Im"
+        e = parse_element("(3-2*i)*p1*x0*Im + x2*(x0 + p0)", full)
+        assert calls == [("(3-2*i)*p1", "x0"), ("x2", "x0 + p0")]
+        assert format_env(e) == \
+            "i*ell^2*M02 + x0*x2 + x2*p0 + (3-2*i)*x0*p1*Im"
 
     def test_constant_factor_scales_without_scalar_products(
             self, full, monkeypatch):
