@@ -13,7 +13,10 @@ mu < nu), Im.  Three bracket-table regimes are supported:
                [X,X] = -i*eps4*M.
 
 Each builder fills a plain dict with set_bracket and constructs one frozen
-LieAlgebraSpec from it; a changed table is a new spec.
+LieAlgebraSpec from it; a changed table is a new spec.  The clean tables
+(build_deformed_algebra, build_so6_algebra) are built once per process and
+shared: a spec and its engine are never written after construction, so a
+cached spec is a value.
 
 The independent numerical oracle is the defining 6x6 matrix representation
 of the pseudo-orthogonal algebra so(eta6); identify_orthogonal carries the
@@ -26,6 +29,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -95,8 +99,12 @@ class Signature:
     eps5: int = 1
 
     def __post_init__(self):
-        if self.eps4 not in (1, -1) or self.eps5 not in (1, -1):
-            raise ValueError("eps4 and eps5 must be +1 or -1")
+        # ints only: True == 1 and 1.0 == 1, but neither is an exact sign,
+        # and an equal Signature must be an interchangeable cache key
+        for eps in (self.eps4, self.eps5):
+            if eps.__class__ is not int or eps not in (1, -1):
+                raise ValueError(
+                    f"eps4 and eps5 must be the int +1 or -1, got {eps!r}")
 
     @property
     def eta6(self) -> tuple[int, ...]:
@@ -329,6 +337,7 @@ def _m_elem(mu: int, nu: int, coeff: Scalar) -> EnvElement:
     return _gen(gid, coeff if sign > 0 else -coeff)
 
 
+@lru_cache(maxsize=None)
 def build_deformed_algebra(sig: Signature, regime: str,
                            extend_im: bool = False) -> LieAlgebraSpec:
     """Structure-constant table for the chosen regime.
@@ -338,6 +347,9 @@ def build_deformed_algebra(sig: Signature, regime: str,
     which the formal inverse ImInv is unrestricted).  The full-regime
     translation brackets carry the central parameter phi; the tangent table
     is its phi -> 0, R_inv -> 0 substitution.
+
+    Memoized: a repeated call returns the same shared spec, and a call
+    that raises caches nothing.
     """
     if regime not in ("full", "tangent", "spacetime"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -439,8 +451,10 @@ def jacobi_defect(spec: LieAlgebraSpec):
 
 # -- 6-dimensional orthogonal realization ---------------------------------
 
+@lru_cache(maxsize=None)
 def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
-    """so(eta6) over the 15 generators M^{ab}, a<b, in pair-lexicographic order.
+    """so(eta6) over the 15 generators M^{ab}, a<b, in pair-lexicographic order,
+    memoized like build_deformed_algebra: one shared spec per signature.
 
     Bracket convention (the 4d M-sector formula extended to six indices):
     [M^{ab}, M^{cd}] = i(M^{ad}eta^{bc} + M^{bc}eta^{ad}

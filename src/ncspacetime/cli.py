@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .algebra import (IM, P_IDS, X_IDS,
                       LieAlgebraSpec, Signature, build_deformed_algebra,
@@ -448,7 +449,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"ncst: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The ncst parser, built on the first main() call and reused: parsing
+    writes only to a fresh Namespace, never to the parser."""
     parser = _Parser(
         prog="ncst",
         description="exact computer algebra for the stable deformed "

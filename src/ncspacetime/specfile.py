@@ -137,6 +137,19 @@ def _integer(blk: dict, key: str, default: int, block: str) -> int:
     return value
 
 
+def _number(blk: dict, key: str, default: float, block: str) -> float:
+    """blk[key] (default when absent) as a float; it must be a JSON
+    number: a bool or a string is an error, not converted."""
+    value = blk.get(key, default)
+    if value.__class__ not in (int, float):
+        raise SpecFileError(f"bad {block} block: {key} must be a number, "
+                            f"not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise SpecFileError(f"bad {block} block: {key}: {exc}") from exc
+
+
 def _object(data: dict, name: str) -> dict:
     """The block data[name] ({} when absent), which must be a JSON object."""
     blk = data.get(name, {})
@@ -208,11 +221,8 @@ def load_specfile(data) -> SpecFile:
         fields = {key: _integer(blk, key, default, "rep")
                   for key, default in (("epsilon", 0), ("samples", 120),
                                        ("seed", 0))}
-        try:
-            fields["sigma"] = float(blk.get("sigma", 0.37))
-            fields["tolerance"] = float(blk.get("tolerance", 1e-8))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SpecFileError(f"bad rep block: {exc}") from exc
+        fields["sigma"] = _number(blk, "sigma", 0.37, "rep")
+        fields["tolerance"] = _number(blk, "tolerance", 1e-8, "rep")
         rep_cfg = RepConfig(**fields)
 
     overrides = _object(data, "structure_overrides")

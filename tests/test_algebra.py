@@ -239,6 +239,42 @@ def test_signature_metric_entries():
         Signature(2, 1)
 
 
+class TestSharedCleanTables:
+    """A clean table is built once per process, keyed by its arguments."""
+
+    @pytest.mark.parametrize("eps4, eps5", [
+        (True, 1), (1, False), (1.0, 1), (1, -1.0), (True, True)])
+    def test_signature_takes_only_int_signs(self, eps4, eps5):
+        # True == 1 and 1.0 == 1, so either would share a cache key with
+        # the int form and hand its spec an inexact sign
+        with pytest.raises(ValueError):
+            Signature(eps4, eps5)
+
+    @pytest.mark.parametrize("sig", ALL_SIGS, ids=repr)
+    def test_equal_signatures_share_one_spec(self, sig):
+        for regime in ("full", "tangent", "spacetime"):
+            spec = build_deformed_algebra(sig, regime)
+            again = build_deformed_algebra(
+                Signature(sig.eps4, sig.eps5), regime)
+            assert again is spec
+            assert spec.signature.eps4.__class__ is int
+            assert spec.signature.eps5.__class__ is int
+        im = build_deformed_algebra(sig, "spacetime", extend_im=True)
+        assert im is build_deformed_algebra(
+            Signature(sig.eps4, sig.eps5), "spacetime", extend_im=True)
+        assert im is not build_deformed_algebra(sig, "spacetime")
+        so6 = build_so6_algebra(sig)
+        assert build_so6_algebra(Signature(sig.eps4, sig.eps5)) is so6
+
+    def test_failed_build_is_not_cached(self):
+        size = build_deformed_algebra.cache_info().currsize
+        with pytest.raises(ValueError):
+            build_deformed_algebra(Signature(1, 1), "fnord")
+        with pytest.raises(ValueError):
+            build_deformed_algebra(Signature(1, 1), "full", extend_im=True)
+        assert build_deformed_algebra.cache_info().currsize == size
+
+
 def test_algebra_element_prunes_zeros():
     elem = EnvElement({(X_IDS[0],): Scalar.one(), (P_IDS[0],): Scalar.zero()})
     assert (P_IDS[0],) not in elem.terms

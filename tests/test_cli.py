@@ -228,6 +228,10 @@ class TestSpecBlockTypes:
         {"rep": {"seed": False}},
         {"finkelstein": {"N": 3.5}},
         {"finkelstein": {"chi": True}},
+        {"rep": {"sigma": True}},
+        {"rep": {"sigma": "0.3"}},
+        {"rep": {"tolerance": True}},
+        {"rep": {"tolerance": "1e-3"}},
     ], ids=json.dumps)
     def test_wrong_type_exits_two(self, tmp_path, capsys, doc):
         from ncspacetime import cli
@@ -244,11 +248,15 @@ class TestSpecBlockTypes:
         sf = load_specfile({"signature": {"eps4": -1, "eps5": 1},
                             "finkelstein": {"N": 3,
                                             "enforce_constraint": False},
-                            "rep": {"epsilon": 1, "samples": 7, "seed": 5}})
+                            "rep": {"epsilon": 1, "samples": 7, "seed": 5,
+                                    "sigma": 2, "tolerance": 1e-6}})
         assert (sf.signature.eps4, sf.signature.eps5) == (-1, 1)
         assert sf.finkelstein.n_cells == 3
         assert sf.finkelstein.enforce_constraint is False
         assert (sf.rep.epsilon, sf.rep.samples, sf.rep.seed) == (1, 7, 5)
+        # a JSON integer is a number too
+        assert sf.rep.sigma == 2.0 and sf.rep.sigma.__class__ is float
+        assert sf.rep.tolerance == 1e-6
 
 
 class TestCasimirBuiltOnce:
@@ -294,6 +302,66 @@ class TestSpecsBuiltOnce:
         assert cli.main(["--spec", spec, "verify"] + deep) == 0
         capsys.readouterr()
         assert sorted(built) == sorted([regime, "full", "tangent"])
+
+
+def main_in_process(argv, capsys) -> tuple:
+    """cli.main(argv) in this process: (exit code, stdout, stderr)."""
+    from ncspacetime import cli
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+class TestParserReuse:
+    """main() builds its parser on the first call and reuses it; no call
+    leaves anything in it that a later call sees."""
+
+    SEQUENCES = {
+        "seed-then-spec-seed": [
+            ["--spec", "{spec}", "--seed", "5", "rep", "so32"],
+            ["--spec", "{spec}", "rep", "so32"]],
+        "tolerance-then-default": [
+            ["--tolerance", "1e-3", "verify"], ["verify"]],
+        "usage-error-between": [
+            ["commute", "p0", "x0"], ["commute", "p0"], ["diff", "x0"],
+            ["--tolerance", "nan", "casimir", "1"], ["casimir", "1"],
+            ["fnord"], ["curvature", "--zero"]],
+        "json-then-stdout-only": [
+            ["--json", "{json}", "commute", "x0", "M01"],
+            ["commute", "x0", "M01"]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_each_call_matches_a_fresh_process(self, tmp_path, capsys, name):
+        from ncspacetime import cli
+        spec = write_spec(tmp_path, {"rep": {"seed": 11, "samples": 20}})
+        json_out = str(tmp_path / "report.json")
+        for argv in self.SEQUENCES[name]:
+            argv = [a.format(spec=spec, json=json_out) for a in argv]
+            got = main_in_process(argv, capsys)
+            fresh = run_cli(*argv)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_spec_seed_is_echoed_after_a_seed_option(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"rep": {"seed": 11, "samples": 20}})
+        seeds = []
+        for argv in (["--spec", spec, "--seed", "5", "rep", "so32"],
+                     ["--spec", spec, "rep", "so32"]):
+            rc, out, _ = main_in_process(argv, capsys)
+            assert rc == 0
+            seeds.append(json.loads(out)["seed"])
+        assert seeds == [5, 11]
+
+    def test_import_builds_no_parser(self):
+        code = ("import ncspacetime.cli as c; "
+                "print(c._build_parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "0\n"
 
 
 class TestCommands:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import sys
 import threading
@@ -6,9 +8,11 @@ import threading
 import numpy as np
 import pytest
 
-from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS, Signature,
+from ncspacetime.algebra import (IM, IMINV, M_IDS, P_IDS, X_IDS,
+                                 LieAlgebraSpec, Signature,
                                  UnknownGeneratorError,
-                                 build_deformed_algebra, identify_orthogonal,
+                                 build_deformed_algebra, build_so6_algebra,
+                                 identify_orthogonal,
                                  defining_rep, levi_civita, physical_rep)
 from ncspacetime.diffcalc import derivation_set
 from ncspacetime.minilang import format_env, parse_element
@@ -343,24 +347,31 @@ def memo_size(spec) -> int:
     return len(get_engine(spec)._norm_cache)
 
 
+def unshared(spec) -> LieAlgebraSpec:
+    """A spec with spec's table and an engine of its own; the builders
+    return the one spec every caller shares."""
+    return LieAlgebraSpec(spec.signature, spec.regime, spec.basis, spec.table)
+
+
 class TestMemoLifetime:
     """The normal-order memo lives for one public operation."""
 
     def test_empty_after_each_operation(self):
         spec = build_deformed_algebra(SIG, "full")
+        other = unshared(spec)
         rng = random.Random(7)
         for _ in range(200):
             a = random_env_element(rng, spec, 3, 3)
             b = random_env_element(rng, spec, 3, 3)
             got = env_commutator(a, b, spec)
             assert memo_size(spec) == 0
-            assert got == env_commutator(a, b, build_deformed_algebra(SIG, "full"))
+            assert got == env_commutator(a, b, other)
         got = ad_generator(P_IDS[0], a, spec)
         assert memo_size(spec) == 0
-        assert got == ad_generator(P_IDS[0], a, build_deformed_algebra(SIG, "full"))
+        assert got == ad_generator(P_IDS[0], a, other)
         got = casimir("C1", SIG, spec)
         assert memo_size(spec) == 0
-        assert got == casimir("C1", SIG, build_deformed_algebra(SIG, "full"))
+        assert got == casimir("C1", SIG, other)
 
     def test_empty_after_error(self, full):
         a = gen(X_IDS[1]) + gen(P_IDS[2])
@@ -448,7 +459,7 @@ class TestFrozenSpec:
     def test_eight_threads_match_sequential(self, regime):
         spec = build_deformed_algebra(SIG, regime)
         before = spec_state(spec)
-        twin = build_deformed_algebra(SIG, regime)
+        twin = unshared(spec)
         want = [mixed_calls(twin, seed) for seed in range(8)]
         results = {}
         start = threading.Barrier(8)
@@ -485,6 +496,106 @@ class TestFrozenSpec:
             ad_generator(IMINV, x0, spacetime)
         assert ad_generator(IMINV, x0, tangent) == \
             env_commutator(gen(IMINV), x0, tangent)
+
+
+ALL_SIGS = [Signature(e4, e5) for e4 in (1, -1) for e5 in (1, -1)]
+
+
+def cached_specs() -> dict:
+    """Every clean table the builders share, by name."""
+    out = {}
+    for sig in ALL_SIGS:
+        tag = f"{sig.eps4},{sig.eps5}"
+        for regime in ("full", "tangent", "spacetime"):
+            out[f"{regime} {tag}"] = build_deformed_algebra(sig, regime)
+        out[f"spacetime+Im {tag}"] = build_deformed_algebra(
+            sig, "spacetime", extend_im=True)
+        out[f"so6 {tag}"] = build_so6_algebra(sig)
+    return out
+
+
+def spec_digest(spec) -> str:
+    """Content digest of a spec's table and of its engine's packed rows
+    (coefficients included), with the engine's other attributes."""
+    h = hashlib.sha256()
+    for pair in sorted(spec.table):
+        terms = spec.table[pair].terms
+        h.update(repr((pair, sorted((w, sorted(s.terms.items()))
+                                    for w, s in terms.items()))).encode())
+    eng = spec.engine
+    for a in sorted(eng.rows):
+        for b in sorted(eng.rows[a]):
+            h.update(repr((a, b, eng.rows[a][b])).encode())
+    h.update(repr((spec.signature, spec.regime, spec.basis, eng.allow_iminv,
+                   eng.exp_bound, eng._norm_cache)).encode())
+    return h.hexdigest()
+
+
+class TestSharedTablesUnchanged:
+    """The clean tables are built once per process and shared by every
+    request; no subcommand may write to one."""
+
+    ARGVS = (["verify", "--deep"], ["commute", "x0*p1", "M01*Im"],
+             ["casimir", "1"], ["casimir", "2", "--deep"],
+             ["casimir", "3", "--deep"], ["diff", "p0"],
+             ["curvature", "--zero"], ["clifford"], ["rep", "5d"],
+             ["rep", "so32"])
+
+    def test_every_subcommand_leaves_them_unchanged(self, tmp_path, capsys):
+        from ncspacetime import cli
+        specs = cached_specs()
+        before = {name: spec_digest(spec) for name, spec in specs.items()}
+        for sig in ALL_SIGS:
+            for regime in ("full", "tangent"):
+                path = tmp_path / f"{sig.eps4}{sig.eps5}{regime}.json"
+                path.write_text(json.dumps({
+                    "signature": {"eps4": sig.eps4, "eps5": sig.eps5},
+                    "regime": regime, "rep": {"samples": 20}}))
+                argvs = self.ARGVS if regime == "full" else (
+                    ["verify"], ["commute", "ImInv*x0", "p0"], ["diff", "x0"])
+                for argv in argvs:
+                    assert cli.main(["--spec", str(path)] + argv) == 0, argv
+        capsys.readouterr()
+        after = cached_specs()
+        assert all(after[name] is spec for name, spec in specs.items())
+        assert {name: spec_digest(spec)
+                for name, spec in after.items()} == before
+
+    def test_threads_racing_on_cold_builders(self):
+        """Eight threads build every clean table from a cold cache at once
+        and compute on it; two racing builds of one key are equal values,
+        so every thread gets the sequential results."""
+        def work():
+            out = []
+            for name, spec in sorted(cached_specs().items()):
+                a, b = sorted(spec.basis)[:2], sorted(spec.basis)[-2:]
+                out.append((name, spec_digest(spec), format_env(env_commutator(
+                    EnvElement.monomial(a), EnvElement.monomial(b), spec))))
+            return out
+
+        want = work()
+        build_deformed_algebra.cache_clear()
+        build_so6_algebra.cache_clear()
+        results = {}
+        start = threading.Barrier(8)
+
+        def run(k):
+            start.wait()
+            results[k] = work()
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert [results.get(k) for k in range(8)] == [want] * 8
+        assert build_deformed_algebra.cache_info().currsize == 4 * 4
 
 
 def test_long_word_commutator_within_recursion_limit(full):
