@@ -337,7 +337,6 @@ def _m_elem(mu: int, nu: int, coeff: Scalar) -> EnvElement:
     return _gen(gid, coeff if sign > 0 else -coeff)
 
 
-@lru_cache(maxsize=None)
 def build_deformed_algebra(sig: Signature, regime: str,
                            extend_im: bool = False) -> LieAlgebraSpec:
     """Structure-constant table for the chosen regime.
@@ -348,9 +347,16 @@ def build_deformed_algebra(sig: Signature, regime: str,
     translation brackets carry the central parameter phi; the tangent table
     is its phi -> 0, R_inv -> 0 substitution.
 
-    Memoized: a repeated call returns the same shared spec, and a call
-    that raises caches nothing.
+    Memoized: a repeated call returns the same shared spec, whether each
+    argument is passed by position or by keyword, and a call that raises
+    caches nothing.
     """
+    return _deformed_table(sig, regime, extend_im)
+
+
+@lru_cache(maxsize=None)
+def _deformed_table(sig: Signature, regime: str,
+                    extend_im: bool) -> LieAlgebraSpec:
     if regime not in ("full", "tangent", "spacetime"):
         raise ValueError(f"unknown regime {regime!r}")
     if extend_im and regime != "spacetime":
@@ -394,6 +400,10 @@ def build_deformed_algebra(sig: Signature, regime: str,
         if regime == "full":
             set_bracket(table, p_id(mu), IM, _gen(x_id(mu), S_MINUS_I * phi))
     return LieAlgebraSpec(sig, regime, X_IDS + P_IDS + M_IDS + (IM,), table)
+
+
+build_deformed_algebra.cache_info = _deformed_table.cache_info
+build_deformed_algebra.cache_clear = _deformed_table.cache_clear
 
 
 def _fill_lorentz_sector(table: dict, vector_ids) -> None:
@@ -451,7 +461,6 @@ def jacobi_defect(spec: LieAlgebraSpec):
 
 # -- 6-dimensional orthogonal realization ---------------------------------
 
-@lru_cache(maxsize=None)
 def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
     """so(eta6) over the 15 generators M^{ab}, a<b, in pair-lexicographic order,
     memoized like build_deformed_algebra: one shared spec per signature.
@@ -460,6 +469,11 @@ def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
     [M^{ab}, M^{cd}] = i(M^{ad}eta^{bc} + M^{bc}eta^{ad}
                          - M^{bd}eta^{ac} - M^{ac}eta^{bd}).
     """
+    return _so6_table(sig)
+
+
+@lru_cache(maxsize=None)
+def _so6_table(sig: Signature) -> LieAlgebraSpec:
     eta = sig.eta6
     table = {}
     for k1, (a, b) in enumerate(MAB_PAIRS):
@@ -476,6 +490,10 @@ def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:
                     out = out + _gen(idx, _I_TIMES[s * e * sign])
             set_bracket(table, k1, k2, out)
     return LieAlgebraSpec(sig, "so6", tuple(range(15)), table)
+
+
+build_so6_algebra.cache_info = _so6_table.cache_info
+build_so6_algebra.cache_clear = _so6_table.cache_clear
 
 
 class OrthogonalIdentification:

@@ -1,94 +1,122 @@
 """Expression trees, exact multivariate polynomials and first-order
 differential operators.
 
-Two coefficient types feed the differential-operator layer:
+Three coefficient types feed the differential-operator layer:
 
 * Poly -- exact multivariate polynomial over Gaussian rationals; supports
   symbolic partial differentiation and decidable equality, used where
   operator identities must be verified with zero tolerance.
+* TrigLaurent -- exact polynomial in c_v = cos(v), s_v = sin(v) and 1/s_v
+  over Gaussian rationals, reduced by c_v^2 = 1 - s_v^2 to the canonical
+  form c_v^a s_v^m (a in {0, 1}); decidable equality, so the so(3,2)
+  contour operators are checked exactly.  TrigLaurent.from_expr reads the
+  Expr trees of those operators into it.
 * Expr -- a small tree language {const, var, +, *, power, sin, cos, sinh,
   cosh, exp, abs, sign} with symbolic differentiation and numeric
-  evaluation, used for the trigonometric-coefficient operators.  An env
-  maps each variable to a float or to a numpy array of floats; with arrays,
-  one walk of the tree evaluates it at every point at once.  numpy is
-  imported on first evaluation of a sin/cos/sinh/cosh/exp/abs/sign node
-  (see _numpy_fn) and by the helpers that stack points into arrays.
+  evaluation, in which the trigonometric-coefficient operators are written
+  and evaluated numerically.  An env maps each variable to a float or to
+  a numpy array of floats; with arrays, one walk of the tree evaluates it
+  at every point at once.  numpy is imported on first evaluation of a
+  sin/cos/sinh/cosh/exp/abs/sign node (see _numpy_fn) and by the helpers
+  that stack points into arrays.
 
-Both share one coefficient protocol: ``c.zero()`` (the zero of c's ring),
-``c.is_zero`` (true only for an exact zero) and the class attribute
+All three share one coefficient protocol: ``c.zero()`` (the zero of c's
+ring), ``c.is_zero`` (true only for an exact zero) and the class attribute
 ``commutative = True``.
 
 A DiffOperator is zeroth-order coefficient plus a map variable -> first-order
 coefficient.  The commutator of two first-order operators is again first
 order exactly when the symmetrized second-order part cancels, which it does
-identically for commutative coefficients.  So the commutator trusts Poly and
-Expr, which declare ``commutative``, and checks the cancellation numerically
-only for a coefficient type without that declaration.
+identically for commutative coefficients.  So the commutator trusts the
+three types, which declare ``commutative``, and checks the cancellation
+numerically only for a coefficient type without that declaration.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import QQi, _accumulate
+
+_new = object.__new__
 
 # -- exact polynomials -------------------------------------------------------
 
 
-class Poly:
-    """Multivariate polynomial with QQi coefficients over named variables."""
+class _Exact:
+    """Ring element kept as a dict from canonical monomial keys to nonzero
+    QQi coefficients over named variables, so that equality is equality of
+    the dicts.  A subclass fixes the key (KEY_WIDTH entries per variable),
+    the product and the derivative."""
 
     __slots__ = ("vars", "terms")
     commutative = True
+    KEY_WIDTH = 1
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
         self.terms: dict[tuple, QQi] = {}
         if terms:
-            for pows, c in terms.items():
+            for key, c in terms.items():
                 c = c if isinstance(c, QQi) else QQi(c)
                 if c:
-                    self.terms[pows] = c
+                    self.terms[key] = c
 
     @classmethod
-    def constant(cls, variables, value) -> "Poly":
-        return cls(variables, {(0,) * len(variables): value})
+    def constant(cls, variables, value):
+        return cls(variables, {(0,) * (cls.KEY_WIDTH * len(variables)): value})
+
+    def _with(self, terms: dict):
+        """Element over self's variables with already-nonzero terms."""
+        r = _new(self.__class__)
+        r.vars = self.vars
+        r.terms = terms
+        return r
+
+    def zero(self):
+        return type(self)(self.vars)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _operand(self, other):
+        if other.__class__ is not self.__class__:
+            if isinstance(other, _Exact):
+                raise ValueError("operands over different rings")
+            other = self.constant(self.vars, other)
+        if self.vars != other.vars:
+            raise ValueError("operands over different variables")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return self._with(_accumulate(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
+
+
+class Poly(_Exact):
+    """Multivariate polynomial with QQi coefficients over named variables."""
+
+    __slots__ = ()
 
     @classmethod
     def variable(cls, variables, name) -> "Poly":
         pows = [0] * len(variables)
         pows[tuple(variables).index(name)] = 1
         return cls(variables, {tuple(pows): QQi(1)})
-
-    def _with(self, terms: dict) -> "Poly":
-        """Polynomial over self's variables with already-nonzero terms."""
-        r = Poly(self.vars)
-        r.terms = terms
-        return r
-
-    def zero(self) -> "Poly":
-        return Poly(self.vars)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _operand(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.vars, other)
-        if self.vars != other.vars:
-            raise ValueError("polynomials over different variable lists")
-        return other
-
-    def __add__(self, other) -> "Poly":
-        other = self._operand(other)
-        return self._with(_accumulate(dict(self.terms), other.terms.items()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-self._operand(other))
-
-    def __neg__(self) -> "Poly":
-        return self._with({p: -c for p, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
         other = self._operand(other)
@@ -117,11 +145,6 @@ class Poly:
             total += v
         return total
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -131,6 +154,132 @@ class Poly:
                             for v, e in zip(self.vars, pows) if e)
             bits.append(f"({c.re}+{c.im}i)" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+# -- exact trigonometric Laurent polynomials ---------------------------------
+
+
+class TrigLaurent(_Exact):
+    """Element of QQi[c_v, s_v, 1/s_v]/(c_v^2 + s_v^2 - 1) over named angles
+    v, with c_v = cos(v) and s_v = sin(v).
+
+    Every element has one canonical form: a sum of monomials that carry
+    c_v^a s_v^m per angle with a in {0, 1} and m an integer, since the ring
+    is free over the Laurent polynomials in the s_v with basis the products
+    of 1 and c_v.  A term is keyed by the flat tuple (a_1, m_1, a_2, m_2,
+    ...) over the angles; equality is equality of the term dicts.
+    """
+
+    __slots__ = ("_diffs",)
+    KEY_WIDTH = 2
+
+    def __init__(self, variables, terms=None):
+        super().__init__(variables, terms)
+        self._diffs = {}
+
+    def _with(self, terms: dict) -> "TrigLaurent":
+        r = super()._with(terms)
+        r._diffs = {}
+        return r
+
+    @classmethod
+    def from_expr(cls, variables, expr: "Expr") -> "TrigLaurent":
+        """The exact image of a product of constants, sin(v), cos(v) and
+        integer powers sin(v)^n; any other node raises TypeError.  A float
+        constant is a dyadic rational and is read exactly."""
+        variables = tuple(variables)
+        if isinstance(expr, Const):
+            return cls.constant(variables, _exact_const(expr.value))
+        if isinstance(expr, Mul):
+            out = cls.constant(variables, 1)
+            for arg in expr.args:
+                out = out * cls.from_expr(variables, arg)
+            return out
+        if isinstance(expr, Pow) and isinstance(expr.base, Sin):
+            fn, power = expr.base, expr.exponent
+        elif isinstance(expr, (Sin, Cos)):
+            fn, power = expr, 1
+        else:
+            raise TypeError(f"{type(expr).__name__} node has no exact "
+                            "trig-Laurent image")
+        if not isinstance(fn.arg, Var):
+            raise TypeError("a sine or cosine must take a bare variable")
+        key = [0] * (2 * len(variables))
+        key[2 * variables.index(fn.arg.name) + isinstance(fn, Sin)] = power
+        return cls(variables, {tuple(key): QQi(1)})
+
+    def __mul__(self, other) -> "TrigLaurent":
+        other = self._operand(other)
+        return self._with(_accumulate({}, (
+            (key, c1 * c2 if sign > 0 else -(c1 * c2))
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+            for key, sign in _trig_mono_mul(k1, k2))))
+
+    __rmul__ = __mul__
+
+    def diff(self, name: str) -> "TrigLaurent":
+        """d/dv, with d s_v = c_v and d c_v = -s_v; kept per angle, since
+        an element never changes and a bracket check differentiates each
+        operator coefficient once per pair it is in."""
+        out = self._diffs.get(name)
+        if out is None:
+            pos = 2 * self.vars.index(name)
+            out = self._diffs[name] = self._with(_accumulate({}, (
+                (key, c * f)
+                for k, c in self.terms.items()
+                for key, f in _trig_mono_diff(k, pos))))
+        return out
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for key, c in sorted(self.terms.items()):
+            mono = [f"{fn}({v})" + (f"^{e}" if e != 1 else "")
+                    for j, v in enumerate(self.vars)
+                    for fn, e in (("cos", key[2 * j]), ("sin", key[2 * j + 1]))
+                    if e]
+            bits.append("*".join([f"({c.re}+{c.im}i)"] + mono))
+        return " + ".join(bits)
+
+
+def _exact_const(value) -> QQi:
+    """A Const value as a Gaussian rational; a float (or each part of a
+    complex) is a dyadic rational, so Fraction reads it without rounding."""
+    if isinstance(value, int):
+        return QQi(value)
+    z = complex(value)
+    try:
+        return QQi(Fraction(z.real), Fraction(z.imag))
+    except (OverflowError, ValueError):
+        raise ValueError(f"constant {value!r} is not finite") from None
+
+
+def _trig_mono_mul(k1: tuple, k2: tuple) -> list:
+    """Product of two canonical monomials as [(key, +-1), ...]: each angle
+    whose cosine powers add to 2 splits by c^2 = 1 - s^2."""
+    out = [((), 1)]
+    for j in range(0, len(k1), 2):
+        a, m = k1[j] + k2[j], k1[j + 1] + k2[j + 1]
+        if a < 2:
+            out = [(key + (a, m), sign) for key, sign in out]
+        else:
+            out = [(key + (0, m + e), sign * f) for key, sign in out
+                   for e, f in ((0, 1), (2, -1))]
+    return out
+
+
+def _trig_mono_diff(k: tuple, pos: int) -> tuple:
+    """d/dv of one canonical monomial as ((key, integer factor), ...), v
+    the angle whose (a, m) pair starts at pos: d s^m = m c s^(m-1) and
+    d(c s^m) = m s^(m-1) - (m+1) s^(m+1)."""
+    a, m = k[pos], k[pos + 1]
+    head, tail = k[:pos], k[pos + 2:]
+    if not a:
+        return ((head + (1, m - 1) + tail, m),) if m else ()
+    out = ((head + (0, m - 1) + tail, m), (head + (0, m + 1) + tail, -(m + 1)))
+    return tuple((key, f) for key, f in out if f)
 
 
 # -- expression trees --------------------------------------------------------
@@ -421,10 +570,10 @@ class DiffOperator:
         """Exact [self, other] as a first-order operator.
 
         The symmetrized second-order part a_v b_w - b_v a_w + a_w b_v - b_w a_v
-        vanishes identically for commutative coefficients.  Poly and Expr
-        declare ``commutative`` and are not checked; for any other coefficient
-        type the part is evaluated at check_points (or at fixed default
-        points) and NotALieBracketError is raised if it survives.
+        vanishes identically for commutative coefficients.  Poly, TrigLaurent
+        and Expr declare ``commutative`` and are not checked; for any other
+        coefficient type the part is evaluated at check_points (or at fixed
+        default points) and NotALieBracketError is raised if it survives.
         """
         a0, b0 = self.zeroth, other.zeroth
         if not (getattr(a0, "commutative", False)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXACT_ZERO = "exact-zero"
 

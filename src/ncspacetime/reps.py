@@ -5,7 +5,10 @@
   length is carried as an extra polynomial symbol, so every bracket check
   is an exact operator identity).
 * build_rep_so32: the ten trigonometric-coefficient operators on the cone
-  contour functions of (phi1, phi2, theta1), verified numerically.
+  contour functions of (phi1, phi2, theta1).  exact_rep_so32 carries them
+  into the exact trig-Laurent ring (expressions.TrigLaurent), where
+  check_rep_exact decides every bracket; verify_relations samples the same
+  brackets numerically and is kept as the test oracle.
 * finite_boost_14: the finite hyperbolic rotation acting on contour
   functions, with branch recovery through the cone embedding.
 * homogeneous_extension / ConeChart: degree-sigma homogeneous extensions
@@ -17,7 +20,8 @@ generators of the cone representation are converted to upper-index ones by
 the same diagonal metric before any bracket check.
 
 numpy is imported only by the numeric checks (verify_relations and
-ConeChart.jacobian_determinant), on first use.
+ConeChart.jacobian_determinant), on first use, and by evaluating the
+sin/cos nodes of an Expr.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec,
                       Signature, eta4, m_id)
 from .expressions import (Const, Cos, DiffOperator, Expr, Mul, Poly, Pow,
-                          Sin, Var, stack_points)
+                          Sin, TrigLaurent, Var, stack_points)
 from .scalars import PARAMS, QQI_I, Scalar
 
 XI_VARS = ("xi0", "xi1", "xi2", "xi3", "xi4")
@@ -126,16 +130,18 @@ def rep_of_element(elem, rep: dict[int, DiffOperator],
     return out
 
 
-def check_rep_exact(rep: dict[int, DiffOperator],
-                    target: LieAlgebraSpec) -> list:
+def check_rep_exact(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
+                    coeff=scalar_to_poly) -> list:
     """All generator pairs whose operator commutator misses the table; the
-    empty list is the exact (zero-tolerance) success."""
+    empty list is the exact (zero-tolerance) success.  coeff maps the
+    table's scalars into the operators' coefficient ring, as for
+    rep_of_element."""
     bad = []
     ids = sorted(target.basis)
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1:]:
             lhs = rep[a].commutator(rep[b])
-            rhs = rep_of_element(target.bracket_ids(a, b), rep)
+            rhs = rep_of_element(target.bracket_ids(a, b), rep, coeff)
             if not lhs == rhs:
                 bad.append((a, b))
     return bad
@@ -160,8 +166,8 @@ def build_rep_so32(sigma: float, eps: int = 0) -> dict[int, DiffOperator]:
     g^{-1}).  The phi1-derivative term of the M_{20} operator carries the
     sign -sin(theta1)sin(phi1)/sin(phi2), matching the theta-rotated image
     of X_2; with the opposite sign the ten operators do not span a closed
-    Lie algebra at all (tests/test_reps.py flips it and checks that the
-    sampled relations fail).
+    Lie algebra at all (tests/test_reps.py flips it and checks that 11 of
+    the 45 brackets fail).
     """
     if eps not in (0, 1):
         raise ValueError("the parity label must be 0 or 1")
@@ -234,6 +240,18 @@ def build_rep_so32(sigma: float, eps: int = 0) -> dict[int, DiffOperator]:
         rep[gid] = iop.map_coeffs(
             lambda c, s=sign: Mul(Const(complex(0, -1) * s), c))
     return rep
+
+
+def exact_rep_so32(rep: dict[int, DiffOperator]) -> dict[int, DiffOperator]:
+    """The operators of build_rep_so32 with their coefficient trees read
+    exactly into the trig-Laurent ring over the contour angles."""
+    return {gid: op.map_coeffs(lambda c: TrigLaurent.from_expr(CONE_VARS, c))
+            for gid, op in rep.items()}
+
+
+def scalar_to_trig(s: Scalar) -> TrigLaurent:
+    """A constant Scalar as a constant of the trig-Laurent ring."""
+    return TrigLaurent.constant(CONE_VARS, s.constant_value())
 
 
 def make_test_functions(seed: int, count: int = 5) -> list[Expr]:

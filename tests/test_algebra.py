@@ -266,6 +266,25 @@ class TestSharedCleanTables:
         so6 = build_so6_algebra(sig)
         assert build_so6_algebra(Signature(sig.eps4, sig.eps5)) is so6
 
+    def test_positional_and_keyword_calls_share_one_spec(self):
+        sig = Signature(1, -1)
+        full = build_deformed_algebra(sig, "full")
+        assert build_deformed_algebra(sig, regime="full") is full
+        assert build_deformed_algebra(sig, "full", False) is full
+        assert build_deformed_algebra(sig=sig, regime="full",
+                                      extend_im=False) is full
+        im = build_deformed_algebra(sig, "spacetime", True)
+        assert build_deformed_algebra(sig, "spacetime", extend_im=True) is im
+        assert build_deformed_algebra(sig, regime="spacetime",
+                                      extend_im=True) is im
+        assert build_so6_algebra(sig=sig) is build_so6_algebra(sig)
+        build_deformed_algebra(sig, regime="tangent")
+        misses = build_deformed_algebra.cache_info().misses
+        build_deformed_algebra(sig, "tangent")
+        assert build_deformed_algebra.cache_info().misses == misses
+        with pytest.raises(TypeError):
+            build_deformed_algebra(sig, "full", regime="full")
+
     def test_failed_build_is_not_cached(self):
         size = build_deformed_algebra.cache_info().currsize
         with pytest.raises(ValueError):

@@ -123,7 +123,7 @@ class TestCliffordReport:
             args = ["--spec", spec] + args
         out = run_cli(*args)
         assert out.returncode == 0
-        assert '"schema_version": "2"' in out.stdout
+        assert '"schema_version": "3"' in out.stdout
         closure = {row["commutator"]: row["matches"]
                    for row in json.loads(out.stdout)["result"]["closure"]}
         assert {k: closure[k] for k in want} == want
@@ -476,14 +476,31 @@ class TestCommands:
         assert check["max_residual"] == "exact-zero"
 
     def test_rep_so32_tolerance_flag(self, tmp_path):
-        spec = write_spec(tmp_path, {"rep": {
-            "sigma": 1.5, "samples": 60, "seed": 3, "tolerance": 1e-8}})
-        out = run_cli("--spec", spec, "rep", "so32")
-        assert out.returncode == 0
-        report = json.loads(out.stdout)
-        check = next(c for c in report["checks"]
-                     if c["name"] == "rep_so32_brackets")
-        assert check["max_residual"] <= 1e-8
+        """rep.tolerance, and --tolerance over it, set the boost_group_law
+        threshold; the bracket check is exact and reads neither."""
+        def checks(tolerance, *flags):
+            spec = write_spec(tmp_path, {"rep": {
+                "sigma": 1.5, "samples": 60, "seed": 3,
+                "tolerance": tolerance}}, f"t{tolerance!r}.json")
+            out = run_cli(*flags, "--spec", spec, "rep", "so32")
+            return out.returncode, {c["name"]: c for c in
+                                    json.loads(out.stdout)["checks"]}
+
+        rc, got = checks(1e-8)
+        assert rc == 0
+        assert got["rep_so32_brackets"]["max_residual"] == "exact-zero"
+        law = got["boost_group_law"]["max_residual"]
+        assert 0 < law <= 1e-8
+        rc, got = checks(law / 2)
+        assert rc == 1
+        assert got["boost_group_law"]["status"] == "fail"
+        assert got["rep_so32_brackets"]["status"] == "pass"
+        rc, got = checks(law / 2, "--tolerance", repr(law))
+        assert rc == 0
+        assert got["boost_group_law"]["status"] == "pass"
+        rc, got = checks(1e-8, "--tolerance", repr(law / 2))
+        assert rc == 1
+        assert got["boost_group_law"]["status"] == "fail"
 
     @pytest.mark.parametrize("sigma", [1e160, 1e300])
     def test_rep_so32_huge_sigma_fails_with_report(self, tmp_path, sigma):
@@ -494,21 +511,24 @@ class TestCommands:
         checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
         assert checks["boost_group_law"]["status"] == "fail"
         assert checks["boost_group_law"]["max_residual"] == "inf"
+        # the brackets are exact at any finite sigma
+        assert checks["rep_so32_brackets"]["max_residual"] == "exact-zero"
 
     def test_rep_so32_explicit_seed_zero_wins(self, tmp_path):
-        def residual(rep_seed, *flags):
+        def residuals(rep_seed, *flags):
             spec = write_spec(tmp_path, {"rep": {
                 "samples": 20, "seed": rep_seed}}, f"s{rep_seed}.json")
             report = json.loads(run_cli(*flags, "--spec", spec,
                                         "rep", "so32").stdout)
-            check = next(c for c in report["checks"]
-                         if c["name"] == "rep_so32_brackets")
-            return report["seed"], check["max_residual"]
+            checks = {c["name"]: c["max_residual"] for c in report["checks"]}
+            assert checks["rep_so32_brackets"] == "exact-zero"
+            # the seed picks the boost check's points and test function
+            return report["seed"], checks["boost_group_law"]
 
-        seed, forced = residual(7, "--seed", "0")
+        seed, forced = residuals(7, "--seed", "0")
         assert seed == 0
-        assert forced == residual(0)[1]
-        spec_seed, own = residual(7)
+        assert forced == residuals(0)[1]
+        spec_seed, own = residuals(7)
         assert spec_seed == 7 and own != forced
 
     def test_casimir_deep_centrality(self):

@@ -1,11 +1,14 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ncspacetime.expressions import (Abs, Const, Cos, Cosh, DiffOperator,
+from ncspacetime.expressions import (Abs, Add, Const, Cos, Cosh, DiffOperator,
                                      Exp, Mul, NotALieBracketError, Poly, Pow,
-                                     Sign, Sin, Sinh, Var, stack_points)
+                                     Sign, Sin, Sinh, TrigLaurent, Var,
+                                     stack_points)
 from ncspacetime.scalars import QQi
 
 VARS = ("u", "v")
@@ -103,6 +106,101 @@ class TestExpr:
     def test_operator_sugar(self):
         f = Var("u") + 2 * Var("v") - 1
         assert f.evaluate({"u": 1.0, "v": 3.0}) == pytest.approx(6.0)
+
+
+ANGLES = ("phi1", "phi2", "theta1")
+
+
+def trig(expr):
+    return TrigLaurent.from_expr(ANGLES, expr)
+
+
+def tconst(x):
+    return TrigLaurent.constant(ANGLES, x)
+
+
+def random_trig(rng):
+    """Up to four terms with small Gaussian-rational coefficients and, per
+    angle, a cosine power in {0, 1} and a sine power in -3..3."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(e for _ in ANGLES
+                    for e in (rng.randint(0, 1), rng.randint(-3, 3)))
+        terms[key] = QQi(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                         rng.randint(-2, 2))
+    return TrigLaurent(ANGLES, terms)
+
+
+class TestTrigLaurent:
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_pythagoras(self, angle):
+        c, s = trig(Cos(Var(angle))), trig(Sin(Var(angle)))
+        assert c * c + s * s == tconst(1)
+        assert c * c == tconst(1) - s * s
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_derivatives(self, angle):
+        c, s = trig(Cos(Var(angle))), trig(Sin(Var(angle)))
+        csc = trig(Pow(Sin(Var(angle)), -1))
+        assert s.diff(angle) == c
+        assert c.diff(angle) == -s
+        assert csc.diff(angle) == -c * csc * csc
+        assert s * csc == tconst(1)
+        for other in ANGLES:
+            if other != angle:
+                assert csc.diff(other).is_zero
+
+    def test_product_rule_and_ring_laws_on_random_elements(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            f, g, h = (random_trig(rng) for _ in range(3))
+            assert f * g == g * f
+            assert (f * g) * h == f * (g * h)
+            assert f * (g + h) == f * g + f * h
+            assert (f - f).is_zero and f - f == f.zero()
+            for angle in ANGLES:
+                assert (f * g).diff(angle) == \
+                    f.diff(angle) * g + f * g.diff(angle)
+
+    def test_protocol(self):
+        f = trig(Sin(Var("phi2")))
+        assert TrigLaurent.commutative
+        assert f.zero().is_zero and not f.is_zero
+        assert f * 0 == f.zero() and f + 0 == f and -1 * f == -f
+        with pytest.raises(ValueError):
+            f + TrigLaurent(("phi1",), {(0, 1): 1})
+
+    @pytest.mark.parametrize("x", [0.37, -2.5, 0.1, 1e300, 5e-324])
+    def test_float_constants_are_read_exactly(self, x):
+        assert trig(Const(x)) == tconst(QQi(Fraction(x)))
+
+    def test_complex_and_product_constants(self):
+        # the conversion factor -i * sign of build_rep_so32
+        assert trig(Const(complex(0, -1) * -1)) == tconst(QQi(0, 1))
+        got = trig(Mul(Const(-1), Const(0.37), Cos(Var("theta1")),
+                       Pow(Sin(Var("phi2")), -1)))
+        assert got.terms == {(0, 0, 0, -1, 1, 0): QQi(-Fraction(0.37))}
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_raises(self, value):
+        with pytest.raises(ValueError):
+            trig(Const(value))
+
+    @pytest.mark.parametrize("expr", [
+        Add(Sin(Var("phi1")), Cos(Var("phi1"))), Exp(Var("phi1")),
+        Var("phi1"), Pow(Cos(Var("phi1")), 2), Sin(Mul(Const(2), Var("phi1"))),
+        Sinh(Var("phi1")),
+    ], ids=repr)
+    def test_other_nodes_raise_type_error(self, expr):
+        with pytest.raises(TypeError):
+            trig(expr)
+
+    def test_exact_commutator(self):
+        # [d/dphi1, sin(phi1)] = cos(phi1), decided exactly
+        d = DiffOperator(ANGLES, tconst(0), {"phi1": tconst(1)})
+        s = DiffOperator(ANGLES, trig(Sin(Var("phi1"))), {})
+        assert d.commutator(s) == DiffOperator(
+            ANGLES, trig(Cos(Var("phi1"))), {"phi1": tconst(0)})
 
 
 class TestDiffOperator:

@@ -58,4 +58,7 @@ def test_exact_commands_load_no_numpy(argv):
 @pytest.mark.parametrize("argv", [["verify"], ["rep", "so32"]],
                          ids=" ".join)
 def test_numeric_commands_import_numpy(argv):
+    """verify runs matrix oracles.  rep so32 decides its brackets exactly,
+    but its finite-boost checks evaluate Expr trees, whose sin/cos nodes
+    call numpy."""
     assert run_main(argv) == {"rc": 0, "numpy": True}

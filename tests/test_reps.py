@@ -4,13 +4,15 @@ import pytest
 
 from ncspacetime.algebra import (IM, M_IDS, P_IDS, X_IDS, Signature,
                                  build_deformed_algebra)
-from ncspacetime.expressions import Const, Mul, Poly
+from ncspacetime.cli import check_brackets
+from ncspacetime.expressions import Const, Exp, Mul, Poly, Var
 from ncspacetime.reps import (BOOST_EXPONENT_FACTOR, BOOST_GENERATOR_SIGN,
                               BoundaryPointError, ConeChart, HomogeneitySpec,
                               boost_14_point, build_rep_5d, build_rep_so32,
-                              check_rep_exact, finite_boost_14,
-                              homogeneous_extension, make_sample_points,
-                              make_test_functions, rep_of_element,
+                              check_rep_exact, exact_rep_so32,
+                              finite_boost_14, homogeneous_extension,
+                              make_sample_points, make_test_functions,
+                              rep_of_element, scalar_to_trig,
                               verify_relations, POLY_VARS)
 
 ALL_SIGS = [Signature(e4, e5) for e4 in (1, -1) for e5 in (1, -1)]
@@ -90,8 +92,7 @@ class TestRepSO32:
 
     def test_coefficient_mutation_detected(self, target, points, funcs):
         rep = build_rep_so32(0.37, 0)
-        rep[X_IDS[1]].firsts["theta1"] = Mul(
-            Const(1.01), rep[X_IDS[1]].firsts["theta1"])
+        scale_x1_theta1(rep)
         res = verify_relations(rep, target, points[:40], funcs[:3])
         assert max(res.values()) > 1e-3
 
@@ -99,8 +100,7 @@ class TestRepSO32:
         # the opposite sign of the phi1 term of M_{20} (the M02 operator)
         # leaves the ten operators without a closed Lie algebra
         rep = build_rep_so32(0.37, 0)
-        rep[M_IDS[1]].firsts["phi1"] = Mul(
-            Const(-1), rep[M_IDS[1]].firsts["phi1"])
+        flip_m20_phi1(rep)
         res = verify_relations(rep, target, points[:40], funcs[:3])
         assert max(res.values()) == pytest.approx(20.2549, abs=1e-3)
         assert sum(r > 1e-3 for r in res.values()) == 11
@@ -124,6 +124,104 @@ class TestRepSO32:
         assert rep[X_IDS[0]].apply(f, pt) == pytest.approx(-1j * dtheta)
         dphi1 = f.diff("phi1").evaluate(pt)
         assert rep[M_IDS[5]].apply(f, pt) == pytest.approx(-1j * dphi1)
+
+
+class TestFailingPairsNamed:
+    def test_rep_5d(self):
+        sig = Signature(1, 1)
+        target = build_deformed_algebra(sig, "tangent")
+        rep = build_rep_5d(sig)
+        rep[P_IDS[0]] = rep[P_IDS[0]].scale(2)
+        bad = check_rep_exact(rep, target)
+        check = check_brackets("rep_5d_brackets", bad, target)
+        assert (check.status, check.max_residual) == ("fail", 1.0)
+        names = [f"[{target.gen_name(a)},{target.gen_name(b)}]"
+                 for a, b in bad]
+        assert "[x0,p0]" in names
+        assert check.details == (f"{len(bad)} of 105 brackets fail: "
+                                 + ", ".join(names))
+
+    def test_rep_so32(self, target):
+        rep = build_rep_so32(0.37, 0)
+        flip_m20_phi1(rep)
+        check = check_brackets("rep_so32_brackets",
+                               exact_failures(rep, target), target)
+        assert check.status == "fail"
+        assert check.details.startswith(
+            "11 of 45 brackets fail: [X0,X2], [X0,M02], ")
+        clean = check_brackets("rep_so32_brackets", [], target)
+        assert (clean.status, clean.max_residual) == ("pass", "exact-zero")
+
+
+def exact_failures(rep, target) -> list:
+    return check_rep_exact(exact_rep_so32(rep), target, scalar_to_trig)
+
+
+def flip_m20_phi1(rep):
+    rep[M_IDS[1]].firsts["phi1"] = Mul(Const(-1), rep[M_IDS[1]].firsts["phi1"])
+
+
+def scale_x1_theta1(rep):
+    rep[X_IDS[1]].firsts["theta1"] = Mul(
+        Const(1.01), rep[X_IDS[1]].firsts["theta1"])
+
+
+# (sigma, parity, eps5 of the target, seed), as in test_operator_digest
+SAMPLED_SETS = ((1.0, 0, 1, 7), (-2.5, 1, -1, 11), (0.5, 0, -1, 23),
+                (3.25, 1, 1, 101))
+
+
+class TestRepSO32Exact:
+    @pytest.mark.parametrize("eps5", [1, -1])
+    @pytest.mark.parametrize("eps", [0, 1])
+    # the sampled benchmark's sigmas, the digest's and the extremes
+    @pytest.mark.parametrize("sigma", [0, 1, -2.5, 0.37, -0.8, 0.5, 1.3,
+                                       -0.25, 0.9, 3.25, 1e300])
+    def test_all_45_brackets_exact(self, sigma, eps, eps5):
+        target = build_deformed_algebra(Signature(1, eps5), "spacetime")
+        assert exact_failures(build_rep_so32(sigma, eps), target) == []
+
+    def test_m20_phi1_sign_flip_fails_exactly_the_sampled_pairs(
+            self, target, points, funcs):
+        rep = build_rep_so32(0.37, 0)
+        flip_m20_phi1(rep)
+        bad = exact_failures(rep, target)
+        res = verify_relations(rep, target, points[:40], funcs[:3])
+        assert len(bad) == 11
+        assert set(bad) == {pair for pair, r in res.items() if r > 1e-3}
+        assert [(target.gen_name(a), target.gen_name(b)) for a, b in bad] == [
+            ("X0", "X2"), ("X0", "M02"), ("X2", "M02"), ("X3", "M02"),
+            ("M01", "M02"), ("M01", "M12"), ("M02", "M03"), ("M02", "M12"),
+            ("M02", "M13"), ("M02", "M23"), ("M03", "M23")]
+
+    def test_coefficient_mutation_detected(self, target, points, funcs):
+        rep = build_rep_so32(0.37, 0)
+        scale_x1_theta1(rep)
+        bad = exact_failures(rep, target)
+        res = verify_relations(rep, target, points[:40], funcs[:3])
+        assert bad
+        assert set(bad) == {pair for pair, r in res.items() if r > 1e-3}
+
+    @pytest.mark.parametrize("sigma", [0.37, 1.5, -0.8])
+    @pytest.mark.parametrize("sampled_set", SAMPLED_SETS, ids=str)
+    def test_agrees_with_sampled_residuals(self, sampled_set, sigma):
+        """The exact check passes wherever the sampled residual is at most
+        1e-8, for the digest's sets at their own sigma and three more."""
+        own_sigma, parity, eps5, seed = sampled_set
+        target = build_deformed_algebra(Signature(1, eps5), "spacetime")
+        for s in (own_sigma, sigma):
+            rep = build_rep_so32(s, parity)
+            res = verify_relations(rep, target, make_sample_points(seed, 40),
+                                   make_test_functions(seed))
+            assert len(res) == 45
+            assert set(exact_failures(rep, target)) == {
+                pair for pair, r in res.items() if r > 1e-8}
+
+    def test_unsupported_node_raises(self, target):
+        rep = build_rep_so32(0.37, 0)
+        rep[X_IDS[0]].firsts["theta1"] = Exp(Var("theta1"))
+        with pytest.raises(TypeError):
+            exact_failures(rep, target)
 
 
 class TestFiniteBoost:

@@ -143,5 +143,5 @@ class TestReport:
         assert rep.dumps() == rep.dumps()
         parsed = json.loads(rep.dumps())
         assert parsed["seed"] == 7
-        assert parsed["schema_version"] == "2"
+        assert parsed["schema_version"] == "3"
         assert "constants" in parsed
