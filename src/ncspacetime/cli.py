@@ -140,6 +140,7 @@ def check_casimir_oracle(sig: Signature, kind: str, elem: EnvElement,
 
 
 def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
+    nonzero = []
     for spec in (full, tangent):
         regime = spec.regime
         derivs = derivation_set(regime, spec)
@@ -147,8 +148,12 @@ def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
             one_form = differential_of_generator(gid, regime, spec, derivs)
             dd = exterior_derivative(one_form, regime, spec, derivs)
             if not dd.is_zero:
-                return Check("d_squared_zero", "fail", 1.0,
-                             f"d(d({spec.gen_name(gid)})) != 0 in {regime})")
+                nonzero.append({
+                    "regime": regime, "generator": spec.gen_name(gid),
+                    "first_nonzero": [theta_name(lab) for lab in min(dd.comps)]})
+    if nonzero:
+        return Check("d_squared_zero", "fail", 1.0,
+                     {"nonzero": nonzero, "count": len(nonzero)})
     return Check("d_squared_zero", "pass", EXACT_ZERO,
                  "d(d(g)) = 0 for every generator, both regimes (exact)")
 
@@ -156,15 +161,16 @@ def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
 def check_worked_differentials(spec: LieAlgebraSpec) -> Check:
     sig = spec.signature
     derivs = derivation_set("full", spec)
-    for mu in range(4):
-        dx = differential_of_generator(X_IDS[mu], "full", spec, derivs)
-        if not dx == reference_differential_x(mu, sig):
-            return Check("worked_differentials", "fail", 1.0,
-                         f"dx{mu} does not match the printed closed form")
-        dp = differential_of_generator(P_IDS[mu], "full", spec, derivs)
-        if not dp == reference_differential_p(mu, sig):
-            return Check("worked_differentials", "fail", 1.0,
-                         f"dp{mu} does not match the printed closed form")
+    mismatched = []
+    for ids, reference in ((X_IDS, reference_differential_x),
+                           (P_IDS, reference_differential_p)):
+        for mu in range(4):
+            if differential_of_generator(ids[mu], "full", spec, derivs) \
+                    != reference(mu, sig):
+                mismatched.append("d" + spec.gen_name(ids[mu]))
+    if mismatched:
+        return Check("worked_differentials", "fail", 1.0,
+                     {"mismatched": mismatched, "count": len(mismatched)})
     return Check("worked_differentials", "pass", EXACT_ZERO,
                  "dx^mu and dp^mu match the printed one-forms exactly")
 

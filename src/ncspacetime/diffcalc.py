@@ -12,22 +12,32 @@ with every unlisted action zero.  (The d^4 action carries a trailing Im
 factor relative to the naive inner-derivation limit; it is nevertheless a
 bona fide derivation of the tangent relations, which the test suite checks.)
 
+A derivation works on the packed kernel (enveloping._Run).  In the full
+regime d^a = s_a * ad(g_a), with s_a = -i (-i/ell for d^4): the
+derivation holds its label's row of the rewrite engine's rows by reference
+and s_a as a packed coefficient, so a derivation set copies nothing from
+the table.  The tangent table is packed directly.
+
 p-forms are antisymmetric maps from tuples of derivation labels into the
 enveloping algebra, stored on strictly increasing label tuples.  The
 exterior derivative is the alternating-sum formula including the
 derivation-commutator term, which in the full regime is resolved back into
-the derivation basis through the structure constants.
+the derivation basis through the structure constants.  Each component of
+d(omega) is one kernel run that takes both sums.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
-from .algebra import (IM, M_IDS, P_IDS, X_IDS, LieAlgebraSpec, eta4,
+from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec, eta4,
                       levi_civita)
-from .enveloping import EnvElement, leibniz, packed_terms
-from .scalars import S_MINUS_I, Scalar
+from .enveloping import (EnvElement, _packed, _packed_terms, _Run, _times,
+                         leibniz)
+from .scalars import S_MINUS_I, QQi, Scalar
+
+_MINUS_I = QQi(0, -1)
+_MINUS_ONE = [(0, QQi(-1))]
 
 FULL_LABELS = X_IDS + P_IDS + M_IDS + (IM,)
 TANGENT_LABELS = P_IDS + (IM,)
@@ -53,7 +63,6 @@ def deriv_name(label: int) -> str:
 
 
 def _m_pair(gid: int):
-    from .algebra import M_PAIRS
     return M_PAIRS[gid - M_IDS[0]]
 
 
@@ -63,24 +72,25 @@ def theta_name(label: int) -> str:
 
 
 class Derivation:
-    """A derivation of the enveloping algebra, given by its generator values."""
+    """A derivation of the enveloping algebra: d(g) = scale * images[g] on
+    each letter g, every other letter (formal symbols included) constant.
 
-    def __init__(self, label: int, action: dict[int, EnvElement],
-                 spec: LieAlgebraSpec):
+    images is in the engine's packed form (packed_terms per letter); in the
+    full regime it is the engine's own row of the label and scale its
+    packed inner scale, in the tangent regime the printed table and None.
+    """
+
+    def __init__(self, label: int, images: dict, spec: LieAlgebraSpec,
+                 scale=None):
         self.label = label
-        self.action = action
+        self.images = images
         self.spec = spec
+        self.scale = scale
 
     def apply(self, a: EnvElement) -> EnvElement:
         """Leibniz extension to arbitrary canonical elements; formal
         symbols are constants."""
-        images = {}  # packed for this call, for the letters a holds
-        for word in a.terms:
-            for g in word:
-                if g not in images:
-                    image = self.action.get(g)
-                    images[g] = () if image is None else packed_terms(image)
-        return leibniz(a, images, self.spec)
+        return leibniz(a, self.images, self.spec, self.scale)
 
 
 def derivation_labels(regime: str) -> tuple[int, ...]:
@@ -91,52 +101,44 @@ def derivation_labels(regime: str) -> tuple[int, ...]:
     raise ValueError(f"no derivation set for regime {regime!r}")
 
 
-def _inner_scale(label: int) -> Scalar:
-    # d^mu ~ p^mu/i, d^{mu nu} ~ M/i, d^{x_mu} ~ x/i, d^4 ~ Im/(i*ell)
-    if label == IM:
-        return S_MINUS_I * Scalar.param("ell", -1)
-    return S_MINUS_I
+# d^a = s_a * ad(g_a) in the full regime: s_a = -i (d^mu ~ p^mu/i,
+# d^{mu nu} ~ M/i, d^{x_mu} ~ x/i) and s_4 = -i/ell (d^4 ~ Im/(i*ell)),
+# as packed coefficients (_packed)
+_SCALE = _packed(S_MINUS_I)
+_SCALE_D4 = _packed(S_MINUS_I * Scalar.param("ell", -1))
+
+
+def _tangent_images(eps4: int) -> dict:
+    """The printed five-derivation table, label -> packed images."""
+    out = {}
+    for mu in range(4):
+        e = [(0, QQi(eta4(mu, mu)))]
+        images = {X_IDS[mu]: [((IM,), e, 0)]}
+        for k, (a, b) in enumerate(M_PAIRS):
+            # d^mu(M^{ab}) = eta^{mu a} p^b - eta^{mu b} p^a
+            if a == mu:
+                images[M_IDS[k]] = [((P_IDS[b],), e, 0)]
+            elif b == mu:
+                images[M_IDS[k]] = [((P_IDS[a],), [(0, -e[0][1])], 0)]
+        out[P_IDS[mu]] = images
+    ell = _packed(Scalar.param("ell", 1, coeff=-eps4))
+    out[IM] = {X_IDS[mu]: [((P_IDS[mu], IM), *ell)] for mu in range(4)}
+    return out
 
 
 def derivation_set(regime: str, spec: LieAlgebraSpec) -> dict[int, Derivation]:
     """The derivation space of the calculus, keyed by label."""
     if spec.regime != regime:
         raise ValueError("spec regime does not match requested derivation set")
-    out = {}
     if regime == "full":
-        table = spec.table  # the nonzero brackets
-        for label in FULL_LABELS:
-            scale = _inner_scale(label)
-            action = {g: table[label, g].scale(scale)
-                      for g in spec.basis if (label, g) in table}
-            out[label] = Derivation(label, action, spec)
-        return out
+        rows = spec.engine.rows  # the nonzero brackets, packed
+        return {label: Derivation(label, rows[label], spec,
+                                  _SCALE_D4 if label == IM else _SCALE)
+                for label in FULL_LABELS}
     # tangent: the printed five-derivation table, unlisted actions zero
-    eps4 = spec.signature.eps4
-    for mu in range(4):
-        label = P_IDS[mu]
-        action = {}
-        e = 1 if mu == 0 else -1
-        action[X_IDS[mu]] = EnvElement.monomial((IM,), Scalar.of(e))
-        for k, (a, b) in enumerate(
-                ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))):
-            # d^sigma(M^{ab}) = eta^{sigma a} p^b - eta^{sigma b} p^a
-            val = EnvElement.zero()
-            if a == mu:
-                val = val + EnvElement.generator(P_IDS[b]).scale(
-                    Scalar.of(1 if mu == 0 else -1))
-            if b == mu:
-                val = val - EnvElement.generator(P_IDS[a]).scale(
-                    Scalar.of(1 if mu == 0 else -1))
-            if not val.is_zero:
-                action[M_IDS[k]] = val
-        out[label] = Derivation(label, action, spec)
-    action4 = {}
-    for mu in range(4):
-        action4[X_IDS[mu]] = EnvElement.monomial(
-            (P_IDS[mu], IM), Scalar.param("ell", 1, coeff=-eps4))
-    out[IM] = Derivation(IM, action4, spec)
-    return out
+    images = _tangent_images(spec.signature.eps4)
+    return {label: Derivation(label, images[label], spec)
+            for label in TANGENT_LABELS}
 
 
 def derivation_commutator_coeffs(a: int, b: int, regime: str,
@@ -157,15 +159,10 @@ def derivation_commutator_coeffs(a: int, b: int, regime: str,
             raise CalculusClosureError(
                 "derivation commutator leaves the derivation basis")
         # d^j = s_j * ad(g_j), so [d^a, d^b] = s_a s_b ad([g_a, g_b])
-        # = sum_j t_j * s_a s_b / s_j * d^j
-        out.append((gid, t * _scale_ratio(a, b, gid)))
+        # = sum_j t_j * s_a s_b / s_j * d^j, and s_a s_b / s_j = -i ell^k
+        k = (gid == IM) - (a == IM) - (b == IM)
+        out.append((gid, t * Scalar.param("ell", k, coeff=_MINUS_I)))
     return out
-
-
-@lru_cache(maxsize=4096)
-def _scale_ratio(a: int, b: int, j: int) -> Scalar:
-    """s_a * s_b / s_j for the inner scales s of _inner_scale."""
-    return _inner_scale(a) * _inner_scale(b) * _inner_scale(j).inverse()
 
 
 class PForm:
@@ -226,28 +223,54 @@ class PForm:
 
 def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,
                         derivs: dict[int, Derivation] | None = None) -> PForm:
-    """Chevalley-Eilenberg style differential on derivation-indexed forms."""
+    """Chevalley-Eilenberg style differential on derivation-indexed forms.
+
+    Each component is one kernel run: the Leibniz terms of every
+    (-1)^i d^{t_i}(omega(rest)), and the derivation-commutator terms added
+    as the normal-ordered words of omega they select.
+    """
     if derivs is None:
         derivs = derivation_set(regime, spec)
-    labels = derivation_labels(regime)
+    eng = spec.engine
     p = omega.degree
+    values = {tup: _packed_terms(eng, val) for tup, val in omega.comps.items()}
+    brackets = {}  # (a, b) -> packed [d^a, d^b] coefficients, this call only
     out: dict[tuple, EnvElement] = {}
-    for tup in itertools.combinations(labels, p + 1):
-        total = EnvElement.zero()
+    for tup in itertools.combinations(derivation_labels(regime), p + 1):
+        run = _Run(eng)
         for i in range(p + 1):
-            rest = tup[:i] + tup[i + 1:]
-            term = derivs[tup[i]].apply(omega.value(rest))
-            total = total + (term if i % 2 == 0 else -term)
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                rest = tuple(t for k, t in enumerate(tup) if k not in (i, j))
-                for lab, coeff in derivation_commutator_coeffs(
-                        tup[i], tup[j], regime, spec):
-                    val = omega.value((lab,) + rest).scale(coeff)
-                    total = total + (-val if (i + j) % 2 else val)
-        if not total.is_zero:
-            out[tup] = total
+            terms = values.get(tup[:i] + tup[i + 1:])
+            if terms:
+                d = derivs[tup[i]]
+                run.leibniz(terms, d.images, _signed(d.scale, i % 2))
+        for i, j in itertools.combinations(range(p + 1), 2):
+            pair = tup[i], tup[j]
+            coeffs = brackets.get(pair)
+            if coeffs is None:
+                coeffs = brackets[pair] = [
+                    (lab, *_packed(c)) for lab, c in
+                    derivation_commutator_coeffs(*pair, regime, spec)]
+            rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+            for lab, c, bc in coeffs:
+                sign = levi_civita(lab, *rest)
+                terms = sign and values.get(tuple(sorted((lab,) + rest)))
+                if terms:
+                    if sign * (-1) ** (i + j) < 0:
+                        c = [(m, -q) for m, q in c]
+                    for w, cw, bw in terms:
+                        run.add_normal(w, _times(c, cw), bc + bw)
+        if run.acc:
+            out[tup] = run.element()
     return PForm(p + 1, out)
+
+
+def _signed(scale, negate: bool):
+    """The packed coefficient scale (None for 1), negated if asked."""
+    if not negate:
+        return scale
+    if scale is None:
+        return _MINUS_ONE, 0
+    return [(m, -q) for m, q in scale[0]], scale[1]
 
 
 def contraction(omega: PForm, label: int) -> PForm:
@@ -293,7 +316,7 @@ def reference_differential_x(mu: int, sig) -> PForm:
     + (eta^{b mu} x^a - eta^{a mu} x^b) theta_{ab}
     - eps4*ell^2 M^{a mu} theta_{x_a}.
     """
-    from .algebra import M_PAIRS, m_id
+    from .algebra import m_id
     eps4 = sig.eps4
     comps = {}
     comps[(P_IDS[mu],)] = EnvElement.generator(IM).scale(
@@ -326,7 +349,7 @@ def reference_differential_p(mu: int, sig) -> PForm:
     + (eta^{b mu} p^a - eta^{a mu} p^b) theta_{ab}
     - eta^{a mu} Im theta_{x_a}.
     """
-    from .algebra import M_PAIRS, m_id
+    from .algebra import m_id
     comps = {}
     for nu in range(4):
         if nu == mu:

@@ -14,11 +14,12 @@ table that violates Jacobi.
 Each spec's RewriteEngine is made with the spec and holds its complete
 letter-bracket table; nothing in it changes afterwards.  The kernel (_Run)
 is one call of env_product, env_commutator, leibniz (ad_generator,
-derivations) or casimir.  Inside it a coefficient term is
-a parameter monomial packed into one int (the seven exponents as balanced
-base-2^64 digits, so multiplying monomials is one int add) times a QQi, and
-a normal form is a dict {(word, packed monomial): QQi}.  Scalars are built
-only for the words of the result.  The normal forms of the words met on the
+derivations) or casimir, or one component of an exterior derivative.
+Inside it a coefficient term is a parameter monomial packed into one int
+(the seven exponents as balanced base-2^64 digits, so multiplying monomials
+is one int add) times a QQi, and a normal form is a dict
+{(word, packed monomial): QQi}.  Scalars are built only for the words of
+the result.  The normal forms of the words met on the
 way are memoized in a dict local to the call, filled by an explicit work
 stack rather than by recursion, so word length is not bounded by Python's
 recursion limit and concurrent calls share no memo.  Coefficients
@@ -266,6 +267,26 @@ class _Run:
             form = self._order(word)
         _scatter(self.acc, form, coeff)
 
+    def add_normal(self, word: Word, coeff, bound: int) -> None:
+        """acc += coeff * word for a word taken to be in normal form."""
+        if bound > self.bound:
+            self.bound = bound
+        _scatter(self.acc, {(word, 0): QQI_ONE}, coeff)
+
+    def leibniz(self, terms, images: dict, scale=None) -> None:
+        """acc += D(a) for a in packed form (packed_terms) and the
+        derivation D with D(g) = scale * images[g]; see leibniz."""
+        for word, c, bc in terms:
+            if scale is not None:
+                c = _times(c, scale[0])
+                bc += scale[1]
+            for k, letter in enumerate(word):
+                image = images.get(letter)
+                if image:
+                    head, tail = word[:k], word[k + 1:]
+                    for w, cs, bs in image:
+                        self.add(head + w + tail, _times(c, cs), bc + bs)
+
     def _order(self, word: Word) -> dict:
         """memo[word], filling in every missing word it rewrites to first.
 
@@ -371,22 +392,22 @@ def env_commutator(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvEle
     return run.element()
 
 
-def leibniz(a: EnvElement, images: dict, spec: LieAlgebraSpec) -> EnvElement:
-    """The derivation D with D(g) = images[g] applied to a.
+def leibniz(a: EnvElement, images: dict, spec: LieAlgebraSpec,
+            scale=None) -> EnvElement:
+    """The derivation D with D(g) = scale * images[g] applied to a.
 
-    images maps a letter to its image in packed form (packed_terms); a
-    letter it does not map is a constant.  Each word u*g*v of a
-    contributes the normal forms of u*w*v over the terms w of D(g), all in
-    one kernel call.
+    images maps a letter to its image in packed form (packed_terms), such
+    as a row of the engine's rows; a letter it does not map is a constant.
+    scale, if given, is a packed coefficient (_packed: a list of
+    (mono, QQi) and its exponent bound).  Each word u*g*v of a contributes
+    the normal forms of u*w*v over the terms w of D(g), all in one kernel
+    call.
     """
     if not a.terms:
         return EnvElement()
     eng = get_engine(spec)
     run = _Run(eng)
-    for word, c, bc in _packed_terms(eng, a):
-        for k, letter in enumerate(word):
-            for w, cs, bs in images.get(letter, ()):
-                run.add(word[:k] + w + word[k + 1:], _times(c, cs), bc + bs)
+    run.leibniz(_packed_terms(eng, a), images, scale)
     return run.element()
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 
 SCHEMA_VERSION = "3"
 
@@ -92,35 +93,59 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _escape_string(s: str) -> str:
-    import json
-    return json.dumps(s, ensure_ascii=True)
+# each value's class, or for an instance of a subclass the first of these
+# it is an instance of (the order of the checks: bool before int)
+_KINDS = (type(None), bool, int, float, str, list, tuple, dict)
+_EXACT_KINDS = frozenset(_KINDS)
+
+
+def _key_text(item) -> str:
+    return str(item[0])
 
 
 def canonical_dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return _escape_string(obj)
-    if isinstance(obj, (list, tuple)):
+    out = []
+    _emit(obj, "\n" + "  " * indent, out)
+    return "".join(out)
+
+
+def _emit(obj, nl: str, out: list) -> None:
+    """Append the text of obj to out; nl is a newline and the indent of
+    the line obj starts on."""
+    cls = obj.__class__
+    if cls not in _EXACT_KINDS:
+        cls = next((k for k in _KINDS if isinstance(obj, k)), cls)
+    if cls is str:
+        out.append(_escape(obj))
+    elif cls is dict:
         if not obj:
-            return "[]"
-        body = ",\n".join(pad_in + canonical_dumps(v, indent + 1) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{"
+        for k, v in sorted(obj.items(), key=_key_text):
+            out += sep, inner, _escape(str(k)), ": "
+            _emit(v, inner, out)
+            sep = ","
+        out += nl, "}"
+    elif cls is list or cls is tuple:
         if not obj:
-            return "{}"
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        body = ",\n".join(
-            f"{pad_in}{_escape_string(str(k))}: {canonical_dumps(v, indent + 1)}"
-            for k, v in items)
-        return "{\n" + body + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "["
+        for v in obj:
+            out += sep, inner
+            _emit(v, inner, out)
+            sep = ","
+        out += nl, "]"
+    elif cls is int:
+        out.append(str(obj))
+    elif cls is float:
+        out.append(_format_float(obj))
+    elif cls is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")

@@ -47,15 +47,16 @@ class TestDerivationSets:
     def test_full_x_derivation_on_x(self, full_derivs):
         # d^{x_alpha}(x^mu) = -eps4*ell^2*M^{alpha mu}; here alpha=1, mu=0
         # and M^{10} = -M01, so the value is +ell^2*M01
-        got = full_derivs[X_IDS[1]].action[X_IDS[0]]
+        got = full_derivs[X_IDS[1]].apply(EnvElement.generator(X_IDS[0]))
         want = EnvElement.generator(M_IDS[0]).scale(Scalar.param("ell", 2))
         assert got == want
 
     def test_tangent_d4_on_m_vanishes(self, tangent_derivs):
-        assert M_IDS[0] not in tangent_derivs[IM].action
+        d4 = tangent_derivs[IM]
+        assert d4.apply(EnvElement.generator(M_IDS[0])).is_zero
 
     def test_tangent_d4_on_x_has_trailing_im(self, tangent_derivs):
-        got = tangent_derivs[IM].action[X_IDS[0]]
+        got = tangent_derivs[IM].apply(EnvElement.generator(X_IDS[0]))
         want = EnvElement.monomial((P_IDS[0], IM), Scalar.param("ell", 1, coeff=-1))
         assert got == want
 
@@ -77,7 +78,7 @@ class TestDerivationSets:
         # d^a acts as the normalized commutator on every generator
         for lab, d in full_derivs.items():
             for g in full.basis:
-                got = d.action.get(g, EnvElement.zero())
+                got = d.apply(EnvElement.generator(g))
                 comm = env_commutator(EnvElement.generator(lab),
                                       EnvElement.generator(g), full)
                 factor = Scalar.i() if lab != IM else \
@@ -252,3 +253,54 @@ def test_theta_names():
     assert theta_name(IM) == "theta4"
     assert theta_name(M_IDS[0]) == "theta01"
     assert theta_name(X_IDS[2]) == "theta_x2"
+
+
+class TestNamedFailures:
+    """On the mutated full table [p0,x0] = 0, the d^2 and worked-form
+    checks name every failing generator, not only the first."""
+
+    @pytest.fixture(scope="class")
+    def mutated(self):
+        from ncspacetime.specfile import load_specfile
+        return load_specfile({"regime": "full", "structure_overrides":
+                              {"[p0,x0]": "0"}}).build()
+
+    def test_d_squared_names_every_generator(self, mutated, tangent):
+        from ncspacetime.cli import check_d_squared
+        check = check_d_squared(mutated, tangent)
+        assert check.status == "fail"
+        names = [(f["regime"], f["generator"]) for f in check.details["nonzero"]]
+        assert names == [("full", g) for g in (
+            "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
+            "M01", "M02", "M03")]
+        assert check.details["count"] == 11
+        first = {f["generator"]: f["first_nonzero"]
+                 for f in check.details["nonzero"]}
+        assert first["x0"] == ["theta_x1", "theta0"]
+        assert first["p0"] == ["theta_x0", "theta_x1"]
+        assert first["M01"] == ["theta_x0", "theta1"]
+
+    def test_d_squared_first_pair_is_nonzero(self, mutated, tangent):
+        from ncspacetime.cli import check_d_squared
+        derivs = derivation_set("full", mutated)
+        by_name = {mutated.gen_name(g): g for g in mutated.basis}
+        for f in check_d_squared(mutated, tangent).details["nonzero"]:
+            gid = by_name[f["generator"]]
+            dd = exterior_derivative(
+                differential_of_generator(gid, "full", mutated, derivs),
+                "full", mutated, derivs)
+            pair = min(dd.comps)
+            assert [theta_name(lab) for lab in pair] == f["first_nonzero"]
+            assert not dd.value(pair).is_zero
+
+    def test_worked_differentials_names_every_form(self, mutated):
+        from ncspacetime.cli import check_worked_differentials
+        check = check_worked_differentials(mutated)
+        assert check.status == "fail"
+        assert check.details == {"mismatched": ["dx0", "dp0"], "count": 2}
+
+    def test_clean_tables_pass(self, full, tangent):
+        from ncspacetime.cli import check_d_squared, check_worked_differentials
+        assert check_d_squared(full, tangent).details == \
+            "d(d(g)) = 0 for every generator, both regimes (exact)"
+        assert check_worked_differentials(full).status == "pass"
