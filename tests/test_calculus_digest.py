@@ -53,7 +53,7 @@ def _form_lines(form: PForm, regime: str):
         yield f"{labels} {format_env(val, regime)}"
 
 
-def random_form(rng, spec, labels, degree: int, n_comps: int) -> PForm:
+def _random_form(rng, spec, labels, degree: int, n_comps: int) -> PForm:
     comps = {}
     for _ in range(n_comps):
         tup = tuple(sorted(rng.sample(labels, degree)))
@@ -71,10 +71,10 @@ def _spec_lines(spec, rng):
         yield from _form_lines(
             exterior_derivative(d1, regime, spec, derivs), regime)
     for degree in (1, 2):
-        form = random_form(rng, spec, labels, degree, 3)
+        form = _random_form(rng, spec, labels, degree, 3)
         yield from _form_lines(
             exterior_derivative(form, regime, spec, derivs), regime)
-    form = random_form(rng, spec, labels, 1, 2)
+    form = _random_form(rng, spec, labels, 1, 2)
     yield from _form_lines(
         lie_derivative(form, rng.choice(labels), regime, spec, derivs),
         regime)
