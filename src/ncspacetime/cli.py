@@ -31,7 +31,7 @@ from .report import EXACT_ZERO, Check, Report
 from .reps import (build_rep_5d, build_rep_so32, check_rep_exact,
                    exact_rep_so32, finite_boost_14, make_sample_points,
                    make_test_functions, max_residual, scalar_to_trig)
-from .scalars import Scalar
+from .scalars import CoefficientSizeError, Scalar
 from .specfile import SpecFile, SpecFileError, load_specfile_path
 
 USAGE_EXIT = 2
@@ -64,12 +64,15 @@ def check_jacobi(spec: LieAlgebraSpec) -> Check:
 
 
 def check_orthogonal_symbolic(full: LieAlgebraSpec) -> Check:
-    """full is the clean full-regime table of its signature."""
+    """The so(eta6) table pushed through the identification against full,
+    a full-regime table of the same signature; names every pair that
+    differs."""
     sig = full.signature
     so6 = build_so6_algebra(sig)
     ident = identify_orthogonal(sig)
     phi_locus = {"phi": Scalar.param("R_inv", 2, coeff=sig.eps5)}
     ids = sorted(full.basis)
+    mismatched = []
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1:]:
             ka, sa = ident.to_mab(a)
@@ -79,8 +82,10 @@ def check_orthogonal_symbolic(full: LieAlgebraSpec) -> Check:
             direct = full.bracket_ids(a, b).map_scalars(
                 lambda s: s.substitute(phi_locus))
             if not (pushed - direct).is_zero:
-                return Check("orthogonal_realization_symbolic", "fail", 1.0,
-                             f"mismatch at [{full.gen_name(a)},{full.gen_name(b)}]")
+                mismatched.append(f"[{full.gen_name(a)},{full.gen_name(b)}]")
+    if mismatched:
+        return Check("orthogonal_realization_symbolic", "fail", 1.0,
+                     {"mismatched": mismatched, "count": len(mismatched)})
     return Check("orthogonal_realization_symbolic", "pass", EXACT_ZERO,
                  "so(eta6) table pushed through the identification matches "
                  "the full table with phi = eps5*R_inv^2")
@@ -536,7 +541,7 @@ def main(argv=None) -> int:
     try:
         report = _DISPATCH[args.command](spec_file, args)
     except (MiniLangError, SpecFileError, UnsupportedInverseError,
-            ExponentRangeError) as exc:
+            ExponentRangeError, CoefficientSizeError) as exc:
         print(f"ncst: {exc}", file=sys.stderr)
         return USAGE_EXIT
     text = report.dumps()

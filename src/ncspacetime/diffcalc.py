@@ -15,8 +15,8 @@ bona fide derivation of the tangent relations, which the test suite checks.)
 A derivation works on the packed kernel (enveloping._Run).  In the full
 regime d^a = s_a * ad(g_a), with s_a = -i (-i/ell for d^4): the
 derivation holds its label's row of the rewrite engine's rows by reference
-and s_a as a packed coefficient, so a derivation set copies nothing from
-the table.  The tangent table is packed directly.
+and the terms of s_a, so a derivation set copies nothing from the table.
+The tangent table is built directly in the rows' form.
 
 p-forms are antisymmetric maps from tuples of derivation labels into the
 enveloping algebra, stored on strictly increasing label tuples.  The
@@ -32,12 +32,10 @@ import itertools
 
 from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec, eta4,
                       levi_civita)
-from .enveloping import (EnvElement, _packed, _packed_terms, _Run, _times,
-                         leibniz)
+from .enveloping import EnvElement, _Run, _terms, _times, leibniz
 from .scalars import S_MINUS_I, QQi, Scalar
 
 _MINUS_I = QQi(0, -1)
-_MINUS_ONE = [(0, QQi(-1))]
 
 FULL_LABELS = X_IDS + P_IDS + M_IDS + (IM,)
 TANGENT_LABELS = P_IDS + (IM,)
@@ -75,9 +73,10 @@ class Derivation:
     """A derivation of the enveloping algebra: d(g) = scale * images[g] on
     each letter g, every other letter (formal symbols included) constant.
 
-    images is in the engine's packed form (packed_terms per letter); in the
-    full regime it is the engine's own row of the label and scale its
-    packed inner scale, in the tangent regime the printed table and None.
+    images is in the form of the engine's rows ((word, coefficient items)
+    pairs per letter); in the full regime it is the engine's own row of the
+    label and scale the items of its inner scale, in the tangent regime
+    the printed table and None.
     """
 
     def __init__(self, label: int, images: dict, spec: LieAlgebraSpec,
@@ -102,27 +101,26 @@ def derivation_labels(regime: str) -> tuple[int, ...]:
 
 
 # d^a = s_a * ad(g_a) in the full regime: s_a = -i (d^mu ~ p^mu/i,
-# d^{mu nu} ~ M/i, d^{x_mu} ~ x/i) and s_4 = -i/ell (d^4 ~ Im/(i*ell)),
-# as packed coefficients (_packed)
-_SCALE = _packed(S_MINUS_I)
-_SCALE_D4 = _packed(S_MINUS_I * Scalar.param("ell", -1))
+# d^{mu nu} ~ M/i, d^{x_mu} ~ x/i) and s_4 = -i/ell (d^4 ~ Im/(i*ell))
+_SCALE = S_MINUS_I.terms.items()
+_SCALE_D4 = (S_MINUS_I * Scalar.param("ell", -1)).terms.items()
 
 
 def _tangent_images(eps4: int) -> dict:
-    """The printed five-derivation table, label -> packed images."""
+    """The printed five-derivation table, label -> images."""
     out = {}
     for mu in range(4):
-        e = [(0, QQi(eta4(mu, mu)))]
-        images = {X_IDS[mu]: [((IM,), e, 0)]}
+        e = Scalar.of(eta4(mu, mu))
+        images = {X_IDS[mu]: [((IM,), e.terms.items())]}
         for k, (a, b) in enumerate(M_PAIRS):
             # d^mu(M^{ab}) = eta^{mu a} p^b - eta^{mu b} p^a
             if a == mu:
-                images[M_IDS[k]] = [((P_IDS[b],), e, 0)]
+                images[M_IDS[k]] = [((P_IDS[b],), e.terms.items())]
             elif b == mu:
-                images[M_IDS[k]] = [((P_IDS[a],), [(0, -e[0][1])], 0)]
+                images[M_IDS[k]] = [((P_IDS[a],), (-e).terms.items())]
         out[P_IDS[mu]] = images
-    ell = _packed(Scalar.param("ell", 1, coeff=-eps4))
-    out[IM] = {X_IDS[mu]: [((P_IDS[mu], IM), *ell)] for mu in range(4)}
+    ell = Scalar.param("ell", 1, coeff=-eps4).terms.items()
+    out[IM] = {X_IDS[mu]: [((P_IDS[mu], IM), ell)] for mu in range(4)}
     return out
 
 
@@ -233,8 +231,8 @@ def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,
         derivs = derivation_set(regime, spec)
     eng = spec.engine
     p = omega.degree
-    values = {tup: _packed_terms(eng, val) for tup, val in omega.comps.items()}
-    brackets = {}  # (a, b) -> packed [d^a, d^b] coefficients, this call only
+    values = {tup: _terms(eng, val) for tup, val in omega.comps.items()}
+    brackets = {}  # (a, b) -> [d^a, d^b] coefficients, this call only
     out: dict[tuple, EnvElement] = {}
     for tup in itertools.combinations(derivation_labels(regime), p + 1):
         run = _Run(eng)
@@ -247,30 +245,29 @@ def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,
             pair = tup[i], tup[j]
             coeffs = brackets.get(pair)
             if coeffs is None:
-                coeffs = brackets[pair] = [
-                    (lab, *_packed(c)) for lab, c in
-                    derivation_commutator_coeffs(*pair, regime, spec)]
+                coeffs = brackets[pair] = \
+                    derivation_commutator_coeffs(*pair, regime, spec)
             rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
-            for lab, c, bc in coeffs:
+            for lab, c in coeffs:
                 sign = levi_civita(lab, *rest)
                 terms = sign and values.get(tuple(sorted((lab,) + rest)))
                 if terms:
                     if sign * (-1) ** (i + j) < 0:
-                        c = [(m, -q) for m, q in c]
-                    for w, cw, bw in terms:
-                        run.add_normal(w, _times(c, cw), bc + bw)
+                        c = -c
+                    for w, cw in terms:
+                        run.add_normal(w, _times(c.terms.items(), cw))
         if run.acc:
             out[tup] = run.element()
     return PForm(p + 1, out)
 
 
 def _signed(scale, negate: bool):
-    """The packed coefficient scale (None for 1), negated if asked."""
+    """The coefficient items scale (None for 1), negated if asked."""
     if not negate:
         return scale
     if scale is None:
-        return _MINUS_ONE, 0
-    return [(m, -q) for m, q in scale[0]], scale[1]
+        return ((0, QQi(-1)),)
+    return [(m, -q) for m, q in scale]
 
 
 def contraction(omega: PForm, label: int) -> PForm:

@@ -15,17 +15,14 @@ Each spec's RewriteEngine is made with the spec and holds its complete
 letter-bracket table; nothing in it changes afterwards.  The kernel (_Run)
 is one call of env_product, env_commutator, leibniz (ad_generator,
 derivations) or casimir, or one component of an exterior derivative.
-Inside it a coefficient term is a parameter monomial packed into one int
-(the seven exponents as balanced base-2^64 digits, so multiplying monomials
-is one int add) times a QQi, and a normal form is a dict
-{(word, packed monomial): QQi}.  Scalars are built only for the words of
-the result.  The normal forms of the words met on the
-way are memoized in a dict local to the call, filled by an explicit work
-stack rather than by recursion, so word length is not bounded by Python's
-recursion limit and concurrent calls share no memo.  Coefficients
-need no grading: a multi-term Scalar is simply several packed terms.  A
-call whose exponents could leave the 64-bit digits raises
-ExponentRangeError instead of returning a wrong monomial.
+Inside it a coefficient is the (monomial key, QQi) items of a Scalar, taken
+as they are (multiplying monomials is adding keys), and a normal form is a
+dict {(word, monomial key): QQi}.  The normal forms of the words met on the way are memoized in a
+dict local to the call, filled by an explicit work stack rather than by
+recursion, so word length is not bounded by Python's recursion limit and
+concurrent calls share no memo.  Coefficients need no grading: a
+multi-term Scalar is simply several terms.  A result exponent of 2^63 or
+more in magnitude raises ExponentRangeError (see scalars).
 
 Two extensions beyond the plain PBW basis:
 
@@ -43,17 +40,17 @@ Two extensions beyond the plain PBW basis:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
                       _MAB_INDEX, build_deformed_algebra, identify_orthogonal,
                       levi_civita)
-from .scalars import (_NPAR, PARAMS, QQI_ONE, QQi, Scalar, _accumulate, _new,
-                      _norm, _scalar)
+from .scalars import (QQI_ONE, ExponentRangeError, QQi, Scalar, _accumulate,
+                      _checked, _new, _norm, _scalar, powers)
+
+__all__ = ["ExponentRangeError"]  # re-exported from scalars
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
-_R_INV, _PHI = PARAMS.index("R_inv"), PARAMS.index("phi")
 
 
 class UnsupportedInverseError(ValueError):
@@ -64,9 +61,8 @@ class RewriteEngine:
     """Normal-ordering engine bound to one frozen structure-constant table.
 
     Made once with its spec and never changed afterwards.  rows[a][b] holds
-    [g_a, g_b] for every key of spec.table in packed form, plus the
-    brackets of ImInv where allow_iminv holds, as lists of
-    (word, [(mono, QQi)], exponent bound).
+    [g_a, g_b] for every key of spec.table, plus the brackets of ImInv
+    where allow_iminv holds, as lists of (word, coefficient items).
     rows has a key for every letter a word may hold, formal symbols aside.
     Every normal-order memo belongs to one kernel call (_Run).
     """
@@ -79,7 +75,7 @@ class RewriteEngine:
         table = spec.table
         self.rows = rows = {g: {} for g in spec.basis}
         for (a, b), elem in table.items():
-            rows[a][b] = packed_terms(elem)
+            rows[a][b] = _items(elem)
         im_row = {g: e for (a, g), e in table.items() if a == IM}
         # ImInv closes when Im is central, or in the tangent regime when
         # every [Im, g] lands on generators commuting with Im.
@@ -90,18 +86,13 @@ class RewriteEngine:
         if self.allow_iminv:
             rows[IMINV] = {}
 
-            def squared(elem):  # elem * ImInv^2, packed
-                return [(w + (IMINV, IMINV), c, bound)
-                        for w, c, bound in packed_terms(elem)]
+            def squared(elem):  # elem * ImInv^2
+                return [(w + (IMINV, IMINV), c) for w, c in _items(elem)]
             # [g, ImInv] = ImInv [Im, g] ImInv = [Im, g] ImInv^2 and
             # [ImInv, g] = [g, Im] ImInv^2, central parts included
             for g in im_row:
                 rows[g][IMINV] = squared(table[IM, g])
                 rows[IMINV][g] = squared(table[g, IM])
-        # largest exponent magnitude of any bracket coefficient
-        self.exp_bound = max((bound for row in self.rows.values()
-                              for terms in row.values()
-                              for _, _, bound in terms), default=0)
 
     def check_letter(self, gid: int) -> None:
         """Raise unless gid is a letter of this engine's words."""
@@ -142,7 +133,7 @@ class RewriteEngine:
                     while True:
                         head = w[:j]
                         mid = w[j + 1:k + 1] + tail
-                        for bw, coeff, _ in rows[w[j]].get(v, ()):
+                        for bw, coeff in rows[w[j]].get(v, ()):
                             rest.append((head + bw + mid, coeff))
                         first = head + (v,) + w[j:k + 1] + tail
                         if not j or not v < w[j - 1] < FORMAL_BASE \
@@ -158,52 +149,25 @@ class RewriteEngine:
         """Normal form of one word, in one kernel call of its own."""
         self.check_word(word)
         run = _Run(self)
-        run.add(word, _UNIT, 0)
+        run.add(word, _UNIT)
         return run.element().terms
 
 
 # -- the kernel ------------------------------------------------------------
 
-_FIELD = 64
-_HALF = 1 << (_FIELD - 1)
-_MASK = (1 << _FIELD) - 1
 _UNIT = ((0, QQI_ONE),)
 
 
-class ExponentRangeError(ValueError):
-    """A parameter exponent too large for a packed monomial."""
+def _items(a: EnvElement) -> list:
+    """a as a list of (word, coefficient items)."""
+    return [(w, s.terms.items()) for w, s in a.terms.items()]
 
 
-@lru_cache(maxsize=4096)
-def _pack(pows: tuple) -> tuple[int, int]:
-    """The exponents as the balanced base-2^_FIELD digits of one int, and
-    their largest magnitude."""
-    m = 0
-    for e in reversed(pows):
-        m = (m << _FIELD) + e
-    return m, max(max(pows), -min(pows))
-
-
-@lru_cache(maxsize=4096)
-def _unpack(m: int) -> tuple:
-    pows = []
-    for _ in range(_NPAR):
-        e = ((m + _HALF) & _MASK) - _HALF
-        pows.append(e)
-        m = (m - e) >> _FIELD
-    return tuple(pows)
-
-
-def _packed(s: Scalar):
-    """s as a list of (mono, QQi), and its largest exponent magnitude."""
-    out = []
-    bound = 0
-    for pows, q in s.terms.items():
-        m, b = _pack(pows)
-        out.append((m, q))
-        if b > bound:
-            bound = b
-    return out, bound
+def _terms(eng: RewriteEngine, a: EnvElement) -> list:
+    """_items(a), each word checked against the engine's letters."""
+    for w in a.terms:
+        eng.check_word(w)
+    return _items(a)
 
 
 def _times(c1, c2) -> list:
@@ -244,48 +208,40 @@ def _scatter(acc: dict, form: dict, coeff) -> None:
 class _Run:
     """One kernel call: a local normal-order memo and one accumulator.
 
-    Both map to packed terms {(word, mono): QQi}.  memo[w] is the normal
-    form of the word w; acc is the running result.  bound is the largest
-    exponent magnitude of any coefficient added.
+    Both hold normal forms {(word, monomial key): QQi}.  memo[w] is the
+    normal form of the word w; acc is the running result.
     """
 
-    __slots__ = ("eng", "memo", "acc", "bound")
+    __slots__ = ("eng", "memo", "acc")
 
     def __init__(self, eng: RewriteEngine):
         self.eng = eng
         self.memo: dict[Word, dict] = {}
         self.acc: dict[tuple, QQi] = {}
-        self.bound = 0
 
-    def add(self, word: Word, coeff, bound: int) -> None:
-        """acc += coeff * word, coeff a list of (mono, QQi) whose exponents
-        are at most bound in magnitude."""
-        if bound > self.bound:
-            self.bound = bound
+    def add(self, word: Word, coeff) -> None:
+        """acc += coeff * word, coeff an iterable of (key, QQi)."""
         form = self.memo.get(word)
         if form is None:
             form = self._order(word)
         _scatter(self.acc, form, coeff)
 
-    def add_normal(self, word: Word, coeff, bound: int) -> None:
+    def add_normal(self, word: Word, coeff) -> None:
         """acc += coeff * word for a word taken to be in normal form."""
-        if bound > self.bound:
-            self.bound = bound
         _scatter(self.acc, {(word, 0): QQI_ONE}, coeff)
 
     def leibniz(self, terms, images: dict, scale=None) -> None:
-        """acc += D(a) for a in packed form (packed_terms) and the
+        """acc += D(a) for a as (word, coefficient items) pairs and the
         derivation D with D(g) = scale * images[g]; see leibniz."""
-        for word, c, bc in terms:
+        for word, c in terms:
             if scale is not None:
-                c = _times(c, scale[0])
-                bc += scale[1]
+                c = _times(c, scale)
             for k, letter in enumerate(word):
                 image = images.get(letter)
                 if image:
                     head, tail = word[:k], word[k + 1:]
-                    for w, cs, bs in image:
-                        self.add(head + w + tail, _times(c, cs), bc + bs)
+                    for w, cs in image:
+                        self.add(head + w + tail, _times(c, cs))
 
     def _order(self, word: Word) -> dict:
         """memo[word], filling in every missing word it rewrites to first.
@@ -323,42 +279,19 @@ class _Run:
         return memo[word]
 
     def element(self) -> EnvElement:
-        """The accumulated result, with Scalar coefficients.
-
-        An output exponent is an input coefficient's plus one bracket
-        coefficient's per rewrite step, and a chain of steps visits each
-        memoized word at most once; within the bound below every exponent
-        is a digit of its packed monomial, so no field has carried.
-        """
-        if self.bound + self.eng.exp_bound * (len(self.memo) + 1) >= _HALF:
-            raise ExponentRangeError(
-                f"parameter exponents must stay below 2^{_FIELD - 1} in "
-                "magnitude through normal ordering")
-        grouped: dict[Word, dict] = {}
+        """The accumulated result, grouped by word into Scalars.  Keys add
+        without carrying, so one check of each result key (scalars._checked)
+        finds any exponent that left the range."""
+        grouped = {}
         for (w, m), q in self.acc.items():
-            pows = _unpack(m)
             d = grouped.get(w)
             if d is None:
-                grouped[w] = {pows: q}
+                grouped[w] = {m: q}
             else:
-                d[pows] = q
+                d[m] = q
         r = EnvElement()
-        r.terms = {w: _scalar(d) for w, d in grouped.items()}
+        r.terms = {w: _scalar(_checked(d)) for w, d in grouped.items()}
         return r
-
-
-def packed_terms(a: EnvElement) -> list:
-    """a as a list of (word, [(mono, QQi)], exponent bound)."""
-    return [(w, *_packed(s)) for w, s in a.terms.items()]
-
-
-def _packed_terms(eng: RewriteEngine, a: EnvElement) -> list:
-    """packed_terms(a), each word checked against the engine's letters."""
-    out = []
-    for w, s in a.terms.items():
-        eng.check_word(w)
-        out.append((w, *_packed(s)))
-    return out
 
 
 def get_engine(spec: LieAlgebraSpec) -> RewriteEngine:
@@ -370,10 +303,10 @@ def env_product(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvElemen
     """Canonical normal-ordered product in the enveloping algebra."""
     eng = get_engine(spec)
     run = _Run(eng)
-    pb = _packed_terms(eng, b)
-    for w1, c1, b1 in _packed_terms(eng, a):
-        for w2, c2, b2 in pb:
-            run.add(w1 + w2, _times(c1, c2), b1 + b2)
+    pb = _terms(eng, b)
+    for w1, c1 in _terms(eng, a):
+        for w2, c2 in pb:
+            run.add(w1 + w2, _times(c1, c2))
     return run.element()
 
 
@@ -381,14 +314,14 @@ def env_commutator(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvEle
     """a*b - b*a in canonical form; reduces to the table bracket on degree 1."""
     eng = get_engine(spec)
     run = _Run(eng)
-    pb = _packed_terms(eng, b)
-    for w1, c1, b1 in _packed_terms(eng, a):
-        for w2, c2, b2 in pb:
+    pb = _terms(eng, b)
+    for w1, c1 in _terms(eng, a):
+        for w2, c2 in pb:
             ab, ba = w1 + w2, w2 + w1
             if ab != ba:
                 c = _times(c1, c2)
-                run.add(ab, c, b1 + b2)
-                run.add(ba, [(m, -q) for m, q in c], b1 + b2)
+                run.add(ab, c)
+                run.add(ba, [(m, -q) for m, q in c])
     return run.element()
 
 
@@ -396,18 +329,17 @@ def leibniz(a: EnvElement, images: dict, spec: LieAlgebraSpec,
             scale=None) -> EnvElement:
     """The derivation D with D(g) = scale * images[g] applied to a.
 
-    images maps a letter to its image in packed form (packed_terms), such
-    as a row of the engine's rows; a letter it does not map is a constant.
-    scale, if given, is a packed coefficient (_packed: a list of
-    (mono, QQi) and its exponent bound).  Each word u*g*v of a contributes
-    the normal forms of u*w*v over the terms w of D(g), all in one kernel
-    call.
+    images maps a letter to its image as (word, coefficient items) pairs
+    (_items), such as a row of the engine's rows; a letter it does not map
+    is a constant.  scale, if given, is the items of a Scalar.  Each word
+    u*g*v of a contributes the normal forms of u*w*v over the terms w of
+    D(g), all in one kernel call.
     """
     if not a.terms:
         return EnvElement()
     eng = get_engine(spec)
     run = _Run(eng)
-    run.leibniz(_packed_terms(eng, a), images, scale)
+    run.leibniz(_terms(eng, a), images, scale)
     return run.element()
 
 
@@ -463,19 +395,17 @@ def casimir(kind: str, sig: Signature,
     for (a, b) in MAB_PAIRS:
         gid, f = _phys_mab_factor(ident, a, b)
         eng.check_letter(gid)
-        factors[(a, b)] = (gid, *_packed(f))
-        factors[(b, a)] = (gid, *_packed(-f))
+        factors[(a, b)] = (gid, f.terms.items())
+        factors[(b, a)] = (gid, (-f).terms.items())
 
     def accumulate(index_pairs, coeff: int):
         word = []
         scal = [(0, QQi(coeff))]
-        bound = 0
         for (a, b) in index_pairs:
-            gid, f, fb = factors[(a, b)]
+            gid, f = factors[(a, b)]
             word.append(gid)
             scal = _times(scal, f)
-            bound += fb
-        run.add(tuple(word), scal, bound)
+        run.add(tuple(word), scal)
 
     if kind == "C1":
         for a in range(6):
@@ -495,25 +425,29 @@ def casimir(kind: str, sig: Signature,
     return run.element()
 
 
-def _restore_phi(pows: tuple, q: QQi, eps5: int):
-    """The term q*pows with phi = eps5 * R_inv^2."""
-    k = pows[_PHI]
-    if not k:
-        return pows, q
-    out = list(pows)
-    out[_R_INV] += 2 * k
-    out[_PHI] = 0
-    return tuple(out), (-q if eps5 < 0 and k % 2 else q)
+# phi -> R_inv^2 as a change of monomial key: keys add under products
+_PHI_TO_R_INV2 = (next(iter(Scalar.param("R_inv", 2).terms))
+                  - next(iter(Scalar.param("phi").terms)))
+
+
+def _restore_phi(s: Scalar, eps5: int) -> Scalar:
+    """s with phi = eps5 * R_inv^2, as a map of its monomial keys."""
+    terms = []
+    for key, q in s.terms.items():
+        k = powers(key).get("phi")
+        if k:
+            key += k * _PHI_TO_R_INV2
+            if eps5 < 0 and k % 2:
+                q = -q
+        terms.append((key, q))
+    return _scalar(_checked(_accumulate({}, terms)))
 
 
 def _on_locus(e: EnvElement, eps5: int) -> EnvElement:
-    """e with phi = eps5 * R_inv^2; e itself when it holds no phi."""
-    if not any(p[_PHI] for s in e.terms.values() for p in s.terms):
-        return e
+    """e with phi = eps5 * R_inv^2."""
     r = EnvElement()
     for w, s in e.terms.items():
-        t = _scalar(_accumulate({}, (_restore_phi(p, q, eps5)
-                                     for p, q in s.terms.items())))
+        t = _restore_phi(s, eps5)
         if t:
             r.terms[w] = t
     return r

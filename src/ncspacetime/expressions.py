@@ -21,15 +21,12 @@ Three coefficient types feed the differential-operator layer:
   that stack points into arrays.
 
 All three share one coefficient protocol: ``c.zero()`` (the zero of c's
-ring), ``c.is_zero`` (true only for an exact zero) and the class attribute
-``commutative = True``.
+ring) and ``c.is_zero`` (true only for an exact zero).
 
 A DiffOperator is zeroth-order coefficient plus a map variable -> first-order
 coefficient.  The commutator of two first-order operators is again first
-order exactly when the symmetrized second-order part cancels, which it does
-identically for commutative coefficients.  So the commutator trusts the
-three types, which declare ``commutative``, and checks the cancellation
-numerically only for a coefficient type without that declaration.
+order because the symmetrized second-order part cancels, which it does
+identically for commutative coefficients, as all three types are.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ class _Exact:
     the product and the derivative."""
 
     __slots__ = ("vars", "terms")
-    commutative = True
     KEY_WIDTH = 1
 
     def __init__(self, variables, terms=None):
@@ -287,8 +283,6 @@ def _trig_mono_diff(k: tuple, pos: int) -> tuple:
 
 class Expr:
     """Base expression node."""
-
-    commutative = True
 
     def zero(self) -> "Expr":
         return Const(0)
@@ -536,10 +530,6 @@ class Sign(_Unary):
 # -- first-order differential operators --------------------------------------
 
 
-class NotALieBracketError(ValueError):
-    pass
-
-
 class DiffOperator:
     """c0 + sum_v c_v d/dv over a fixed variable list."""
 
@@ -565,20 +555,13 @@ class DiffOperator:
     def sub(self, other: "DiffOperator") -> "DiffOperator":
         return self.add(other.scale(-1))
 
-    def commutator(self, other: "DiffOperator",
-                   check_points=None) -> "DiffOperator":
+    def commutator(self, other: "DiffOperator") -> "DiffOperator":
         """Exact [self, other] as a first-order operator.
 
         The symmetrized second-order part a_v b_w - b_v a_w + a_w b_v - b_w a_v
-        vanishes identically for commutative coefficients.  Poly, TrigLaurent
-        and Expr declare ``commutative`` and are not checked; for any other
-        coefficient type the part is evaluated at check_points (or at fixed
-        default points) and NotALieBracketError is raised if it survives.
+        vanishes identically because the coefficients commute.
         """
         a0, b0 = self.zeroth, other.zeroth
-        if not (getattr(a0, "commutative", False)
-                and getattr(b0, "commutative", False)):
-            self._check_second_order(other, check_points)
         zeroth = a0.zero()
         for v, c in self.firsts.items():
             zeroth = zeroth + c * b0.diff(v)
@@ -597,27 +580,6 @@ class DiffOperator:
                     acc = acc - other.firsts[v] * aw.diff(v)
             firsts[w] = acc
         return DiffOperator(self.vars, zeroth, firsts)
-
-    def _check_second_order(self, other, check_points):
-        # coefficient of dv dw in [A,B], symmetrized over the slot order:
-        # (a_v b_w - b_v a_w) + (a_w b_v - b_w a_v); zero iff coefficients
-        # commute, which is what makes the commutator first order again.
-        import numpy as np
-        env = stack_points(check_points or _default_points(self.vars))
-
-        def get(op, v):
-            c = op.firsts.get(v)
-            return c if c is not None else op.zeroth.zero()
-
-        keys = sorted(set(self.firsts) | set(other.firsts))
-        for i, v in enumerate(keys):
-            for w in keys[i:]:
-                av, aw = get(self, v), get(self, w)
-                bv, bw = get(other, v), get(other, w)
-                sym = av * bw - bv * aw + aw * bv - bw * av
-                if np.any(np.abs(sym.evaluate(env)) > 1e-9):
-                    raise NotALieBracketError(
-                        "second-order part of the commutator survives")
 
     def apply(self, f, env: dict) -> complex:
         """Numeric action on an Expr function at the point(s) of env."""
@@ -638,11 +600,6 @@ class DiffOperator:
         return self.zeroth == other.zeroth and all(
             self.firsts.get(v, zero) == other.firsts.get(v, zero)
             for v in set(self.firsts) | set(other.firsts))
-
-
-def _default_points(variables):
-    return [{v: 0.3 + 0.17 * k + 0.05 * j for j, v in enumerate(variables)}
-            for k in range(3)]
 
 
 def stack_points(points) -> dict:

@@ -16,11 +16,13 @@ element re-parses to an equal one.
 
 from __future__ import annotations
 
+import sys
+
 from .algebra import (FORMAL_BASE, GEN_NAMES, IM, IMINV, ST_NAMES,
                       LieAlgebraSpec)
 from .enveloping import EnvElement, env_product
-from .scalars import (_ZERO_POWS, PARAMS, QQI_I, S_ONE, QQi, Scalar, _new,
-                      _qqi, _scalar)
+from .scalars import (PARAMS, QQI_I, S_ONE, CoefficientSizeError, QQi,
+                      Scalar, _new, _qqi, _scalar, powers)
 
 
 class MiniLangError(ValueError):
@@ -53,7 +55,13 @@ def _tokenize(text: str):
             j = k
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[k:j]), k))
+            try:
+                value = int(text[k:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise MiniLangError(
+                    f"integer literal of {j - k} digits is too long", k
+                ) from None
+            tokens.append(("int", value, k))
             k = j
             continue
         if c.isalpha() or c == "_":
@@ -176,13 +184,13 @@ class _Parser:
                 return EnvElement.scalar(Scalar.rational(num, den))
             if not num:
                 return EnvElement()
-            return _monomial((), _scalar({_ZERO_POWS: _qqi(num, 0)}))
+            return _monomial((), _scalar({0: _qqi(num, 0)}))
         if kind == "end":
             raise MiniLangError("unexpected end of input", pos)
         if kind == "name":
             self.take()
             if value == "i":
-                return _monomial((), _scalar({_ZERO_POWS: QQI_I}))
+                return _monomial((), _scalar({0: QQI_I}))
             exp = 1
             if self.peek()[0] == "^":
                 self.take()
@@ -215,7 +223,7 @@ def _scale(e: EnvElement, c: EnvElement) -> EnvElement:
     s = c.terms.get(())
     if s is None:
         return EnvElement.zero()
-    q = s.terms.get(_ZERO_POWS) if len(s.terms) == 1 else None
+    q = s.terms.get(0) if len(s.terms) == 1 else None
     if q is None:
         return e.scale(s)
     out = EnvElement()
@@ -235,13 +243,23 @@ def parse_scalar(text: str) -> Scalar:
 
 # -- printer -----------------------------------------------------------------
 #
-# Each term is read directly: a coefficient's single (pows, QQi) pair, a
+# Each term is read directly: a coefficient's single (key, QQi) pair, a
 # word's letters against the regime's names, so printing makes no Scalar
 # comparison and no per-letter call.
 
 
 def format_qqi(q: QQi) -> str:
-    re, im = q.re, q.im
+    """q as text; CoefficientSizeError if a part has more digits than the
+    interpreter converts (sys.get_int_max_str_digits)."""
+    try:
+        return _format_qqi(q.re, q.im)
+    except ValueError:
+        raise CoefficientSizeError(
+            "a coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits to print") from None
+
+
+def _format_qqi(re, im) -> str:
     if not im:
         return str(re)
     if not re:
@@ -257,11 +275,11 @@ def format_qqi(q: QQi) -> str:
     return f"({re}+{im}*i)" if im > 0 else f"({re}{im}*i)"
 
 
-def _format_scalar_term(pows, coeff: QQi) -> str:
-    if pows == _ZERO_POWS:
+def _format_scalar_term(key: int, coeff: QQi) -> str:
+    if not key:
         return format_qqi(coeff)
     parts = "*".join([name if e == 1 else f"{name}^{e}"
-                      for name, e in zip(PARAMS, pows) if e])
+                      for name, e in powers(key).items()])
     if not coeff.im:
         if coeff.re == 1:
             return parts
@@ -279,8 +297,8 @@ def _join_terms(terms: list[str]) -> str:
 def format_scalar(s: Scalar, product_context: bool = False) -> str:
     terms = s.terms
     if len(terms) == 1:
-        (pows, coeff), = terms.items()
-        return _format_scalar_term(pows, coeff)
+        (key, coeff), = terms.items()
+        return _format_scalar_term(key, coeff)
     if not terms:
         return "0"
     text = _join_terms([_format_scalar_term(p, c)

@@ -34,7 +34,7 @@ from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec,
                       Signature, eta4, m_id)
 from .expressions import (Const, Cos, DiffOperator, Expr, Mul, Poly, Pow,
                           Sin, TrigLaurent, Var, stack_points)
-from .scalars import PARAMS, QQI_I, Scalar
+from .scalars import QQI_I, Scalar, powers
 
 XI_VARS = ("xi0", "xi1", "xi2", "xi3", "xi4")
 POLY_VARS = XI_VARS + ("ell",)
@@ -98,11 +98,9 @@ def build_rep_5d(sig: Signature) -> dict[int, DiffOperator]:
 def scalar_to_poly(s: Scalar) -> Poly:
     """Scalar with only ell-powers into the polynomial coefficient ring."""
     out = _pzero()
-    for pows, c in s.terms.items():
+    for key, c in s.terms.items():
         mono = [0] * len(POLY_VARS)
-        for name, e in zip(PARAMS, pows):
-            if not e:
-                continue
+        for name, e in powers(key).items():
             if name != "ell" or e < 0:
                 raise ValueError(f"coefficient uses {name}^{e}, "
                                  "not representable in the polynomial ring")
@@ -306,7 +304,7 @@ def verify_relations(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
     report = {}
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1:]:
-            lhs = rep[a].commutator(rep[b], check_points=points[:2])
+            lhs = rep[a].commutator(rep[b])
             rhs = rep_of_element(target.bracket_ids(a, b), rep,
                                  lambda s: Const(complex(s.evaluate({}))))
             diff_op = lhs.sub(rhs)

@@ -9,6 +9,16 @@ with integer (possibly negative) exponents.  All algebra, calculus and
 Casimir computations in this package run over this coefficient ring, so
 equality of any two symbolic results is decidable and exact.
 
+A monomial is one int, its key in Scalar.terms: the exponents are the
+balanced base-2^128 digits of the key, PARAMS[0] the most significant.
+So a product of monomials is a sum of keys, the constant monomial is 0,
+and int order is exponent-tuple order.  Every exponent of a Scalar is
+below 2^63 in magnitude (ExponentRangeError otherwise).  A field holds
+digits up to 2^127 in magnitude, so a sum carries into the next field only
+after 2^64 in-range exponents, more than any computation can add up; one
+test of a result key (_checked) finds every exponent that left the range.
+powers() reads a key's exponents back; no other module knows the layout.
+
 Each rational part of a QQi is an ``int`` while integral, else a reduced
 ``Fraction``; every operation normalizes its result.  Python compares and
 hashes the two types consistently, so equality and dict keys stay exact
@@ -18,12 +28,52 @@ while the common Gaussian-integer coefficients run on plain ``int``s.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
 
 PARAMS = ("ell", "R_inv", "phi", "hbar", "chi", "phi_cell", "sigma")
-_PIDX = {name: k for k, name in enumerate(PARAMS)}
 _NPAR = len(PARAMS)
-_ZERO_POWS = (0,) * _NPAR
+_FIELD = 128
+_LIMIT = 1 << 63  # every exponent is below this in magnitude
+_SHIFT = {name: _FIELD * (_NPAR - 1 - k) for k, name in enumerate(PARAMS)}
+_FIELDS = tuple((name, s, (1 << s) >> 1) for name, s in _SHIFT.items())
+# key + _BIAS and _BIAS - key have every digit in [0, 2^64), which is what
+# _OUT tests, exactly when every exponent of key is below _LIMIT in magnitude
+_BIAS = sum((_LIMIT - 1) << s for s in _SHIFT.values())
+_OUT = ~sum(((1 << 64) - 1) << s for s in _SHIFT.values())
+# a power of a coefficient is refused beyond this many bits (about 315,000
+# decimal digits, far past what Python prints by default)
+_MAX_POWER_BITS = 1 << 20
+
+
+class ExponentRangeError(ValueError):
+    """A parameter exponent of 2^63 or more in magnitude."""
+
+
+class CoefficientSizeError(ValueError):
+    """A coefficient too large to compute or to print."""
+
+
+def powers(key: int) -> dict:
+    """The nonzero exponents of the monomial key, by parameter name in
+    PARAMS order."""
+    out = {}
+    for name, shift, half in _FIELDS:
+        if not key:
+            break
+        # the digits below this field sum to within half of its unit
+        e = (key + half) >> shift
+        if e:
+            out[name] = e
+            key -= e << shift
+    return out
+
+
+def _checked(terms: dict) -> dict:
+    """terms, once every key's exponents are known to be in range."""
+    for key in terms:
+        if key and ((key + _BIAS) & _OUT or (_BIAS - key) & _OUT):
+            raise ExponentRangeError(
+                "parameter exponents must stay below 2^63 in magnitude")
+    return terms
 
 
 def _norm(x):
@@ -157,19 +207,22 @@ QQI_I = QQi(0, 1)
 class Scalar:
     """Sum of Gaussian-rational multiples of parameter monomials.
 
-    Stored as a map from exponent tuples (one slot per formal parameter)
-    to nonzero QQi coefficients.  Instances are treated as immutable.
+    Stored as a map from monomial keys (ints; see the module docstring) to
+    nonzero QQi coefficients.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple, QQi] = {}
+        self.terms: dict[int, QQi] = {}
         if terms:
-            for pows, coeff in terms.items():
+            for key, coeff in terms.items():
+                if key.__class__ is not int:
+                    raise TypeError(f"monomial key {key!r} is not an int")
                 c = _as_qqi(coeff)
                 if c:
-                    self.terms[pows] = c
+                    self.terms[key] = c
+            _checked(self.terms)
 
     # -- constructors --------------------------------------------------
 
@@ -179,28 +232,29 @@ class Scalar:
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls({_ZERO_POWS: QQI_ONE})
+        return cls({0: QQI_ONE})
 
     @classmethod
     def of(cls, value) -> "Scalar":
         """Constant scalar from an int, Fraction, QQi or Scalar."""
         if isinstance(value, Scalar):
             return value
-        return cls({_ZERO_POWS: _as_qqi(value)})
+        return cls({0: _as_qqi(value)})
 
     @classmethod
     def i(cls) -> "Scalar":
-        return cls({_ZERO_POWS: QQI_I})
+        return cls({0: QQI_I})
 
     @classmethod
     def rational(cls, p, q=1) -> "Scalar":
-        return cls({_ZERO_POWS: QQi(Fraction(p, q))})
+        return cls({0: QQi(Fraction(p, q))})
 
     @classmethod
     def param(cls, name: str, exp: int = 1, coeff=1) -> "Scalar":
-        pows = [0] * _NPAR
-        pows[_PIDX[name]] = exp
-        return cls({tuple(pows): _as_qqi(coeff)})
+        if not -_LIMIT < exp < _LIMIT:
+            raise ExponentRangeError(
+                f"exponent {exp} of {name} is not below 2^63 in magnitude")
+        return cls({exp << _SHIFT[name]: _as_qqi(coeff)})
 
     # -- queries --------------------------------------------------------
 
@@ -212,14 +266,14 @@ class Scalar:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(p == _ZERO_POWS for p in self.terms)
+        return all(not key for key in self.terms)
 
     def constant_value(self) -> QQi:
         if not self.terms:
             return QQI_ZERO
         if not self.is_constant():
             raise ValueError("scalar is not constant")
-        return self.terms[_ZERO_POWS]
+        return self.terms[0]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -245,28 +299,35 @@ class Scalar:
     def __mul__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = _as_scalar(other)
-        return _scalar(_accumulate({}, (
-            (_mono_mul(p1, p2), c1 * c2)
+        return _scalar(_checked(_accumulate({}, (
+            (p1 + p2, c1 * c2)
             for p1, c1 in self.terms.items()
-            for p2, c2 in other.terms.items())))
+            for p2, c2 in other.terms.items()))))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Scalar":
+        """A one-term scalar's power directly, as the key times n and the
+        coefficient by repeated squaring; any other by repeated products."""
+        if len(self.terms) == 1:
+            (key, c), = self.terms.items()
+            return _scalar(_checked({key * n: _qqi_pow(c, n)}))
         if n < 0:
             return self.inverse() ** (-n)
+        if not self.terms:
+            return Scalar.zero() if n else Scalar.one()
         r = Scalar.one()
         for _ in range(n):
             r = r * self
         return r
 
     def inverse(self) -> "Scalar":
-        """Inverse of a single-term scalar (monomial inversion)."""
+        """Inverse of a single-term scalar (monomial inversion).  The
+        exponent range is symmetric, so negating a key keeps it in range."""
         if len(self.terms) != 1:
             raise ValueError("only single-term scalars are invertible")
-        (pows, c), = self.terms.items()
-        inv = tuple(-e for e in pows)
-        return Scalar({inv: QQI_ONE / c})
+        (key, c), = self.terms.items()
+        return _scalar({-key: QQI_ONE / c})
 
     def __truediv__(self, other) -> "Scalar":
         """Division by a single-term scalar (see inverse)."""
@@ -291,52 +352,51 @@ class Scalar:
 
     def set_param_zero(self, name: str) -> "Scalar":
         """Substitute a parameter by zero (kills terms with positive power)."""
-        k = _PIDX[name]
-        out: dict[tuple, QQi] = {}
-        for pows, c in self.terms.items():
-            if pows[k] < 0:
+        out: dict[int, QQi] = {}
+        for key, c in self.terms.items():
+            e = powers(key).get(name, 0)
+            if e < 0:
                 raise ZeroDivisionError(
                     f"negative power of {name} cannot be set to zero")
-            if pows[k] == 0:
-                out[pows] = c
+            if not e:
+                out[key] = c
         return _scalar(out)
 
     def substitute(self, mapping: dict) -> "Scalar":
         """Replace parameters by Scalars.
 
-        Negative powers are allowed when the replacement is an invertible
-        (single-term) scalar.
+        A negative power of a zero replacement raises ZeroDivisionError;
+        other negative powers need an invertible (single-term) replacement.
         """
         out = Scalar.zero()
-        for pows, c in self.terms.items():
-            term = Scalar.of(c)
-            rest = [0] * _NPAR
-            for k, e in enumerate(pows):
-                name = PARAMS[k]
-                if e and name in mapping:
+        for key, c in self.terms.items():
+            term = None
+            for name, e in powers(key).items():
+                if name in mapping:
                     val = _as_scalar(mapping[name])
-                    term = term * (val ** e)
-                else:
-                    rest[k] = e
-            term = term * Scalar({tuple(rest): QQI_ONE})
-            out = out + term
+                    if e < 0 and not val:
+                        raise ZeroDivisionError(
+                            f"negative power of {name}, which is bound to 0")
+                    key -= e << _SHIFT[name]
+                    term = val ** e if term is None else term * val ** e
+            rest = _scalar({key: c})
+            out = out + (rest if term is None else term * rest)
         return out
 
     def evaluate(self, env: dict) -> complex:
         """Numeric value with every parameter bound in env."""
         total = 0j
-        for pows, c in self.terms.items():
+        for key, c in self.terms.items():
             v = c.to_complex()
-            for k, e in enumerate(pows):
-                if e:
-                    name = PARAMS[k]
-                    if name not in env:
-                        raise KeyError(f"parameter {name} unbound")
-                    v *= complex(env[name]) ** e
+            for name, e in powers(key).items():
+                if name not in env:
+                    raise KeyError(f"parameter {name} unbound")
+                v *= complex(env[name]) ** e
             total += v
         return total
 
     def sorted_terms(self):
+        """The terms in exponent-tuple order, which is key order."""
         return sorted(self.terms.items())
 
     def __repr__(self) -> str:
@@ -344,16 +404,35 @@ class Scalar:
         return format_scalar(self)
 
 
-def _mono_mul(p1: tuple, p2: tuple) -> tuple:
-    if p1 == _ZERO_POWS:
-        return p2
-    if p2 == _ZERO_POWS:
-        return p1
-    return tuple(map(_add, p1, p2))
+def _qqi_pow(c: QQi, n: int) -> QQi:
+    """c ** n by repeated squaring; CoefficientSizeError if the result
+    could exceed _MAX_POWER_BITS."""
+    if n < 0:
+        c, n = QQI_ONE / c, -n
+    if c.re * c.re + c.im * c.im != 1 or c.re.__class__ is not int \
+            or c.im.__class__ is not int:  # not a unit: the power grows
+        bits = max(x.bit_length() for x in (
+            c.re.numerator, c.re.denominator, c.im.numerator,
+            c.im.denominator))
+        if n * (bits + 1) > _MAX_POWER_BITS:
+            raise CoefficientSizeError(
+                f"power {n} of a {bits}-bit coefficient would exceed "
+                f"{_MAX_POWER_BITS} bits")
+    if not c.im:
+        return _qqi(_norm(c.re ** n), 0)
+    r = QQI_ONE
+    while n:
+        if n & 1:
+            r = r * c
+        n >>= 1
+        if n:
+            c = c * c
+    return r
 
 
 def _scalar(terms: dict) -> Scalar:
-    """Scalar owning terms, whose coefficients are nonzero QQi."""
+    """Scalar owning terms, whose coefficients are nonzero QQi and whose
+    keys are in range."""
     r = _new(Scalar)
     r.terms = terms
     return r
@@ -361,8 +440,8 @@ def _scalar(terms: dict) -> Scalar:
 
 def _accumulate(out: dict, items) -> dict:
     """Add nonzero (key, value) items into out, dropping keys whose values
-    cancel: (pows, QQi) for Scalar and Poly terms, (word, Scalar) for
-    EnvElement terms."""
+    cancel: (monomial key, QQi) for Scalar terms and the kernel's
+    coefficients, (word, Scalar) for EnvElement terms."""
     for key, c in items:
         s = out.get(key)
         if s is None:
@@ -387,4 +466,4 @@ def _as_scalar(x) -> Scalar:
 S_ZERO = Scalar.zero()
 S_ONE = Scalar.one()
 S_I = Scalar.i()
-S_MINUS_I = Scalar({_ZERO_POWS: QQi(0, -1)})
+S_MINUS_I = Scalar({0: QQi(0, -1)})

@@ -74,7 +74,7 @@ class SpecFile:
             try:
                 table = {pair: elem.map_scalars(bind)
                          for pair, elem in table.items()}
-            except ValueError as exc:  # Scalar.inverse of a zero binding
+            except ZeroDivisionError as exc:
                 raise SpecFileError(
                     "a structure constant holds a negative power of a "
                     "parameter bound to 0") from exc

@@ -348,3 +348,17 @@ def test_m_id_sign_resolution():
 def test_eta4():
     assert [eta4(mu, mu) for mu in range(4)] == [1, -1, -1, -1]
     assert eta4(0, 1) == 0
+
+
+def test_orthogonal_symbolic_names_every_pair():
+    """On a mutated full table the symbolic realization check names each
+    bracket that differs from the pushed-forward so(eta6) table."""
+    from ncspacetime.cli import check_orthogonal_symbolic
+    mutated = load_specfile({"regime": "full", "structure_overrides": {
+        "[p0,x0]": "0", "[M01,p2]": "p3"}}).build()
+    check = check_orthogonal_symbolic(mutated)
+    assert check.status == "fail"
+    assert check.details == {"mismatched": ["[x0,p0]", "[p2,M01]"],
+                             "count": 2}
+    clean = build_deformed_algebra(Signature(1, 1), "full")
+    assert check_orthogonal_symbolic(clean).status == "pass"

@@ -209,3 +209,22 @@ def test_connection_documents(doc):
 def test_found_spec_documents(doc):
     assert with_file(doc, lambda path: assert_contract(
         ["--spec", path, "commute", "x1", "x0"])) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # a literal past the interpreter's 4,300-digit conversion limit
+    ["commute", "7" * 5000 + "*x0", "p0"],
+    # a coefficient past it: the cube of a 4,000-digit literal
+    ["commute", "*".join(["7" * 4000] * 3) + "*x0", "p0"],
+], ids=["long_literal", "cube_of_long_literal"])
+def test_oversized_integers(argv):
+    assert assert_contract(argv) == 2
+
+
+@pytest.mark.parametrize("power", [20000, 80000, 2 ** 62])
+def test_oversized_bound_power(power):
+    # 3^20000 has 9,543 digits; 3^(2^62) is refused before it is computed
+    doc = {"parameters": {"ell": "3"},
+           "structure_overrides": {"[p0,x0]": f"ell^{power}*Im"}}
+    assert with_file(doc, lambda path: assert_contract(
+        ["--spec", path, "commute", "p0", "x0"])) == 2

@@ -527,7 +527,7 @@ def spec_digest(spec) -> str:
         for b in sorted(eng.rows[a]):
             h.update(repr((a, b, eng.rows[a][b])).encode())
     h.update(repr((spec.signature, spec.regime, spec.basis, eng.allow_iminv,
-                   eng.exp_bound, eng._norm_cache)).encode())
+                   eng._norm_cache)).encode())
     return h.hexdigest()
 
 
@@ -651,8 +651,11 @@ class TestExponentRange:
             env_product(b, b, full)
 
     def test_out_of_range_exponent_raises(self, full):
-        a = EnvElement.monomial((X_IDS[0],), Scalar.param("phi", 2 ** 70))
         with pytest.raises(ExponentRangeError):
-            env_commutator(a, gen(P_IDS[0]), full)
+            Scalar.param("phi", 2 ** 70)
+        # in range, but [p0, p1] carries a factor phi
+        a = EnvElement.monomial((P_IDS[0],), Scalar.param("phi", 2 ** 63 - 1))
         with pytest.raises(ExponentRangeError):
-            ad_generator(P_IDS[0], a, full)
+            env_commutator(a, gen(P_IDS[1]), full)
+        with pytest.raises(ExponentRangeError):
+            ad_generator(P_IDS[1], a, full)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from ncspacetime.expressions import (Abs, Add, Const, Cos, Cosh, DiffOperator,
-                                     Exp, Mul, NotALieBracketError, Poly, Pow,
-                                     Sign, Sin, Sinh, TrigLaurent, Var,
-                                     stack_points)
+                                     Exp, Mul, Poly, Pow, Sign, Sin, Sinh,
+                                     TrigLaurent, Var, stack_points)
 from ncspacetime.scalars import QQi
 
 VARS = ("u", "v")
@@ -164,7 +163,6 @@ class TestTrigLaurent:
 
     def test_protocol(self):
         f = trig(Sin(Var("phi2")))
-        assert TrigLaurent.commutative
         assert f.zero().is_zero and not f.is_zero
         assert f * 0 == f.zero() and f + 0 == f and -1 * f == -f
         with pytest.raises(ValueError):
@@ -253,38 +251,6 @@ class TestDiffOperator:
         got_v = c.firsts["v"].evaluate(env)
         assert got_v == pytest.approx(math.cos(1.2) * math.cos(0.6))
         assert got_u == pytest.approx(math.sin(0.6) * math.sin(1.2))
-
-    def test_second_order_check_rejects_noncommuting_coefficients(self):
-        class NonComm:
-            """Coefficient whose product depends on factor order."""
-
-            def __init__(self, val):
-                self.val = val
-
-            def __mul__(self, other):
-                ov = other.val if isinstance(other, NonComm) else other
-                return NonComm(2 * self.val + 3 * ov)
-
-            def __add__(self, other):
-                ov = other.val if isinstance(other, NonComm) else 0
-                return NonComm(self.val + ov)
-
-            def __sub__(self, other):
-                return NonComm(self.val - other.val)
-
-            def __neg__(self):
-                return NonComm(-self.val)
-
-            def diff(self, var):
-                return NonComm(0.0)
-
-            def evaluate(self, env):
-                return self.val
-
-        a = DiffOperator(VARS, NonComm(0), {"u": NonComm(1), "v": NonComm(2)})
-        b = DiffOperator(VARS, NonComm(0), {"u": NonComm(5), "v": NonComm(7)})
-        with pytest.raises(NotALieBracketError):
-            a.commutator(b, check_points=[{"u": 0.5, "v": 0.5}])
 
     def test_apply(self):
         op = DiffOperator(("u", "v"), Const(2), {"u": Var("v")})

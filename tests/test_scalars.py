@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from ncspacetime.minilang import format_qqi
-from ncspacetime.scalars import PARAMS, QQi, Scalar
+from ncspacetime.scalars import (PARAMS, CoefficientSizeError, QQi, Scalar,
+                                 powers)
 
-CONST = (0,) * len(PARAMS)
+CONST, = Scalar.one().terms  # the key of the constant monomial
 
 
 def test_qqi_arithmetic():
@@ -41,8 +42,8 @@ def test_scalar_zero_has_empty_terms():
 
 def test_scalar_multiplication_adds_exponents():
     s = Scalar.param("ell", 2) * Scalar.param("ell", -3)
-    ((pows, coeff),) = s.terms.items()
-    assert pows[PARAMS.index("ell")] == -1
+    ((key, coeff),) = s.terms.items()
+    assert powers(key) == {"ell": -1}
     assert coeff == QQi(1)
 
 
@@ -67,6 +68,22 @@ def test_substitute_monomial_with_negative_power():
     assert out == Scalar.param("R_inv", -2, coeff=-1)
 
 
+def test_substitute_takes_each_power_directly():
+    # a one-term power is the key times e and the coefficient by repeated
+    # squaring, not e products
+    s = Scalar.param("ell", 80000, coeff=2) * Scalar.param("R_inv", -3)
+    out = s.substitute({"ell": Scalar.of(3), "R_inv": Scalar.rational(1, 2)})
+    assert out == Scalar.of(16 * 3 ** 80000)
+    assert Scalar.param("ell", 2 ** 62).substitute(
+        {"ell": Scalar.i()}) == Scalar.one()
+    assert (Scalar.i() * Scalar.param("phi", 2)) ** (2 ** 61 + 1) == \
+        Scalar.param("phi", 2 ** 62 + 2, coeff=QQi(0, 1))
+    with pytest.raises(ZeroDivisionError):
+        Scalar.param("ell", -2).substitute({"ell": Scalar.zero()})
+    with pytest.raises(CoefficientSizeError):
+        Scalar.param("ell", 2 ** 62).substitute({"ell": Scalar.of(3)})
+
+
 def test_evaluate():
     s = Scalar.param("ell", 2, coeff=QQi(0, 1)) + Scalar.rational(1, 2)
     val = s.evaluate({"ell": 3.0})
@@ -78,12 +95,13 @@ def test_evaluate():
 def test_scalar_equality_is_exact():
     rng = random.Random(0)
     for _ in range(50):
-        terms = {}
+        s = Scalar.zero()
         for _ in range(rng.randrange(0, 4)):
-            pows = tuple(rng.randrange(-2, 3) if k < 3 else 0
-                         for k in range(len(PARAMS)))
-            terms[pows] = QQi(Fraction(rng.randrange(-5, 6), rng.randrange(1, 7)))
-        s = Scalar(terms)
+            term = Scalar.of(
+                QQi(Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))))
+            for name in PARAMS[:3]:
+                term = term * Scalar.param(name, rng.randrange(-2, 3))
+            s = s + term
         assert s - s == Scalar.zero()
         assert s + s == s * Scalar.of(2)
 
