@@ -45,10 +45,9 @@ from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
                       _MAB_INDEX, build_deformed_algebra, identify_orthogonal,
                       levi_civita)
-from .scalars import (QQI_ONE, ExponentRangeError, QQi, Scalar, _accumulate,
-                      _checked, _new, _norm, _scalar, powers)
-
-__all__ = ["ExponentRangeError"]  # re-exported from scalars
+from .scalars import ExponentRangeError  # noqa: F401 (re-exported)
+from .scalars import (QQI_ONE, QQi, Scalar, _accumulate, _checked, _new,
+                      _norm, _scalar, powers)
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
 
@@ -350,9 +349,9 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     algebra.  Which of the two is faster depends on the element (best of 5
     in-process, Python 3.11 on a shared 2-core x86 machine, all four
     signatures): the 15 brackets of the full-regime C3 take 0.04-0.06 s
-    here against 0.08-0.10 s by env_commutator, while in the tangent regime
-    -ad_generator(p0, ImInv*x0^30) takes 0.12-0.15 s against 0.10-0.14 s
-    (parsing ImInv*x0^30 itself takes 2.4-2.8 s).
+    here against 0.06-0.10 s by env_commutator, while in the tangent regime
+    -ad_generator(p0, ImInv*x0^30) takes 0.10-0.12 s against 0.09-0.10 s
+    (parsing ImInv*x0^30 itself takes 1.9-3.0 s, best of 3).
     """
     eng = get_engine(spec)
     eng.check_letter(gid)
