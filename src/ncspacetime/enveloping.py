@@ -17,12 +17,13 @@ is one call of env_product, env_commutator, leibniz (ad_generator,
 derivations) or casimir, or one component of an exterior derivative.
 Inside it a coefficient is the (monomial key, QQi) items of a Scalar, taken
 as they are (multiplying monomials is adding keys), and a normal form is a
-dict {(word, monomial key): QQi}.  The normal forms of the words met on the way are memoized in a
-dict local to the call, filled by an explicit work stack rather than by
-recursion, so word length is not bounded by Python's recursion limit and
-concurrent calls share no memo.  Coefficients need no grading: a
-multi-term Scalar is simply several terms.  A result exponent of 2^63 or
-more in magnitude raises ExponentRangeError (see scalars).
+dict {(word, monomial key): QQi}.  The normal forms of the words met on
+the way are memoized in a dict local to the call, filled by an explicit
+work stack rather than by recursion, so word length is not bounded by
+Python's recursion limit and concurrent calls share no memo.  Coefficients
+need no grading: a multi-term Scalar is simply several terms.  A result
+exponent of 2^63 or more in magnitude raises ExponentRangeError (see
+scalars).
 
 Two extensions beyond the plain PBW basis:
 
@@ -177,31 +178,38 @@ def _scatter(acc: dict, form: dict, coeff) -> None:
     """acc += coeff * form, dropping keys whose values cancel.
 
     The QQi arithmetic is written out on the parts; a part that is not an
-    int is normalized (_norm).
+    int is normalized (_norm).  A new key is stored with one lookup.
     """
-    get = acc.get
+    put = acc.setdefault
     for mono, q in coeff:
         a, b = q.re, q.im
         for key, v in form.items():
             if mono:
-                key = (key[0], key[1] + mono)
+                m = key[1]
+                key = (key[0], m + mono if m else mono)
             c, d = v.re, v.im
             re, im = a * c - b * d, a * d + b * c
-            t = get(key)
-            if t is not None:
-                re += t.re
-                im += t.im
             if re.__class__ is not int:
                 re = _norm(re)
             if im.__class__ is not int:
                 im = _norm(im)
-            if re or im:
-                v = _new(QQi)
-                v.re = re
-                v.im = im
-                acc[key] = v
-            elif t is not None:
-                del acc[key]
+            v = _new(QQi)
+            v.re = re
+            v.im = im
+            t = put(key, v)
+            if t is not v:
+                re += t.re
+                im += t.im
+                if re.__class__ is not int:
+                    re = _norm(re)
+                if im.__class__ is not int:
+                    im = _norm(im)
+                if re or im:
+                    v.re = re
+                    v.im = im
+                    acc[key] = v
+                else:
+                    del acc[key]
 
 
 class _Run:
@@ -425,8 +433,7 @@ def casimir(kind: str, sig: Signature,
 
 
 # phi -> R_inv^2 as a change of monomial key: keys add under products
-_PHI_TO_R_INV2 = (next(iter(Scalar.param("R_inv", 2).terms))
-                  - next(iter(Scalar.param("phi").terms)))
+_PHI_TO_R_INV2, = (Scalar.param("R_inv", 2) / Scalar.param("phi")).terms
 
 
 def _restore_phi(s: Scalar, eps5: int) -> Scalar:
@@ -442,16 +449,6 @@ def _restore_phi(s: Scalar, eps5: int) -> Scalar:
     return _scalar(_checked(_accumulate({}, terms)))
 
 
-def _on_locus(e: EnvElement, eps5: int) -> EnvElement:
-    """e with phi = eps5 * R_inv^2."""
-    r = EnvElement()
-    for w, s in e.terms.items():
-        t = _restore_phi(s, eps5)
-        if t:
-            r.terms[w] = t
-    return r
-
-
 def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
     """Generators g with [c, g] != 0 after restoring phi = eps5 * R_inv^2.
 
@@ -463,7 +460,8 @@ def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
     eps5 = spec.signature.eps5
     out = []
     for gid in sorted(spec.basis):
-        d = _on_locus(-ad_generator(gid, c, spec), eps5)
+        d = (-ad_generator(gid, c, spec)).map_scalars(
+            lambda s: _restore_phi(s, eps5))
         if not d.is_zero:
             out.append((gid, d))
     return out

@@ -266,7 +266,7 @@ class Scalar:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(not key for key in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> QQi:
         if not self.terms:
@@ -311,6 +311,9 @@ class Scalar:
         coefficient by repeated squaring; any other by repeated products."""
         if len(self.terms) == 1:
             (key, c), = self.terms.items()
+            if key and not -_LIMIT < n < _LIMIT:  # key * n could carry
+                raise ExponentRangeError(
+                    f"a monomial to the power {n} leaves the exponent range")
             return _scalar(_checked({key * n: _qqi_pow(c, n)}))
         if n < 0:
             return self.inverse() ** (-n)

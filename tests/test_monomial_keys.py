@@ -88,6 +88,15 @@ def test_division_and_negative_powers_raise(name, e):
             Scalar.param(name, -e) ** -(TOP // e + 1)
 
 
+def test_power_past_the_limit_raises():
+    # sigma is the least significant field: 2^128 * its key would carry
+    # into chi's field if the power were taken before the check
+    for n in (2 ** 63, 2 ** 128, -2 ** 128):
+        with pytest.raises(ExponentRangeError):
+            Scalar.param("sigma") ** n
+    assert Scalar.i() ** (2 ** 128 + 1) == Scalar.i()
+
+
 def test_constructors_check_the_range():
     for e in (TOP + 1, -TOP - 1, 2 ** 70):
         with pytest.raises(ExponentRangeError):

@@ -87,9 +87,6 @@ def test_env_product_associative(regime, seed):
         env_product(a, env_product(b, c, spec), spec)
 
 
-# coefficients: the printer's special cases +-1 and +-i, and general ones
-units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
-coeffs = st.one_of(units, pairs).map(qqi)
 def monomial(exponents) -> Scalar:
     out = Scalar.one()
     for name, e in zip(PARAMS, exponents):
@@ -97,6 +94,9 @@ def monomial(exponents) -> Scalar:
     return out
 
 
+# coefficients: the printer's special cases +-1 and +-i, and general ones
+units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+coeffs = st.one_of(units, pairs).map(qqi)
 monomials = st.one_of(
     st.just((0,) * len(PARAMS)),
     st.lists(st.integers(-2, 2), min_size=len(PARAMS),
