@@ -256,8 +256,10 @@ def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,
                         c = -c
                     for w, cw in terms:
                         run.add_normal(w, _times(c.terms.items(), cw))
-        if run.acc:
-            out[tup] = run.element()
+        if run.coef:
+            value = run.element()
+            if value.terms:
+                out[tup] = value
     return PForm(p + 1, out)
 
 

@@ -15,15 +15,18 @@ Each spec's RewriteEngine is made with the spec and holds its complete
 letter-bracket table; nothing in it changes afterwards.  The kernel (_Run)
 is one call of env_product, env_commutator, leibniz (ad_generator,
 derivations) or casimir, or one component of an exterior derivative.
-Inside it a coefficient is the (monomial key, QQi) items of a Scalar, taken
-as they are (multiplying monomials is adding keys), and a normal form is a
-dict {(word, monomial key): QQi}.  The normal forms of the words met on
-the way are memoized in a dict local to the call, filled by an explicit
-work stack rather than by recursion, so word length is not bounded by
-Python's recursion limit and concurrent calls share no memo.  Coefficients
-need no grading: a multi-term Scalar is simply several terms.  A result
-exponent of 2^63 or more in magnitude raises ExponentRangeError (see
-scalars).
+Inside it a coefficient is a dict {monomial key: QQi}, built from the
+items of Scalars as they are (multiplying monomials is adding keys).  A
+run adds a coefficient to each word it is given and keeps no normal form
+of any word: at the end it walks the graph of rewrite steps once, on an
+explicit stack, and pushes each word's coefficient down to the words of
+its step, parents before children.  The normal form is linear, so what
+reaches the normal words is the result.  A word of length L has O(L^2)
+intermediate words, and each carries a coefficient, not an O(L) normal
+form.  Word length is not bounded by Python's recursion limit, and
+concurrent calls share nothing mutable.  Coefficients need no grading: a
+multi-term Scalar is simply several terms.  A result exponent of 2^63 or
+more in magnitude raises ExponentRangeError (see scalars).
 
 Two extensions beyond the plain PBW basis:
 
@@ -64,13 +67,14 @@ class RewriteEngine:
     [g_a, g_b] for every key of spec.table, plus the brackets of ImInv
     where allow_iminv holds, as lists of (word, coefficient items).
     rows has a key for every letter a word may hold, formal symbols aside.
-    Every normal-order memo belongs to one kernel call (_Run).
+    The engine only reads: rewrite_step gives one word's step, and every
+    word met and every coefficient belongs to one kernel call (_Run).
     """
 
     def __init__(self, spec: LieAlgebraSpec):
         self.spec = spec
-        # Always empty: memos are local to one call (see _Run).  Kept so
-        # that tools inspecting an engine find the attribute.
+        # Always empty: a run keeps its words to itself (see _Run).  Kept
+        # so that tools inspecting an engine find the attribute.
         self._norm_cache: dict[Word, dict[Word, Scalar]] = {}
         table = spec.table
         self.rows = rows = {g: {} for g in spec.basis}
@@ -117,7 +121,7 @@ class RewriteEngine:
         moves left by swaps with its left neighbour g, each adding the
         words with the terms of [g, v] in place of the pair.  It stops, in
         the word first, where the next swap would not be the leftmost
-        rewrite or where the word reached is in known (memoized).  Every
+        rewrite or where the word reached is in known (already met).  Every
         word of the step agrees with w before position hint, so its own
         leftmost rewrite lies at hint or later.
         """
@@ -174,21 +178,39 @@ def _times(c1, c2) -> list:
     return [(m1 + m2, q1 * q2) for m1, q1 in c1 for m2, q2 in c2]
 
 
-def _scatter(acc: dict, form: dict, coeff) -> None:
-    """acc += coeff * form, dropping keys whose values cancel.
+def _add(d: dict, coeff) -> None:
+    """d += coeff for coefficient items coeff, dropping keys whose values
+    cancel.  The QQi sum is written out on the parts; a part that is not
+    an int is normalized (_norm).  A new key is stored with one lookup."""
+    put = d.setdefault
+    for key, q in coeff:
+        t = put(key, q)
+        if t is not q:
+            re = t.re + q.re
+            im = t.im + q.im
+            if re.__class__ is not int:
+                re = _norm(re)
+            if im.__class__ is not int:
+                im = _norm(im)
+            if re or im:
+                v = d[key] = _new(QQi)
+                v.re = re
+                v.im = im
+            else:
+                del d[key]
 
-    The QQi arithmetic is written out on the parts; a part that is not an
-    int is normalized (_norm).  A new key is stored with one lookup.
-    """
-    put = acc.setdefault
-    for mono, q in coeff:
-        a, b = q.re, q.im
-        for key, v in form.items():
+
+def _add_times(d: dict, c: dict, coeff) -> None:
+    """d += c * coeff for a coefficient dict c and coefficient items coeff,
+    written out on the parts like _add."""
+    put = d.setdefault
+    for mono, r in coeff:
+        a, b = r.re, r.im
+        for key, q in c.items():
             if mono:
-                m = key[1]
-                key = (key[0], m + mono if m else mono)
-            c, d = v.re, v.im
-            re, im = a * c - b * d, a * d + b * c
+                key += mono
+            x, y = q.re, q.im
+            re, im = a * x - b * y, a * y + b * x
             if re.__class__ is not int:
                 re = _norm(re)
             if im.__class__ is not int:
@@ -207,38 +229,45 @@ def _scatter(acc: dict, form: dict, coeff) -> None:
                 if re or im:
                     v.re = re
                     v.im = im
-                    acc[key] = v
+                    d[key] = v
                 else:
-                    del acc[key]
+                    del d[key]
 
 
 class _Run:
-    """One kernel call: a local normal-order memo and one accumulator.
+    """One kernel call: a coefficient for each word met, pushed down the
+    rewrite graph once at the end.
 
-    Both hold normal forms {(word, monomial key): QQi}.  memo[w] is the
-    normal form of the word w; acc is the running result.
+    coef[w] is the coefficient {monomial key: QQi} that w carries so far;
+    steps[w] is w's rewrite step (RewriteEngine.rewrite_step), None for a
+    normal word.  No normal form of a word is ever built: the normal form
+    is linear, so element() walks the graph the added words rewrite to,
+    and then, parents before children, hands each word's coefficient to
+    the words of its step.  What reaches a normal word is its term of the
+    result.
     """
 
-    __slots__ = ("eng", "memo", "acc")
+    __slots__ = ("eng", "coef", "steps")
 
     def __init__(self, eng: RewriteEngine):
         self.eng = eng
-        self.memo: dict[Word, dict] = {}
-        self.acc: dict[tuple, QQi] = {}
+        self.coef: dict[Word, dict] = {}
+        self.steps: dict[Word, tuple | None] = {}
 
     def add(self, word: Word, coeff) -> None:
-        """acc += coeff * word, coeff an iterable of (key, QQi)."""
-        form = self.memo.get(word)
-        if form is None:
-            form = self._order(word)
-        _scatter(self.acc, form, coeff)
+        """result += coeff * word, coeff an iterable of (key, QQi)."""
+        d = self.coef.get(word)
+        if d is None:
+            d = self.coef[word] = {}
+        _add(d, coeff)
 
     def add_normal(self, word: Word, coeff) -> None:
-        """acc += coeff * word for a word taken to be in normal form."""
-        _scatter(self.acc, {(word, 0): QQI_ONE}, coeff)
+        """result += coeff * word for a word taken to be in normal form."""
+        self.steps[word] = None
+        self.add(word, coeff)
 
     def leibniz(self, terms, images: dict, scale=None) -> None:
-        """acc += D(a) for a as (word, coefficient items) pairs and the
+        """result += D(a) for a as (word, coefficient items) pairs and the
         derivation D with D(g) = scale * images[g]; see leibniz."""
         for word, c in terms:
             if scale is not None:
@@ -250,54 +279,70 @@ class _Run:
                     for w, cs in image:
                         self.add(head + w + tail, _times(c, cs))
 
-    def _order(self, word: Word) -> dict:
-        """memo[word], filling in every missing word it rewrites to first.
+    def _walk(self) -> list:
+        """The words that rewrite, parents before children.
 
-        A frame (w, start) asks for w, whose leftmost rewrite lies at start
-        or later; a frame (w, step) waits on the words of w's rewrite step,
-        all of which are memoized by the time it pops.
+        Fills steps for every word reachable from coef by a depth-first
+        walk on an explicit stack, so word length is not bounded by
+        Python's recursion limit.  A frame (w, start) asks for w, whose
+        leftmost rewrite lies at start or later; a frame (w, None) closes
+        w once all the words of its step are closed.  The reverse of the
+        closing order puts each word before every word it rewrites to.
         """
-        memo = self.memo
+        steps = self.steps
         step_of = self.eng.rewrite_step
-        stack = [(word, 0)]
+        post = []
+        stack = [(w, 0) for w, c in self.coef.items() if c and w not in steps]
+        push = stack.append
         while stack:
-            w, step = stack.pop()
-            if step.__class__ is int:
-                if w in memo:
-                    continue
-                step = step_of(w, step, memo)
-                if step is None:
-                    memo[w] = {(w, 0): QQI_ONE}
-                    continue
+            w, start = stack.pop()
+            if start is None:
+                post.append(w)
+                continue
+            if w in steps:
+                continue
+            step = steps[w] = step_of(w, start, steps)
+            if step is not None:
+                push((w, None))
                 first, rest, hint = step
-                pending = [(first, hint)] if first not in memo else []
-                for c, _ in rest:
-                    if c not in memo:
-                        pending.append((c, hint))
-                if pending:
-                    stack.append((w, step))
-                    stack += pending
-                    continue
-            first, rest, _ = step
-            form = dict(memo[first])
-            for child, coeff in rest:
-                _scatter(form, memo[child], coeff)
-            memo[w] = form
-        return memo[word]
+                if first not in steps:
+                    push((first, hint))
+                for child, _ in rest:
+                    if child not in steps:
+                        push((child, hint))
+        post.reverse()
+        return post
 
     def element(self) -> EnvElement:
-        """The accumulated result, grouped by word into Scalars.  Keys add
-        without carrying, so one check of each result key (scalars._checked)
-        finds any exponent that left the range."""
-        grouped = {}
-        for (w, m), q in self.acc.items():
-            d = grouped.get(w)
+        """The result: every coefficient pushed down to the normal words.
+
+        A word hands its coefficient dict to the first word of its step
+        as it is, and adds coefficient x bracket coefficient into each
+        word of the rest.  Keys add without carrying, so one check of each
+        result key (scalars._checked) finds any exponent that left the
+        range.  This ends the run: its dicts become the result's Scalars."""
+        coef = self.coef
+        steps = self.steps
+        for w in self._walk():
+            c = coef.pop(w, None)
+            if not c:
+                continue
+            first, rest, _ = steps[w]
+            for child, coeff in rest:
+                d = coef.get(child)
+                if d is None:
+                    d = coef[child] = {}
+                _add_times(d, c, coeff)
+            d = coef.get(first)
             if d is None:
-                grouped[w] = {m: q}
+                coef[first] = c
+            elif len(d) < len(c):
+                _add(c, d.items())
+                coef[first] = c
             else:
-                d[m] = q
+                _add(d, c.items())
         r = EnvElement()
-        r.terms = {w: _scalar(_checked(d)) for w, d in grouped.items()}
+        r.terms = {w: _scalar(_checked(c)) for w, c in coef.items() if c}
         return r
 
 

@@ -275,11 +275,15 @@ def _format_qqi(re, im) -> str:
     return f"({re}+{im}*i)" if im > 0 else f"({re}{im}*i)"
 
 
-def _format_scalar_term(key: int, coeff: QQi) -> str:
+def _format_scalar_term(key: int, coeff: QQi, monos: dict) -> str:
+    """One term of a Scalar.  monos maps each monomial key already printed
+    by the same printer call to its text, so each key is decoded once."""
     if not key:
         return format_qqi(coeff)
-    parts = "*".join([name if e == 1 else f"{name}^{e}"
-                      for name, e in powers(key).items()])
+    parts = monos.get(key)
+    if parts is None:
+        parts = monos[key] = "*".join([name if e == 1 else f"{name}^{e}"
+                                       for name, e in powers(key).items()])
     if not coeff.im:
         if coeff.re == 1:
             return parts
@@ -295,13 +299,17 @@ def _join_terms(terms: list[str]) -> str:
 
 
 def format_scalar(s: Scalar, product_context: bool = False) -> str:
+    return _format_scalar(s, product_context, {})
+
+
+def _format_scalar(s: Scalar, product_context: bool, monos: dict) -> str:
     terms = s.terms
     if len(terms) == 1:
         (key, coeff), = terms.items()
-        return _format_scalar_term(key, coeff)
+        return _format_scalar_term(key, coeff, monos)
     if not terms:
         return "0"
-    text = _join_terms([_format_scalar_term(p, c)
+    text = _join_terms([_format_scalar_term(p, c, monos)
                         for p, c in s.sorted_terms()])
     return f"({text})" if product_context else text
 
@@ -326,13 +334,14 @@ def format_env(e: EnvElement, regime: str = "full") -> str:
         return "0"
     names = ST_NAMES if regime == "spacetime" else GEN_NAMES
     parens = len(e.terms) > 1
+    monos = {}
     bits = []
     for word, s in e.sorted_terms():
         if not word:
-            bits.append(format_scalar(s, parens))
+            bits.append(_format_scalar(s, parens, monos))
             continue
         wtxt = _format_word(word, names)
-        c = format_scalar(s, True)
+        c = _format_scalar(s, True, monos)
         # only the constants 1 and -1 print as "1" and "-1"
         if c == "1":
             bits.append(wtxt)

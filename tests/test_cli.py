@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -158,6 +159,63 @@ class TestLongAndLargeInput:
         assert [(c["name"], c["status"]) for c in report["checks"]] == \
             [("commute", "pass")]
         assert report["result"]["commutator"].endswith(" + 200*i*p0^199*Im")
+
+    def test_long_power_commutator_stays_small(self):
+        """The kernel keeps a coefficient per intermediate word, not a
+        normal form: [p0^200, x0] peaked at 471 MB traced when it kept a
+        normal form for each of the O(L^2) words p0^a x0 p0^b."""
+        from ncspacetime.algebra import (P_IDS, X_IDS, Signature,
+                                         build_deformed_algebra)
+        from ncspacetime.enveloping import (EnvElement, ad_generator,
+                                            env_commutator)
+        spec = build_deformed_algebra(Signature(1, -1), "full")
+        a = EnvElement.monomial((P_IDS[0],) * 200)
+        tracemalloc.start()
+        try:
+            got = env_commutator(a, EnvElement.generator(X_IDS[0]), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120e6
+        assert len(got.terms) == 200
+        assert got == -ad_generator(X_IDS[0], a, spec)
+
+    def test_iminv_times_long_power_closed_form(self):
+        """ImInv x0^n = sum_k C(n, k) x0^(n-k) D^k(ImInv) with D = [., x0].
+        In the tangent regime D maps the commutative letters p0, Im and
+        ImInv into themselves, so D^k(ImInv) is computed in the Laurent
+        ring of p0 and Im, from the table's [p0, x0] and [Im, x0] alone
+        (D(Im^b) = b Im^(b-1) D(Im) for b < 0 too)."""
+        from math import comb
+
+        from ncspacetime.algebra import (IM, IMINV, P_IDS, X_IDS, Signature,
+                                         build_deformed_algebra)
+        from ncspacetime.enveloping import EnvElement, env_product
+        from ncspacetime.scalars import Scalar
+        spec = build_deformed_algebra(Signature(1, -1), "tangent")
+        p0, x0, n = P_IDS[0], X_IDS[0], 30
+        (w_p, s_p), = spec.table[p0, x0].terms.items()
+        (w_im, s_im), = spec.table[IM, x0].terms.items()
+        assert (w_p, w_im) == ((IM,), (p0,)) and (p0, IM) not in spec.table
+        d = {(0, -1): Scalar.one()}  # D^k(ImInv) as {(a, b): p0^a Im^b}
+        want = EnvElement.zero()
+        for k in range(n + 1):
+            for (a, b), s in d.items():
+                word = (x0,) * (n - k) + (p0,) * a + \
+                    ((IM,) * b if b > 0 else (IMINV,) * -b)
+                want = want + EnvElement.monomial(word, s * comb(n, k))
+            nxt = {}
+            for (a, b), s in d.items():
+                # D(p0^a Im^b) = a p0^(a-1) Im^b D(p0) + b p0^a Im^(b-1) D(Im)
+                for key, t in (((a - 1, b + 1), s_p * a),
+                               ((a + 1, b - 1), s_im * b)):
+                    if t:
+                        nxt[key] = nxt.get(key, Scalar.zero()) + s * t
+            d = {key: s for key, s in nxt.items() if s}
+        got = env_product(EnvElement.generator(IMINV),
+                          EnvElement.monomial((x0,) * n), spec)
+        assert len(got.terms) == 256
+        assert got == want
 
     def test_large_exponent_is_exact(self):
         big = 2 ** 40
