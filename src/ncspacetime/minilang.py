@@ -275,15 +275,18 @@ def _format_qqi(re, im) -> str:
     return f"({re}+{im}*i)" if im > 0 else f"({re}{im}*i)"
 
 
-def _format_scalar_term(key: int, coeff: QQi, monos: dict) -> str:
-    """One term of a Scalar.  monos maps each monomial key already printed
-    by the same printer call to its text, so each key is decoded once."""
+def _format_scalar_term(key: int, coeff: QQi, monos: dict | None) -> str:
+    """One term of a Scalar.  monos, if given, maps each monomial key that
+    the same format_env call already printed to its text, so each key is
+    decoded once per call."""
     if not key:
         return format_qqi(coeff)
-    parts = monos.get(key)
+    parts = None if monos is None else monos.get(key)
     if parts is None:
-        parts = monos[key] = "*".join([name if e == 1 else f"{name}^{e}"
-                                       for name, e in powers(key).items()])
+        parts = "*".join([name if e == 1 else f"{name}^{e}"
+                          for name, e in powers(key).items()])
+        if monos is not None:
+            monos[key] = parts
     if not coeff.im:
         if coeff.re == 1:
             return parts
@@ -298,11 +301,10 @@ def _join_terms(terms: list[str]) -> str:
     return " + ".join(terms).replace(" + -", " - ")
 
 
-def format_scalar(s: Scalar, product_context: bool = False) -> str:
-    return _format_scalar(s, product_context, {})
-
-
-def _format_scalar(s: Scalar, product_context: bool, monos: dict) -> str:
+def format_scalar(s: Scalar, product_context: bool = False,
+                  monos: dict | None = None) -> str:
+    """s as text; monos is format_env's key cache (_format_scalar_term).
+    The keys of one Scalar are distinct, so alone it needs none."""
     terms = s.terms
     if len(terms) == 1:
         (key, coeff), = terms.items()
@@ -334,14 +336,15 @@ def format_env(e: EnvElement, regime: str = "full") -> str:
         return "0"
     names = ST_NAMES if regime == "spacetime" else GEN_NAMES
     parens = len(e.terms) > 1
-    monos = {}
+    # a key can repeat only across the terms of a multi-term element
+    monos = {} if parens else None
     bits = []
     for word, s in e.sorted_terms():
         if not word:
-            bits.append(_format_scalar(s, parens, monos))
+            bits.append(format_scalar(s, parens, monos))
             continue
         wtxt = _format_word(word, names)
-        c = _format_scalar(s, True, monos)
+        c = format_scalar(s, True, monos)
         # only the constants 1 and -1 print as "1" and "-1"
         if c == "1":
             bits.append(wtxt)
