@@ -401,10 +401,11 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
     Agrees with env_commutator(generator, a) on the PBW part of the
     algebra.  Which of the two is faster depends on the element (best of 5
     in-process, Python 3.11 on a shared 2-core x86 machine, all four
-    signatures): the 15 brackets of the full-regime C3 take 0.04-0.06 s
-    here against 0.06-0.10 s by env_commutator, while in the tangent regime
-    -ad_generator(p0, ImInv*x0^30) takes 0.10-0.12 s against 0.09-0.10 s
-    (parsing ImInv*x0^30 itself takes 1.9-3.0 s, best of 3).
+    signatures): the 15 brackets of the full-regime C3 take 0.03-0.06 s
+    here against 0.04-0.08 s by env_commutator, while in the tangent regime
+    -ad_generator(p0, ImInv*x0^30) and env_commutator both take 0.05-0.09 s
+    (parsing ImInv*x0^30 itself, which normal-orders ImInv x0^30, takes
+    0.46-0.53 s, best of 3).
     """
     eng = get_engine(spec)
     eng.check_letter(gid)

@@ -18,7 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ncspacetime.algebra import FORMAL_BASE, IM, IMINV, EnvElement  # noqa: E402
+from ncspacetime.algebra import (FORMAL_BASE, IM, IMINV,  # noqa: E402
+                                 EnvElement)
 from ncspacetime.enveloping import (ad_generator, env_commutator,  # noqa: E402
                                     env_product)
 from ncspacetime.scalars import QQi, Scalar  # noqa: E402
