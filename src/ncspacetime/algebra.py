@@ -33,7 +33,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .scalars import S_I, S_MINUS_I, S_ONE, Scalar, _accumulate
+from .scalars import (S_I, S_MINUS_I, S_ONE, Scalar, _accumulate, _checked,
+                      _scalar)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -447,14 +448,39 @@ def contract_tangent(spec: LieAlgebraSpec) -> LieAlgebraSpec:
 
 
 def jacobi_defect(spec: LieAlgebraSpec):
-    """All basis triples with nonzero Jacobiator; empty means a Lie algebra."""
+    """All basis triples a < b < c whose Jacobiator
+    [[a,b],c] + [[b,c],a] + [[c,a],b] is nonzero, each with it; empty means
+    a Lie algebra.
+
+    The sum is the one spec.bracket gives, read off the packed table
+    (spec.engine.rows): each c_xy^g [g, z] is added into one coefficient
+    {monomial key: QQi} per word.  The central part of an inner bracket
+    [x, y] drops out, while an outer bracket [g, z] keeps its central part.
+    A table entry of degree >= 2 is a ValueError.  An EnvElement is built
+    only for a defective triple.
+    """
+    from .enveloping import _add_times  # enveloping imports this module
+    basis = spec.basis
+    for elem in spec.table.values():
+        for g, _ in _linear_part(elem):
+            if g not in basis:
+                raise UnknownGeneratorError(
+                    f"generator id {g} not in {spec.regime} basis")
+    rows = spec.engine.rows
     defects = []
-    for a, b, c in itertools.combinations(sorted(spec.basis), 3):
-        ea, eb, ec = (EnvElement.generator(g) for g in (a, b, c))
-        j = (spec.bracket(spec.bracket(ea, eb), ec)
-             + spec.bracket(spec.bracket(eb, ec), ea)
-             + spec.bracket(spec.bracket(ec, ea), eb))
-        if not j.is_zero:
+    for a, b, c in itertools.combinations(sorted(basis), 3):
+        acc = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for w, cxy in rows[x].get(y, ()):
+                if w:
+                    for v, cgz in rows[w[0]].get(z, ()):
+                        d = acc.get(v)
+                        if d is None:
+                            d = acc[v] = {}
+                        _add_times(d, cxy.mapping, cgz)
+        if any(acc.values()):
+            j = EnvElement()
+            j.terms = {w: _scalar(_checked(d)) for w, d in acc.items() if d}
             defects.append(((a, b, c), j))
     return defects
 

@@ -47,11 +47,10 @@ import itertools
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
-                      _MAB_INDEX, build_deformed_algebra, identify_orthogonal,
-                      levi_civita)
+                      build_deformed_algebra, identify_orthogonal, levi_civita)
 from .scalars import ExponentRangeError  # noqa: F401 (re-exported)
 from .scalars import (QQI_ONE, QQi, Scalar, _accumulate, _checked, _new,
-                      _norm, _scalar, powers)
+                      _norm, _qqi, _scalar, powers)
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
 
@@ -416,18 +415,6 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
 
 # -- Casimir invariants ----------------------------------------------------
 
-def _phys_mab_factor(ident, a: int, b: int):
-    """(gid, Scalar) for the physical image of M^{ab}, any index order."""
-    if a == b:
-        return None
-    if a < b:
-        idx, sgn = _MAB_INDEX[(a, b)], 1
-    else:
-        idx, sgn = _MAB_INDEX[(b, a)], -1
-    gid, f = ident.to_phys(idx)
-    return gid, (f if sgn > 0 else -f)
-
-
 def casimir(kind: str, sig: Signature,
             spec: LieAlgebraSpec | None = None) -> EnvElement:
     """Invariants of the 6d orthogonal algebra, in the physical basis.
@@ -435,6 +422,14 @@ def casimir(kind: str, sig: Signature,
     C1 = sum M_ab M^ab, C2 = sum eps_abcdef M^ab M^cd M^ef,
     C3 = sum M_ab M^bc M_cd M^da; indices are lowered with eta6, so the
     physical coefficients carry (possibly negative) powers of ell and R_inv.
+
+    C2 is summed over the 90 permutations with a<b, c<d and e<f, each
+    with weight 8.  Swapping the two indices of a pair flips both the
+    Levi-Civita sign and M^{ab}, so each of the 720 words of the free
+    algebra is one of these 90 with the same coefficient, on any table.
+    The identification makes each M^{ab} one physical generator times a
+    monomial, so a word's coefficient is one key sum and one product of
+    Gaussian rationals.
     """
     if kind not in CASIMIR_KINDS:
         raise ValueError(f"unknown Casimir kind {kind!r}")
@@ -444,21 +439,23 @@ def casimir(kind: str, sig: Signature,
     run = _Run(eng)
     ident = identify_orthogonal(sig)
     eta = sig.eta6
-    factors = {}
-    for (a, b) in MAB_PAIRS:
-        gid, f = _phys_mab_factor(ident, a, b)
+    factors = {}  # (a, b) -> (gid, key, re, im) of M^{ab}, any index order
+    for k, (a, b) in enumerate(MAB_PAIRS):
+        gid, f = ident.to_phys(k)
         eng.check_letter(gid)
-        factors[(a, b)] = (gid, f.terms.items())
-        factors[(b, a)] = (gid, (-f).terms.items())
+        (key, q), = f.terms.items()
+        factors[(a, b)] = (gid, key, q.re, q.im)
+        factors[(b, a)] = (gid, key, -q.re, -q.im)
 
     def accumulate(index_pairs, coeff: int):
         word = []
-        scal = [(0, QQi(coeff))]
-        for (a, b) in index_pairs:
-            gid, f = factors[(a, b)]
+        key, re, im = 0, coeff, 0
+        for pair in index_pairs:
+            gid, k, x, y = factors[pair]
             word.append(gid)
-            scal = _times(scal, f)
-        run.add(tuple(word), scal)
+            key += k
+            re, im = re * x - im * y, re * y + im * x
+        run.add(tuple(word), ((key, _qqi(_norm(re), _norm(im))),))
 
     if kind == "C1":
         for a in range(6):
@@ -468,7 +465,8 @@ def casimir(kind: str, sig: Signature,
     elif kind == "C2":
         for perm in itertools.permutations(range(6)):
             a, b, c, d, e, f = perm
-            accumulate(((a, b), (c, d), (e, f)), levi_civita(*perm))
+            if a < b and c < d and e < f:
+                accumulate(((a, b), (c, d), (e, f)), 8 * levi_civita(*perm))
     else:  # C3
         for a, b, c, d in itertools.product(range(6), repeat=4):
             if a == b or b == c or c == d or d == a:

@@ -37,6 +37,19 @@ class TestExitCodes:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert "jacobi_identity" in failed
 
+    def test_failing_jacobi_names_its_triples(self, tmp_path):
+        # every Jacobiator of this table is central (test_jacobi_reference)
+        spec = write_spec(tmp_path, {
+            "signature": {"eps4": 1, "eps5": -1}, "regime": "tangent",
+            "structure_overrides": {"[x3,M02]": "i", "[M02,p3]": "1"}})
+        out = run_cli("--spec", spec, "verify")
+        assert out.returncode == 1
+        check, = (c for c in json.loads(out.stdout)["checks"]
+                  if c["name"] == "jacobi_identity")
+        assert check["status"] == "fail"
+        assert check["details"]["count"] == 13
+        assert check["details"]["defective_triples"][0] == ["x0", "x2", "x3"]
+
     def test_parse_error_exits_two(self):
         out = run_cli("commute", "p0 +", "x1")
         assert out.returncode == 2
