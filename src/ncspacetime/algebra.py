@@ -485,6 +485,45 @@ def jacobi_defect(spec: LieAlgebraSpec):
     return defects
 
 
+# x0, p0, M01, M12, M23: by brackets they reach every letter of the clean
+# full, tangent and spacetime tables (generating_set)
+GENERATING_LETTERS = (X_IDS[0], P_IDS[0], M_IDS[0], M_IDS[3], M_IDS[5])
+
+
+def generating_set(spec: LieAlgebraSpec):
+    """The letters of GENERATING_LETTERS in spec's basis if they generate
+    it, else None.
+
+    Two conditions, checked on every call: the table passes jacobi_defect
+    (so the enveloping algebra is associative), and the bracket closure of
+    the letters reaches the whole basis.  A closure step is read from
+    spec.table: from reached a and b, an entry [a, b] whose only term of
+    degree 1 is one generator g with a one-monomial coefficient reaches g.
+    Then a derivation of the enveloping algebra that kills the letters
+    kills every generator: its kernel is closed under brackets, kills the
+    central part, and a one-monomial coefficient is a unit.  A table that
+    jacobi_defect refuses has no generating set.
+    """
+    try:
+        if jacobi_defect(spec):
+            return None
+    except (ValueError, UnknownGeneratorError):
+        return None
+    seeds = tuple(g for g in GENERATING_LETTERS if g in spec.basis)
+    reached = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        a = frontier.pop()
+        for b in list(reached):
+            linear = _linear_part(spec.table.get((a, b), EnvElement()))
+            if len(linear) == 1:
+                (g, s), = linear
+                if len(s.terms) == 1 and g not in reached:
+                    reached.add(g)
+                    frontier.append(g)
+    return seeds if reached.issuperset(spec.basis) else None
+
+
 # -- 6-dimensional orthogonal realization ---------------------------------
 
 def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:

@@ -76,7 +76,9 @@ class Derivation:
     images is in the form of the engine's rows ((word, coefficient items)
     pairs per letter); in the full regime it is the engine's own row of the
     label and scale the items of its inner scale, in the tangent regime
-    the printed table and None.
+    the printed table and None.  commutators memoizes commutator: it
+    belongs to this derivation, so it lives as long as its set, one
+    request.
     """
 
     def __init__(self, label: int, images: dict, spec: LieAlgebraSpec,
@@ -85,11 +87,23 @@ class Derivation:
         self.images = images
         self.spec = spec
         self.scale = scale
+        self.commutators: dict[int, list] = {}
 
     def apply(self, a: EnvElement) -> EnvElement:
         """Leibniz extension to arbitrary canonical elements; formal
         symbols are constants."""
         return leibniz(a, self.images, self.spec, self.scale)
+
+    def commutator(self, other: int) -> list:
+        """[d^label, d^other] in the derivation basis as (label, items,
+        negated items) triples, resolved on first use."""
+        out = self.commutators.get(other)
+        if out is None:
+            out = self.commutators[other] = [
+                (lab, c.terms.items(), (-c).terms.items())
+                for lab, c in derivation_commutator_coeffs(
+                    self.label, other, self.spec.regime, self.spec)]
+        return out
 
 
 def derivation_labels(regime: str) -> tuple[int, ...]:
@@ -225,14 +239,15 @@ def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,
 
     Each component is one kernel run: the Leibniz terms of every
     (-1)^i d^{t_i}(omega(rest)), and the derivation-commutator terms added
-    as the normal-ordered words of omega they select.
+    as the normal-ordered words of omega they select.  derivs must be
+    derivation_set(regime, spec); each [d^a, d^b] is resolved once per
+    derivation set (Derivation.commutator).
     """
     if derivs is None:
         derivs = derivation_set(regime, spec)
     eng = spec.engine
     p = omega.degree
     values = {tup: _terms(eng, val) for tup, val in omega.comps.items()}
-    brackets = {}  # (a, b) -> [d^a, d^b] coefficients, this call only
     out: dict[tuple, EnvElement] = {}
     for tup in itertools.combinations(derivation_labels(regime), p + 1):
         run = _Run(eng)
@@ -242,20 +257,15 @@ def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,
                 d = derivs[tup[i]]
                 run.leibniz(terms, d.images, _signed(d.scale, i % 2))
         for i, j in itertools.combinations(range(p + 1), 2):
-            pair = tup[i], tup[j]
-            coeffs = brackets.get(pair)
-            if coeffs is None:
-                coeffs = brackets[pair] = \
-                    derivation_commutator_coeffs(*pair, regime, spec)
             rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
-            for lab, c in coeffs:
+            for lab, c, minus_c in derivs[tup[i]].commutator(tup[j]):
                 sign = levi_civita(lab, *rest)
                 terms = sign and values.get(tuple(sorted((lab,) + rest)))
                 if terms:
                     if sign * (-1) ** (i + j) < 0:
-                        c = -c
+                        c = minus_c
                     for w, cw in terms:
-                        run.add_normal(w, _times(c.terms.items(), cw))
+                        run.add_normal(w, _times(c, cw))
         if run.coef:
             value = run.element()
             if value.terms:

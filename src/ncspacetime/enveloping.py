@@ -47,7 +47,8 @@ import itertools
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
-                      build_deformed_algebra, identify_orthogonal, levi_civita)
+                      build_deformed_algebra, generating_set,
+                      identify_orthogonal, levi_civita)
 from .scalars import ExponentRangeError  # noqa: F401 (re-exported)
 from .scalars import (QQI_ONE, QQi, Scalar, _accumulate, _checked, _new,
                       _norm, _qqi, _scalar, powers)
@@ -500,12 +501,34 @@ def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
     independent formal symbols in the coefficient ring; centrality of the
     orthogonal-algebra invariants is an identity only on the locus relating
     them, so the defect is evaluated there.
+
+    A zero defect on a generating set is a zero defect on the whole basis.
+    Restoring phi is a ring map on coefficients that commutes with normal
+    ordering, so the generators with a zero defect are those of the
+    centralizer of the restored c, and a centralizer is closed under
+    brackets.  A one-monomial coefficient stays one monomial, a unit of
+    the Laurent coefficient ring, over which the enveloping algebra is
+    free (PBW).  So when every letter of c is in the basis and
+    algebra.generating_set(spec) holds (the table passes jacobi_defect,
+    and the closure of x0, p0, M01, M12, M23 under the table's
+    one-monomial brackets reaches the basis), the defect is taken on those
+    letters first.  If it is zero there, it is zero on every generator;
+    otherwise, and whenever a precondition fails, every generator is
+    swept, so a failure lists the same generators either way.
     """
     eps5 = spec.signature.eps5
+
+    def defect(gid):
+        return (-ad_generator(gid, c, spec)).map_scalars(
+            lambda s: _restore_phi(s, eps5))
+
+    if {g for w in c.terms for g in w}.issubset(spec.basis):
+        seeds = generating_set(spec)
+        if seeds is not None and all(defect(g).is_zero for g in seeds):
+            return []
     out = []
     for gid in sorted(spec.basis):
-        d = (-ad_generator(gid, c, spec)).map_scalars(
-            lambda s: _restore_phi(s, eps5))
+        d = defect(gid)
         if not d.is_zero:
             out.append((gid, d))
     return out

@@ -362,3 +362,20 @@ def test_orthogonal_symbolic_names_every_pair():
                              "count": 2}
     clean = build_deformed_algebra(Signature(1, 1), "full")
     assert check_orthogonal_symbolic(clean).status == "pass"
+
+
+def test_contraction_names_every_entry():
+    """On a mutated tangent table the contraction check names each entry
+    where contract_tangent(full) and the tangent table differ: one the
+    tangent table drops, one it adds and one it changes."""
+    from ncspacetime.cli import check_contraction
+    full = build_deformed_algebra(Signature(1, 1), "full")
+    mutated = load_specfile({"regime": "tangent", "structure_overrides": {
+        "[x0,Im]": "0", "[p0,p1]": "M01", "[M01,p2]": "p3"}}).build()
+    check = check_contraction(full, mutated)
+    assert (check.status, check.max_residual) == ("fail", 1.0)
+    assert check.details == {"mismatched": ["[x0,Im]", "[p0,p1]", "[p2,M01]"],
+                             "count": 3}
+    clean = build_deformed_algebra(Signature(1, 1), "tangent")
+    assert check_contraction(full, clean).details == \
+        "R_inv -> 0 substitution equals the tangent table entry-for-entry"

@@ -301,28 +301,34 @@ def defects_by_substitution(c, spec):
     return out
 
 
+# (spec document, Casimir kinds, whether some defect is nonzero)
+LOCUS_CASES = [
+    ({"signature": {"eps4": 1, "eps5": 1},
+      "structure_overrides": {"[p0,x0]": "0"}}, "C1 C2 C3", True),
+    ({"signature": {"eps4": -1, "eps5": 1}, "regime": "tangent",
+      "structure_overrides": {f"[x{mu},Im]": "0" for mu in range(4)}},
+     "C1 C2", True),
+    # phi in an override, an odd power of phi under eps5 = -1
+    ({"signature": {"eps4": 1, "eps5": -1},
+      "structure_overrides": {"[x0,x1]": "(ell^2 + 2*phi)*M01 - "
+                                         "i*ell*R_inv*Im",
+                              "[p2,p3]": "phi^3*M23"}}, "C1 C2 C3", True),
+    # an override that vanishes on the locus
+    ({"signature": {"eps4": -1, "eps5": -1},
+      "structure_overrides": {"[p0,p1]": "(phi + R_inv^2)*M01 + "
+                                         "x2"}}, "C1 C2", True),
+    ({"signature": {"eps4": -1, "eps5": -1}}, "C1 C2 C3", False),
+]
+LOCUS_IDS = ["p0x0", "xIm", "phi-override", "locus-zero", "clean"]
+
+
 class TestCentralityOnLocus:
     """centrality_defect restores phi by a monomial map; on mutated tables,
     where the defects are not zero, it agrees term for term with the
     generic substitution."""
 
-    @pytest.mark.parametrize("doc, kinds, defective", [
-        ({"signature": {"eps4": 1, "eps5": 1},
-          "structure_overrides": {"[p0,x0]": "0"}}, "C1 C2 C3", True),
-        ({"signature": {"eps4": -1, "eps5": 1}, "regime": "tangent",
-          "structure_overrides": {f"[x{mu},Im]": "0" for mu in range(4)}},
-         "C1 C2", True),
-        # phi in an override, an odd power of phi under eps5 = -1
-        ({"signature": {"eps4": 1, "eps5": -1},
-          "structure_overrides": {"[x0,x1]": "(ell^2 + 2*phi)*M01 - "
-                                             "i*ell*R_inv*Im",
-                                  "[p2,p3]": "phi^3*M23"}}, "C1 C2 C3", True),
-        # an override that vanishes on the locus
-        ({"signature": {"eps4": -1, "eps5": -1},
-          "structure_overrides": {"[p0,p1]": "(phi + R_inv^2)*M01 + "
-                                             "x2"}}, "C1 C2", True),
-        ({"signature": {"eps4": -1, "eps5": -1}}, "C1 C2 C3", False),
-    ], ids=["p0x0", "xIm", "phi-override", "locus-zero", "clean"])
+    @pytest.mark.parametrize("doc, kinds, defective", LOCUS_CASES,
+                             ids=LOCUS_IDS)
     def test_matches_generic_substitution(self, doc, kinds, defective):
         sf = load_specfile(doc)
         spec = sf.build()
