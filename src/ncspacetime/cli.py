@@ -167,21 +167,20 @@ def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
     """
     nonzero = []
     for spec in (full, tangent):
-        regime = spec.regime
-        derivs = derivation_set(regime, spec)
+        derivs = derivation_set(spec)
 
         def failures(gids):
             out = []
             for gid in gids:
-                one_form = differential_of_generator(gid, regime, spec, derivs)
-                dd = exterior_derivative(one_form, regime, spec, derivs)
+                one_form = differential_of_generator(gid, spec, derivs)
+                dd = exterior_derivative(one_form, spec, derivs)
                 if not dd.is_zero:
                     out.append({
-                        "regime": regime, "generator": spec.gen_name(gid),
+                        "regime": spec.regime, "generator": spec.gen_name(gid),
                         "first_nonzero": [theta_name(lab)
                                           for lab in min(dd.comps)]})
             return out
-        seeds = generating_set(spec) if regime == "full" else None
+        seeds = generating_set(spec) if spec.regime == "full" else None
         if seeds is None or failures(seeds):
             nonzero += failures(spec.basis)
     if nonzero:
@@ -193,12 +192,12 @@ def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
 
 def check_worked_differentials(spec: LieAlgebraSpec) -> Check:
     sig = spec.signature
-    derivs = derivation_set("full", spec)
+    derivs = derivation_set(spec)
     mismatched = []
     for ids, reference in ((X_IDS, reference_differential_x),
                            (P_IDS, reference_differential_p)):
         for mu in range(4):
-            if differential_of_generator(ids[mu], "full", spec, derivs) \
+            if differential_of_generator(ids[mu], spec, derivs) \
                     != reference(mu, sig):
                 mismatched.append("d" + spec.gen_name(ids[mu]))
     if mismatched:
@@ -238,9 +237,9 @@ def cmd_verify(spec_file: SpecFile, args) -> Report:
     report.add(check_orthogonal_oracle(full, oracle_tol))
     report.add(check_contraction(full, tangent))
     report.add(check_casimir_centrality(
-        "C1", casimir("C1", sig, full), full))
+        "C1", casimir("C1", full), full))
     for kind in ("C2", "C3"):
-        elem = casimir(kind, sig, full)
+        elem = casimir(kind, full)
         report.add(check_casimir_oracle(sig, kind, elem, casimir_tol))
         if args.deep:
             report.add(check_casimir_centrality(kind, elem, full))
@@ -273,7 +272,7 @@ def cmd_casimir(spec_file: SpecFile, args) -> Report:
     sig = spec_file.signature
     kind = f"C{args.which}"
     spec = build_deformed_algebra(sig, "full")
-    elem = casimir(kind, sig, spec)
+    elem = casimir(kind, spec)
     report.payload["element"] = format_env(elem)
     report.payload["terms"] = len(elem.terms)
     report.add(check_casimir_oracle(sig, kind, elem))
@@ -296,7 +295,7 @@ def cmd_diff(spec_file: SpecFile, args) -> Report:
     gid = spec.gen_ids().get(args.generator)
     if gid is None:
         raise MiniLangError(f"unknown generator {args.generator!r}", 0)
-    form = differential_of_generator(gid, regime, spec)
+    form = differential_of_generator(gid, spec)
     comps = {theta_name(lab[0]): format_env(val, regime)
              for lab, val in sorted(form.comps.items())}
     report.payload["differential"] = comps
@@ -343,9 +342,9 @@ def cmd_curvature(spec_file: SpecFile, args) -> Report:
                 raise SpecFileError(
                     f"connection component {key!r} must be a string")
             comps[lab] = parse_element(text, spec)
-        conn = Connection(comps, "full", spec)
+        conn = Connection(comps, spec)
     else:
-        conn = Connection.zero("full", spec)
+        conn = Connection.zero(spec)
     report.payload["phi_term_sign"] = PHI_TERM_SIGN
     worst_exact = True
     for alpha_i in range(4):
@@ -356,7 +355,7 @@ def cmd_curvature(spec_file: SpecFile, args) -> Report:
                 lhs = curvature_commutator(conn, x, alpha, beta)
                 f = field_strength(conn, alpha, beta)
                 expected = env_product(x, f, spec) \
-                    + expected_phi_term(sig, mu, alpha_i, beta_i)
+                    + expected_phi_term(mu, alpha_i, beta_i)
                 if not (lhs - expected).is_zero:
                     worst_exact = False
     status = "pass" if worst_exact else "fail"
@@ -364,7 +363,7 @@ def cmd_curvature(spec_file: SpecFile, args) -> Report:
                      EXACT_ZERO if worst_exact else 1.0,
                      "commutator of covariant derivatives = x*(field strength) "
                      "+ phi term, all translation pairs and all x components"))
-    zero_conn = Connection.zero("full", spec)
+    zero_conn = Connection.zero(spec)
     sample = curvature_phi_part(
         EnvElement.generator(X_IDS[0]), P_IDS[0], P_IDS[1], zero_conn)
     report.payload["phi_term_on_x0_d0_d1"] = format_env(sample)

@@ -17,14 +17,15 @@ different cells commute, and the fifteen cell bilinears realize so(eta6),
 so closure_report reads the whole closure table off the so(eta6) bracket
 table in exact arithmetic, with no matrices, at any N in constant time and
 memory.  finkelstein_operators builds the dense 8^N x 8^N operators as the
-numeric oracle, for N small enough to fit the NCST_CLIFFORD_MAX_DIM budget;
-numpy is imported only by the functions that build numeric arrays.
+numeric oracle, for N <= 3 only; numpy is imported only there.
+
+d_form_via_D(a, spec, basis) reads the regime from the spec and pairs the
+Dirac weights with the labels of the derivation set it applies.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,14 +34,6 @@ from .algebra import IM, M_IDS, M_PAIRS, MAB_PAIRS, P_IDS, X_IDS, \
 from .diffcalc import derivation_labels, derivation_set
 from .enveloping import EnvElement
 from .scalars import QQI_I, QQi
-
-CELL_DIM_ENV = "NCST_CLIFFORD_MAX_DIM"
-DEFAULT_MAX_DIM = 512  # 8^3: three cells
-
-
-class ResourceBudgetError(RuntimeError):
-    pass
-
 
 class ConstraintViolation(ValueError):
     pass
@@ -88,11 +81,6 @@ def qmat_anticommutator(a, b):
 
 def qmat_commutator(a, b):
     return qmat_add(qmat_mul(a, b), qmat_scale(qmat_mul(b, a), -1))
-
-
-def qmat_to_numpy(a):
-    import numpy as np
-    return np.array([[x.to_complex() for x in row] for row in a])
 
 
 def qmat_kron(a, b):
@@ -225,8 +213,8 @@ def dirac_operator(regime: str, basis: GammaBasis) -> DiracOperator:
     return DiracOperator(regime, terms)
 
 
-def d_form_via_D(a: EnvElement, regime: str, spec: LieAlgebraSpec,
-                 basis: GammaBasis, derivs=None):
+def d_form_via_D(a: EnvElement, spec: LieAlgebraSpec, basis: GammaBasis,
+                 derivs=None):
     """[D, a] as matrix-weighted one-form components: label -> (Gamma, i*d^a(a)).
 
     Multiplication operators commute with the constant matrix weights, so
@@ -235,13 +223,9 @@ def d_form_via_D(a: EnvElement, regime: str, spec: LieAlgebraSpec,
     derivative as an independent route.
     """
     if derivs is None:
-        derivs = derivation_set(regime, spec)
-    op = dirac_operator(regime, basis)
-    out = {}
-    for lab in derivation_labels(regime):
-        val = derivs[lab].apply(a)
-        out[lab] = (op.terms[lab], val)
-    return out
+        derivs = derivation_set(spec)
+    op = dirac_operator(spec.regime, basis)
+    return {lab: (op.terms[lab], d.apply(a)) for lab, d in derivs.items()}
 
 
 # -- N-cell construction ----------------------------------------------------
@@ -259,42 +243,6 @@ def cl6_generators(sig: Signature) -> tuple:
     eta = sig.eta6
     return tuple(m if eta[a] == 1 else qmat_scale(m, _I)
                  for a, m in enumerate(euclid))
-
-
-def max_cell_dim() -> int:
-    """Largest dense cell dimension 8^N the oracle may build."""
-    raw = os.environ.get(CELL_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ResourceBudgetError(
-            f"{CELL_DIM_ENV} must be a positive integer, got {raw!r}")
-    return budget
-
-
-def _check_budget(n_cells: int) -> int:
-    dim = 8 ** n_cells
-    budget = max_cell_dim()
-    if dim > budget:
-        raise ResourceBudgetError(
-            f"{n_cells} cells need dimension {dim} > budget {budget}"
-            f" (override with {CELL_DIM_ENV})")
-    return dim
-
-
-def embed_even(mat8, n: int, n_cells: int):
-    """Embedding for even (second-order) per-cell elements: plain factor."""
-    import numpy as np
-    _check_budget(n_cells)
-    m = qmat_to_numpy(mat8)
-    out = np.ones((1, 1), dtype=complex)
-    for k in range(1, n_cells + 1):
-        out = np.kron(out, m if k == n else np.eye(8))
-    return out
 
 
 @dataclass
@@ -363,22 +311,24 @@ def family_terms(params: FinkelsteinParams) -> dict[str, tuple]:
 def finkelstein_operators(params: FinkelsteinParams, sig: Signature) -> dict:
     """Dense 8^N x 8^N numpy realizations of the families (see family_terms).
 
-    This is the numeric oracle for closure_report, bounded by
-    NCST_CLIFFORD_MAX_DIM.
+    This is the numeric oracle for closure_report.  It refuses N > 3
+    (8^3 = 512) before it allocates anything.
     """
+    if params.n_cells > 3:
+        raise ValueError("the dense oracle builds at most 3 cells, "
+                         f"not {params.n_cells}")
     import numpy as np
     params.check()
-    n_cells = params.n_cells
-    dim = _check_budget(n_cells)
+    k = params.n_cells - 1  # cells 1..N-1 carry the sum; the tip does not
     gens = cl6_generators(sig)
     out = {}
     for name, (a, b, c) in family_terms(params).items():
         # gamma^{ab} = (1/2)[G^a, G^b] on one cell (= G^a G^b)
         mat = qmat_scale(qmat_commutator(gens[a], gens[b]), Fraction(1, 2))
-        acc = np.zeros((dim, dim), dtype=complex)
-        for n in range(1, n_cells):
-            acc += embed_even(mat, n, n_cells)
-        out[name] = c.to_complex() * acc
+        m = np.array([[x.to_complex() for x in row] for row in mat])
+        out[name] = c.to_complex() * sum(
+            np.kron(np.kron(np.eye(8 ** n), m), np.eye(8 ** (k - n)))
+            for n in range(k))
     return out
 
 

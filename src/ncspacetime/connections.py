@@ -20,11 +20,15 @@ and for a = x^mu the second term is the constant-curvature part
 with the single recorded constant PHI_TERM_SIGN = -1: the gauge field
 strength multiplies the module element on the right and the phi term enters
 with the opposite overall sign relative to the usual left-acting convention.
+
+Connection(components, spec) lives on the labels of derivation_set(spec).
+gravitational_curvature(sigma, alpha, mu, beta) and expected_phi_term(mu,
+alpha, beta) take no signature: eta4 is the same for every signature.
 """
 
 from __future__ import annotations
 
-from .algebra import (FORMAL_BASE, LieAlgebraSpec, Signature, eta4, x_id)
+from .algebra import FORMAL_BASE, LieAlgebraSpec, eta4, x_id
 from .diffcalc import Derivation, derivation_labels, derivation_set, \
     derivation_commutator_coeffs
 from .enveloping import EnvElement, env_commutator, env_product
@@ -38,30 +42,29 @@ class DimensionMismatchError(ValueError):
 
 
 class Connection:
-    """Connection components A^i over the derivation labels of a regime."""
+    """Connection components A^i over the derivation labels of the spec's
+    regime."""
 
-    def __init__(self, components: dict[int, EnvElement], regime: str,
+    def __init__(self, components: dict[int, EnvElement],
                  spec: LieAlgebraSpec):
-        labels = derivation_labels(regime)
+        self._derivs = derivation_set(spec)
         self.components = {lab: components.get(lab, EnvElement.zero())
-                           for lab in labels}
-        unknown = set(components) - set(labels)
+                           for lab in self._derivs}
+        unknown = set(components) - set(self._derivs)
         if unknown:
             raise KeyError(f"component labels outside the regime: {unknown}")
-        self.regime = regime
         self.spec = spec
-        self._derivs = derivation_set(regime, spec)
 
     @classmethod
-    def zero(cls, regime: str, spec: LieAlgebraSpec) -> "Connection":
-        return cls({}, regime, spec)
+    def zero(cls, spec: LieAlgebraSpec) -> "Connection":
+        return cls({}, spec)
 
     @classmethod
-    def formal(cls, regime: str, spec: LieAlgebraSpec) -> "Connection":
+    def formal(cls, spec: LieAlgebraSpec) -> "Connection":
         """Components as free formal symbols A^i (one per derivation label)."""
         comps = {lab: EnvElement.monomial((FORMAL_BASE + lab,))
-                 for lab in derivation_labels(regime)}
-        return cls(comps, regime, spec)
+                 for lab in derivation_labels(spec.regime)}
+        return cls(comps, spec)
 
     def derivation(self, label: int) -> Derivation:
         return self._derivs[label]
@@ -97,14 +100,13 @@ def curvature_phi_part(a: EnvElement, alpha: int, beta: int,
                        conn: Connection) -> EnvElement:
     """[d^alpha, d^beta](a), the gravity-induced part of the curvature."""
     out = EnvElement.zero()
-    for lab, coeff in derivation_commutator_coeffs(
-            alpha, beta, conn.regime, conn.spec):
+    for lab, coeff in derivation_commutator_coeffs(alpha, beta, conn.spec):
         out = out + conn.derivation(lab).apply(a).scale(coeff)
     return out
 
 
-def gravitational_curvature(sig: Signature, sigma: int, alpha: int,
-                            mu: int, beta: int) -> Scalar:
+def gravitational_curvature(sigma: int, alpha: int, mu: int,
+                            beta: int) -> Scalar:
     """R^{sigma alpha mu beta} = phi*(eta^{sa} eta^{mb} - eta^{sb} eta^{ma})."""
     for idx in (sigma, alpha, mu, beta):
         if not 0 <= idx <= 3:
@@ -114,12 +116,11 @@ def gravitational_curvature(sig: Signature, sigma: int, alpha: int,
     return phi * Scalar.of(val)
 
 
-def expected_phi_term(sig: Signature, mu: int, alpha: int,
-                      beta: int) -> EnvElement:
+def expected_phi_term(mu: int, alpha: int, beta: int) -> EnvElement:
     """PHI_TERM_SIGN * phi (eta^{sa}eta^{mb} - eta^{sb}eta^{ma}) x_s on x^mu."""
     out = EnvElement.zero()
     for s in range(4):
-        val = gravitational_curvature(sig, s, alpha, mu, beta)
+        val = gravitational_curvature(s, alpha, mu, beta)
         if val.is_zero:
             continue
         # x_s = eta_{ss} x^s for the diagonal metric

@@ -24,6 +24,10 @@ exterior derivative is the alternating-sum formula including the
 derivation-commutator term, which in the full regime is resolved back into
 the derivation basis through the structure constants.  Each component of
 d(omega) is one kernel run that takes both sums.
+
+Every entry point reads the regime from its spec (derivation_set(spec),
+exterior_derivative(omega, spec), ...), and d(omega) lives on the labels of
+the derivation set it applies.  A spacetime spec has no derivation set.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ class Derivation:
             out = self.commutators[other] = [
                 (lab, c.terms.items(), (-c).terms.items())
                 for lab, c in derivation_commutator_coeffs(
-                    self.label, other, self.spec.regime, self.spec)]
+                    self.label, other, self.spec)]
         return out
 
 
@@ -138,29 +142,28 @@ def _tangent_images(eps4: int) -> dict:
     return out
 
 
-def derivation_set(regime: str, spec: LieAlgebraSpec) -> dict[int, Derivation]:
-    """The derivation space of the calculus, keyed by label."""
-    if spec.regime != regime:
-        raise ValueError("spec regime does not match requested derivation set")
-    if regime == "full":
+def derivation_set(spec: LieAlgebraSpec) -> dict[int, Derivation]:
+    """The derivation space of the calculus on spec's regime, keyed by
+    label in increasing order."""
+    labels = derivation_labels(spec.regime)
+    if spec.regime == "full":
         rows = spec.engine.rows  # the nonzero brackets, packed
         return {label: Derivation(label, rows[label], spec,
                                   _SCALE_D4 if label == IM else _SCALE)
-                for label in FULL_LABELS}
+                for label in labels}
     # tangent: the printed five-derivation table, unlisted actions zero
     images = _tangent_images(spec.signature.eps4)
     return {label: Derivation(label, images[label], spec)
-            for label in TANGENT_LABELS}
+            for label in labels}
 
 
-def derivation_commutator_coeffs(a: int, b: int, regime: str,
-                                 spec: LieAlgebraSpec):
+def derivation_commutator_coeffs(a: int, b: int, spec: LieAlgebraSpec):
     """[d^a, d^b] resolved in the derivation basis: list of (label, Scalar).
 
     Full regime: ad of the corresponding generator bracket.  Tangent
     regime: the set is Abelian, so the list is empty.
     """
-    if regime == "tangent":
+    if spec.regime == "tangent":
         return []
     out = []
     for word, t in spec.bracket_ids(a, b).terms.items():
@@ -233,23 +236,24 @@ class PForm:
         return self.degree == other.degree and self.comps == other.comps
 
 
-def exterior_derivative(omega: PForm, regime: str, spec: LieAlgebraSpec,
+def exterior_derivative(omega: PForm, spec: LieAlgebraSpec,
                         derivs: dict[int, Derivation] | None = None) -> PForm:
     """Chevalley-Eilenberg style differential on derivation-indexed forms.
 
     Each component is one kernel run: the Leibniz terms of every
     (-1)^i d^{t_i}(omega(rest)), and the derivation-commutator terms added
-    as the normal-ordered words of omega they select.  derivs must be
-    derivation_set(regime, spec); each [d^a, d^b] is resolved once per
-    derivation set (Derivation.commutator).
+    as the normal-ordered words of omega they select.  derivs is
+    derivation_set(spec), and d(omega) lives on its labels; each
+    [d^a, d^b] is resolved once per derivation set
+    (Derivation.commutator).
     """
     if derivs is None:
-        derivs = derivation_set(regime, spec)
+        derivs = derivation_set(spec)
     eng = spec.engine
     p = omega.degree
     values = {tup: _terms(eng, val) for tup, val in omega.comps.items()}
     out: dict[tuple, EnvElement] = {}
-    for tup in itertools.combinations(derivation_labels(regime), p + 1):
+    for tup in itertools.combinations(derivs, p + 1):
         run = _Run(eng)
         for i in range(p + 1):
             terms = values.get(tup[:i] + tup[i + 1:])
@@ -297,25 +301,24 @@ def contraction(omega: PForm, label: int) -> PForm:
     return PForm(omega.degree - 1, out)
 
 
-def lie_derivative(omega: PForm, label: int, regime: str,
-                   spec: LieAlgebraSpec,
+def lie_derivative(omega: PForm, label: int, spec: LieAlgebraSpec,
                    derivs: dict[int, Derivation] | None = None) -> PForm:
     """Cartan formula L = d i + i d."""
     if derivs is None:
-        derivs = derivation_set(regime, spec)
-    d_omega = exterior_derivative(omega, regime, spec, derivs)
+        derivs = derivation_set(spec)
+    d_omega = exterior_derivative(omega, spec, derivs)
     term1 = contraction(d_omega, label)
     if omega.degree == 0:
         return term1
-    term2 = exterior_derivative(contraction(omega, label), regime, spec, derivs)
+    term2 = exterior_derivative(contraction(omega, label), spec, derivs)
     return term1 + term2
 
 
-def differential_of_generator(gid: int, regime: str, spec: LieAlgebraSpec,
+def differential_of_generator(gid: int, spec: LieAlgebraSpec,
                               derivs: dict[int, Derivation] | None = None) -> PForm:
     """d(g) as a one-form: components d^a(g) on the theta basis."""
     return exterior_derivative(
-        PForm.zero_form(EnvElement.generator(gid)), regime, spec, derivs)
+        PForm.zero_form(EnvElement.generator(gid)), spec, derivs)
 
 
 def reference_differential_x(mu: int, sig) -> PForm:

@@ -46,9 +46,8 @@ from __future__ import annotations
 import itertools
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
-                      LieAlgebraSpec, Signature, UnknownGeneratorError, Word,
-                      build_deformed_algebra, generating_set,
-                      identify_orthogonal, levi_civita)
+                      LieAlgebraSpec, UnknownGeneratorError, Word,
+                      generating_set, identify_orthogonal, levi_civita)
 from .scalars import ExponentRangeError  # noqa: F401 (re-exported)
 from .scalars import (QQI_ONE, QQi, Scalar, _accumulate, _checked, _new,
                       _norm, _qqi, _scalar, powers)
@@ -416,9 +415,9 @@ def ad_generator(gid: int, a: EnvElement, spec: LieAlgebraSpec) -> EnvElement:
 
 # -- Casimir invariants ----------------------------------------------------
 
-def casimir(kind: str, sig: Signature,
-            spec: LieAlgebraSpec | None = None) -> EnvElement:
-    """Invariants of the 6d orthogonal algebra, in the physical basis.
+def casimir(kind: str, spec: LieAlgebraSpec) -> EnvElement:
+    """Invariants of the 6d orthogonal algebra of spec's signature, in
+    the physical basis, normal-ordered on spec's table.
 
     C1 = sum M_ab M^ab, C2 = sum eps_abcdef M^ab M^cd M^ef,
     C3 = sum M_ab M^bc M_cd M^da; indices are lowered with eta6, so the
@@ -434,8 +433,7 @@ def casimir(kind: str, sig: Signature,
     """
     if kind not in CASIMIR_KINDS:
         raise ValueError(f"unknown Casimir kind {kind!r}")
-    if spec is None:
-        spec = build_deformed_algebra(sig, "full")
+    sig = spec.signature
     eng = get_engine(spec)
     run = _Run(eng)
     ident = identify_orthogonal(sig)

@@ -212,7 +212,7 @@ def load_specfile(data) -> SpecFile:
                     "phi_cell", blk.get("phi_cell", "1/2")),
                 hbar=Fraction(str(blk.get("hbar", 1))),
                 enforce_constraint=enforce)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise SpecFileError(f"bad finkelstein block: {exc}") from exc
 
     rep_cfg = RepConfig()

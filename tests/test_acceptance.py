@@ -107,7 +107,7 @@ def test_criterion_04_casimir_centrality():
     spec = build_deformed_algebra(SIG, "full")
     sym_ok = True
     for kind in ("C1", "C2", "C3"):
-        sym_ok &= centrality_defect(casimir(kind, SIG, spec), spec) == []
+        sym_ok &= centrality_defect(casimir(kind, spec), spec) == []
     t0 = time.time()
     worst = 0.0
     rep6 = defining_rep(SIG)
@@ -116,7 +116,7 @@ def test_criterion_04_casimir_centrality():
     rep = {gid: complex(ident.to_mab(gid)[1].evaluate(env))
            * rep6[ident.to_mab(gid)[0]] for gid in spec.basis}
     for kind in ("C1", "C2", "C3"):
-        mat = casimir(kind, SIG, spec).evaluate_matrix(rep, env)
+        mat = casimir(kind, spec).evaluate_matrix(rep, env)
         scale = max(1.0, float(np.abs(mat).max()))
         for m in rep6.values():
             worst = max(worst,
@@ -131,20 +131,20 @@ def test_criterion_05_worked_differentials():
     ok = True
     for sig in ALL_SIGS:
         spec = build_deformed_algebra(sig, "full")
-        derivs = derivation_set("full", spec)
+        derivs = derivation_set(spec)
         for mu in range(4):
             ok &= differential_of_generator(
-                X_IDS[mu], "full", spec, derivs) == \
+                X_IDS[mu], spec, derivs) == \
                 reference_differential_x(mu, sig)
             ok &= differential_of_generator(
-                P_IDS[mu], "full", spec, derivs) == \
+                P_IDS[mu], spec, derivs) == \
                 reference_differential_p(mu, sig)
     for regime in ("full", "tangent"):
         spec = build_deformed_algebra(SIG, regime)
-        derivs = derivation_set(regime, spec)
+        derivs = derivation_set(spec)
         for gid in spec.basis:
-            form = differential_of_generator(gid, regime, spec, derivs)
-            ok &= exterior_derivative(form, regime, spec, derivs).is_zero
+            form = differential_of_generator(gid, spec, derivs)
+            ok &= exterior_derivative(form, spec, derivs).is_zero
     report(5, ok, "dx^mu and dp^mu reproduce both worked one-forms exactly; "
                   "d(d(g)) = 0 on all generators in both regimes")
 
@@ -153,19 +153,19 @@ def test_criterion_06_curvature():
     t0 = time.time()
     spec = build_deformed_algebra(SIG, "full")
     ok = True
-    conn0 = Connection.zero("full", spec)
+    conn0 = Connection.zero(spec)
     for ai, bi in itertools.combinations(range(4), 2):
         for mu in range(4):
             got = curvature_commutator(
                 conn0, EnvElement.generator(X_IDS[mu]), P_IDS[ai], P_IDS[bi])
-            ok &= got == expected_phi_term(SIG, mu, ai, bi)
-    conn = Connection.formal("full", spec)
+            ok &= got == expected_phi_term(mu, ai, bi)
+    conn = Connection.formal(spec)
     for ai, bi in itertools.combinations(range(4), 2):
         f = field_strength(conn, P_IDS[ai], P_IDS[bi])
         for mu in range(4):
             x = EnvElement.generator(X_IDS[mu])
             lhs = curvature_commutator(conn, x, P_IDS[ai], P_IDS[bi])
-            rhs = env_product(x, f, spec) + expected_phi_term(SIG, mu, ai, bi)
+            rhs = env_product(x, f, spec) + expected_phi_term(mu, ai, bi)
             ok &= (lhs - rhs).is_zero
     elapsed = time.time() - t0
     report(6, ok and elapsed < 5.0,
@@ -216,11 +216,11 @@ def test_criterion_08_d_form_equivalence():
     for regime in ("full", "tangent"):
         spec = build_deformed_algebra(SIG, regime)
         basis = gamma_basis_for(SIG)
-        derivs = derivation_set(regime, spec)
+        derivs = derivation_set(spec)
         for gid in spec.basis:
-            comps = d_form_via_D(EnvElement.generator(gid), regime, spec,
+            comps = d_form_via_D(EnvElement.generator(gid), spec,
                                  basis, derivs)
-            form = differential_of_generator(gid, regime, spec, derivs)
+            form = differential_of_generator(gid, spec, derivs)
             for lab, (_mat, val) in comps.items():
                 ok &= (val - form.value((lab,))).is_zero
     report(8, ok, "[D, g] components equal the derivation differentials for "

@@ -63,20 +63,20 @@ def _random_form(rng, spec, labels, degree: int, n_comps: int) -> PForm:
 
 def _spec_lines(spec, rng):
     regime = spec.regime
-    derivs = derivation_set(regime, spec)
+    derivs = derivation_set(spec)
     labels = sorted(derivs)
     for gid in sorted(spec.basis):
-        d1 = differential_of_generator(gid, regime, spec, derivs)
+        d1 = differential_of_generator(gid, spec, derivs)
         yield from _form_lines(d1, regime)
         yield from _form_lines(
-            exterior_derivative(d1, regime, spec, derivs), regime)
+            exterior_derivative(d1, spec, derivs), regime)
     for degree in (1, 2):
         form = _random_form(rng, spec, labels, degree, 3)
         yield from _form_lines(
-            exterior_derivative(form, regime, spec, derivs), regime)
+            exterior_derivative(form, spec, derivs), regime)
     form = _random_form(rng, spec, labels, 1, 2)
     yield from _form_lines(
-        lie_derivative(form, rng.choice(labels), regime, spec, derivs),
+        lie_derivative(form, rng.choice(labels), spec, derivs),
         regime)
     a = random_env_element(rng, spec, 3, 3)
     for lab in labels:
@@ -85,7 +85,7 @@ def _spec_lines(spec, rng):
 
 def _connection_lines(spec):
     regime = spec.regime
-    conn = Connection.formal(regime, spec)
+    conn = Connection.formal(spec)
     x = EnvElement.generator(X_IDS[1])
     for alpha, beta in itertools.combinations(sorted(conn.components), 2):
         yield format_env(field_strength(conn, alpha, beta), regime)

@@ -77,7 +77,7 @@ def reference_d(omega: PForm, spec, images: dict) -> PForm:
             for j in range(i + 1, p + 1):
                 rest = tuple(t for k, t in enumerate(tup) if k not in (i, j))
                 for lab, coeff in derivation_commutator_coeffs(
-                        tup[i], tup[j], regime, spec):
+                        tup[i], tup[j], spec):
                     val = omega.value((lab,) + rest).scale(coeff)
                     total = total + (-val if (i + j) % 2 else val)
         out[tup] = total
@@ -107,7 +107,7 @@ def test_packed_calculus_matches_reference(doc):
     spec = load_specfile(doc).build()
     regime = spec.regime
     rng = random.Random(f"calculus {sorted(doc.items())}")
-    derivs = derivation_set(regime, spec)
+    derivs = derivation_set(spec)
     images = reference_images(spec)
     labels = sorted(derivs)
     assert labels == sorted(images)
@@ -118,12 +118,12 @@ def test_packed_calculus_matches_reference(doc):
                 reference_apply(images[lab], a, spec), lab
     for gid in sorted(spec.basis):
         form = PForm.zero_form(EnvElement.generator(gid))
-        d1 = exterior_derivative(form, regime, spec, derivs)
+        d1 = exterior_derivative(form, spec, derivs)
         assert d1 == reference_d(form, spec, images), gid
-        assert exterior_derivative(d1, regime, spec, derivs) == \
+        assert exterior_derivative(d1, spec, derivs) == \
             reference_d(d1, spec, images), gid
     for degree in (0, 1, 2, 3):
         form = PForm(degree, {tuple(sorted(rng.sample(labels, degree))):
                               _element(rng, spec) for _ in range(3)})
-        assert exterior_derivative(form, regime, spec, derivs) == \
+        assert exterior_derivative(form, spec, derivs) == \
             reference_d(form, spec, images), degree

@@ -299,6 +299,7 @@ class TestSpecBlockTypes:
         {"rep": {"seed": False}},
         {"finkelstein": {"N": 3.5}},
         {"finkelstein": {"chi": True}},
+        {"finkelstein": {"hbar": "1/0"}},
         {"rep": {"sigma": True}},
         {"rep": {"sigma": "0.3"}},
         {"rep": {"tolerance": True}},
@@ -312,6 +313,16 @@ class TestSpecBlockTypes:
         assert out.out == ""
         assert len(out.err.splitlines()) == 1
         assert out.err.startswith("ncst: spec error: ")
+
+    def test_zero_denominator_hbar_is_a_finkelstein_error(self, tmp_path,
+                                                          capsys):
+        from ncspacetime import cli
+        spec = write_spec(tmp_path, {"finkelstein": {"hbar": "1/0"}})
+        assert cli.main(["--spec", spec, "clifford"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("ncst: spec error: bad finkelstein block: ")
 
 
     def test_strict_fields_keep_their_valid_forms(self):
@@ -359,7 +370,7 @@ class TestSpecsBuiltOnce:
     @pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["", "deep"])
     def test_one_build_per_table(self, monkeypatch, capsys, tmp_path,
                                  regime, deep):
-        from ncspacetime import cli, enveloping, specfile
+        from ncspacetime import cli, specfile
         built = []
         real = cli.build_deformed_algebra
 
@@ -367,7 +378,7 @@ class TestSpecsBuiltOnce:
             built.append(regime)
             return real(sig, regime, *rest)
 
-        for module in (cli, enveloping, specfile):
+        for module in (cli, specfile):
             monkeypatch.setattr(module, "build_deformed_algebra", counting)
         spec = write_spec(tmp_path, {"regime": regime})
         assert cli.main(["--spec", spec, "verify"] + deep) == 0

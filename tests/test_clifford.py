@@ -7,15 +7,14 @@ import pytest
 from ncspacetime.algebra import (IM, M_IDS, MAB_PAIRS, P_IDS, X_IDS,
                                  Signature, build_deformed_algebra,
                                  build_so6_algebra)
-from ncspacetime.clifford import (CELL_DIM_ENV, FAMILY_NAMES,
-                                  ConstraintViolation, FinkelsteinParams,
-                                  ResourceBudgetError, cl6_generators,
+from ncspacetime.clifford import (FAMILY_NAMES, ConstraintViolation,
+                                  FinkelsteinParams, cl6_generators,
                                   closure_report, d_form_via_D,
                                   dirac_operator, finkelstein_operators,
                                   gamma_basis, gamma_basis_for, gamma_set_15,
                                   qmat_add, qmat_anticommutator,
                                   qmat_commutator, qmat_eye, qmat_mul,
-                                  qmat_scale, qmat_to_numpy)
+                                  qmat_scale)
 from ncspacetime.diffcalc import derivation_set, differential_of_generator
 from ncspacetime.enveloping import EnvElement, random_env_element
 from ncspacetime.scalars import QQI_I, QQI_ONE, QQi
@@ -23,6 +22,10 @@ from ncspacetime.scalars import QQI_I, QQI_ONE, QQi
 SIG = Signature(1, 1)
 SIGNATURES = [Signature(e4, e5) for e4 in (1, -1) for e5 in (1, -1)]
 HALF = QQi(Fraction(1, 2))
+
+
+def qmat_to_numpy(a):
+    return np.array([[x.to_complex() for x in row] for row in a])
 
 
 def dense_closure(params, sig):
@@ -163,17 +166,17 @@ class TestDiracOperator:
         for regime in ("full", "tangent"):
             spec = build_deformed_algebra(SIG, regime)
             b = gamma_basis_for(SIG)
-            derivs = derivation_set(regime, spec)
+            derivs = derivation_set(spec)
             for gid in spec.basis:
-                comps = d_form_via_D(EnvElement.generator(gid), regime, spec,
+                comps = d_form_via_D(EnvElement.generator(gid), spec,
                                      b, derivs)
-                form = differential_of_generator(gid, regime, spec, derivs)
+                form = differential_of_generator(gid, spec, derivs)
                 for lab, (_mat, val) in comps.items():
                     assert (val - form.value((lab,))).is_zero
 
     def test_d_form_zero_on_unit(self):
         spec = build_deformed_algebra(SIG, "full")
-        comps = d_form_via_D(EnvElement.one(), "full", spec,
+        comps = d_form_via_D(EnvElement.one(), spec,
                              gamma_basis_for(SIG))
         assert all(v.is_zero for _m, v in comps.values())
 
@@ -181,13 +184,13 @@ class TestDiracOperator:
         import random
         spec = build_deformed_algebra(SIG, "full")
         b = gamma_basis_for(SIG)
-        derivs = derivation_set("full", spec)
+        derivs = derivation_set(spec)
         rng = random.Random(21)
         from ncspacetime.diffcalc import PForm, exterior_derivative
         for _ in range(4):
             a = random_env_element(rng, spec, 2, 3)
-            comps = d_form_via_D(a, "full", spec, b, derivs)
-            form = exterior_derivative(PForm.zero_form(a), "full", spec, derivs)
+            comps = d_form_via_D(a, spec, b, derivs)
+            form = exterior_derivative(PForm.zero_form(a), spec, derivs)
             for lab, (_mat, val) in comps.items():
                 assert (val - form.value((lab,))).is_zero
 
@@ -310,23 +313,16 @@ class TestFinkelstein:
         z2 = ops["M01"] @ ops["Im"] - ops["Im"] @ ops["M01"]
         assert np.abs(z1).max() == 0.0 and np.abs(z2).max() == 0.0
 
-    def test_budget_rejection(self, monkeypatch):
-        monkeypatch.setenv(CELL_DIM_ENV, "64")
-        params = FinkelsteinParams(3, QQi(Fraction(1, 2)), QQi(Fraction(1, 2)))
-        with pytest.raises(ResourceBudgetError):
+    def test_more_than_three_cells_refused_before_allocating(self,
+                                                              monkeypatch):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("allocated an array")
+        for name in ("array", "eye", "kron", "zeros"):
+            monkeypatch.setattr(np, name, no_arrays)
+        params = FinkelsteinParams(4, QQi(Fraction(1, 6)), QQi(1))
+        with pytest.raises(ValueError, match="at most 3 cells") as info:
             finkelstein_operators(params, SIG)
-
-    def test_budget_override(self, monkeypatch):
-        monkeypatch.setenv(CELL_DIM_ENV, "512")
-        params = FinkelsteinParams(2, QQi(Fraction(1, 2)), QQi(1))
-        finkelstein_operators(params, SIG)  # must not raise
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-64", "1.5", ""])
-    def test_invalid_budget_is_a_budget_error(self, monkeypatch, raw):
-        monkeypatch.setenv(CELL_DIM_ENV, raw)
-        params = FinkelsteinParams(2, HALF, QQi(1))
-        with pytest.raises(ResourceBudgetError, match=CELL_DIM_ENV) as info:
-            finkelstein_operators(params, SIG)
+        assert not isinstance(info.value, ConstraintViolation)
         assert "\n" not in str(info.value)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ncspacetime.algebra import (IM, M_IDS, P_IDS, X_IDS, Signature,
                                  build_deformed_algebra)
+from ncspacetime.connections import Connection
 from ncspacetime.diffcalc import (DegreeError, PForm, contraction,
                                   derivation_labels, derivation_set,
                                   differential_of_generator,
@@ -26,7 +27,7 @@ def full():
 
 @pytest.fixture(scope="module")
 def full_derivs(full):
-    return derivation_set("full", full)
+    return derivation_set(full)
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +37,30 @@ def tangent():
 
 @pytest.fixture(scope="module")
 def tangent_derivs(tangent):
-    return derivation_set("tangent", tangent)
+    return derivation_set(tangent)
 
 
 class TestDerivationSets:
     def test_label_counts(self):
         assert len(derivation_labels("full")) == 15
         assert len(derivation_labels("tangent")) == 5
+
+    @pytest.mark.parametrize("call", [
+        derivation_set,
+        lambda st: exterior_derivative(PForm.zero_form(EnvElement.one()), st),
+        lambda st: differential_of_generator(X_IDS[0], st),
+        lambda st: lie_derivative(PForm.zero_form(EnvElement.one()),
+                                  P_IDS[0], st),
+        lambda st: Connection({}, st),
+    ], ids=["derivation_set", "exterior_derivative",
+            "differential_of_generator", "lie_derivative", "Connection"])
+    def test_spacetime_spec_is_refused(self, call):
+        # the regime comes from the spec; spacetime has no derivation set
+        spacetime = build_deformed_algebra(SIG, "spacetime")
+        with pytest.raises(ValueError) as info:
+            call(spacetime)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "no derivation set for regime 'spacetime'"
 
     def test_full_x_derivation_on_x(self, full_derivs):
         # d^{x_alpha}(x^mu) = -eps4*ell^2*M^{alpha mu}; here alpha=1, mu=0
@@ -91,7 +109,7 @@ class TestDerivationSets:
         from ncspacetime.diffcalc import derivation_commutator_coeffs
         labels = sorted(full_derivs)
         for a, b in itertools.combinations(labels, 2):
-            coeffs = derivation_commutator_coeffs(a, b, "full", full)
+            coeffs = derivation_commutator_coeffs(a, b, full)
             for g in full.basis:
                 h = EnvElement.generator(g)
                 lhs = full_derivs[a].apply(full_derivs[b].apply(h)) \
@@ -124,21 +142,21 @@ class TestWorkedDifferentials:
     @pytest.mark.parametrize("sig", ALL_SIGS, ids=str)
     def test_dx_matches_reference(self, sig):
         spec = build_deformed_algebra(sig, "full")
-        derivs = derivation_set("full", spec)
+        derivs = derivation_set(spec)
         for mu in range(4):
-            got = differential_of_generator(X_IDS[mu], "full", spec, derivs)
+            got = differential_of_generator(X_IDS[mu], spec, derivs)
             assert got == reference_differential_x(mu, sig), mu
 
     @pytest.mark.parametrize("sig", ALL_SIGS, ids=str)
     def test_dp_matches_reference(self, sig):
         spec = build_deformed_algebra(sig, "full")
-        derivs = derivation_set("full", spec)
+        derivs = derivation_set(spec)
         for mu in range(4):
-            got = differential_of_generator(P_IDS[mu], "full", spec, derivs)
+            got = differential_of_generator(P_IDS[mu], spec, derivs)
             assert got == reference_differential_p(mu, sig), mu
 
     def test_dp_contains_phi_over_ell_term(self, full, full_derivs):
-        dp0 = differential_of_generator(P_IDS[0], "full", full, full_derivs)
+        dp0 = differential_of_generator(P_IDS[0], full, full_derivs)
         coeff = dp0.value((IM,))
         want = EnvElement.generator(X_IDS[0]).scale(
             Scalar.param("phi") * Scalar.param("ell", -1))
@@ -149,15 +167,15 @@ class TestExteriorDerivative:
     @pytest.mark.parametrize("regime", ["full", "tangent"])
     def test_d_squared_zero_on_generators(self, regime):
         spec = build_deformed_algebra(SIG, regime)
-        derivs = derivation_set(regime, spec)
+        derivs = derivation_set(spec)
         for gid in spec.basis:
-            one_form = differential_of_generator(gid, regime, spec, derivs)
-            assert exterior_derivative(one_form, regime, spec, derivs).is_zero
+            one_form = differential_of_generator(gid, spec, derivs)
+            assert exterior_derivative(one_form, spec, derivs).is_zero
 
     @pytest.mark.parametrize("regime", ["full", "tangent"])
     def test_d_squared_zero_on_random_one_forms(self, regime):
         spec = build_deformed_algebra(SIG, regime)
-        derivs = derivation_set(regime, spec)
+        derivs = derivation_set(spec)
         rng = random.Random(9)
         labels = sorted(derivs)
         for _ in range(3):
@@ -166,8 +184,8 @@ class TestExteriorDerivative:
                 comps[(lab,)] = random_env_element(rng, spec, 2, 2)
             form = PForm(1, comps)
             d2 = exterior_derivative(
-                exterior_derivative(form, regime, spec, derivs),
-                regime, spec, derivs)
+                exterior_derivative(form, spec, derivs),
+                spec, derivs)
             assert d2.is_zero
 
 
@@ -187,7 +205,7 @@ class TestFormOperations:
         assert contraction(th, P_IDS[0]).is_zero
 
     def test_contraction_reads_off_dx_component(self, full, full_derivs):
-        dx0 = differential_of_generator(X_IDS[0], "full", full, full_derivs)
+        dx0 = differential_of_generator(X_IDS[0], full, full_derivs)
         # i_{d^0} dx^0 = eta^{00} Im = Im
         assert contraction(dx0, P_IDS[0]).value(()) == EnvElement.generator(IM)
 
@@ -223,12 +241,12 @@ class TestFormOperations:
 class TestLieDerivative:
     def test_on_zero_form_equals_action(self, full, full_derivs):
         x0 = PForm.zero_form(EnvElement.generator(X_IDS[0]))
-        out = lie_derivative(x0, P_IDS[0], "full", full, full_derivs)
+        out = lie_derivative(x0, P_IDS[0], full, full_derivs)
         assert out.value(()) == EnvElement.generator(IM)
 
     def test_kills_unit(self, full, full_derivs):
         one = PForm.zero_form(EnvElement.one())
-        assert lie_derivative(one, P_IDS[2], "full", full, full_derivs).is_zero
+        assert lie_derivative(one, P_IDS[2], full, full_derivs).is_zero
 
     def test_commutes_with_d(self, full, full_derivs):
         rng = random.Random(13)
@@ -240,11 +258,11 @@ class TestLieDerivative:
             w = PForm(1, comps)
             d_label = rng.choice(labels)
             lhs = lie_derivative(
-                exterior_derivative(w, "full", full, full_derivs),
-                d_label, "full", full, full_derivs)
+                exterior_derivative(w, full, full_derivs),
+                d_label, full, full_derivs)
             rhs = exterior_derivative(
-                lie_derivative(w, d_label, "full", full, full_derivs),
-                "full", full, full_derivs)
+                lie_derivative(w, d_label, full, full_derivs),
+                full, full_derivs)
             assert lhs == rhs
 
 
@@ -282,13 +300,13 @@ class TestNamedFailures:
 
     def test_d_squared_first_pair_is_nonzero(self, mutated, tangent):
         from ncspacetime.cli import check_d_squared
-        derivs = derivation_set("full", mutated)
+        derivs = derivation_set(mutated)
         by_name = {mutated.gen_name(g): g for g in mutated.basis}
         for f in check_d_squared(mutated, tangent).details["nonzero"]:
             gid = by_name[f["generator"]]
             dd = exterior_derivative(
-                differential_of_generator(gid, "full", mutated, derivs),
-                "full", mutated, derivs)
+                differential_of_generator(gid, mutated, derivs),
+                mutated, derivs)
             pair = min(dd.comps)
             assert [theta_name(lab) for lab in pair] == f["first_nonzero"]
             assert not dd.value(pair).is_zero

@@ -215,7 +215,7 @@ class TestCasimirs:
             assert levi_civita(*swapped) == -val
 
     def test_c1_structure(self, full):
-        c1 = casimir("C1", SIG, full)
+        c1 = casimir("C1", full)
         # quadratic, no mixed monomials survive normal ordering up to Im^2
         assert c1.degree() == 2
         # contains the M-sector sum and the x,p,Im squares with the
@@ -226,11 +226,11 @@ class TestCasimirs:
         assert (IM, IM) in c1.terms
 
     def test_c1_centrality_symbolic(self, full):
-        assert centrality_defect(casimir("C1", SIG, full), full) == []
+        assert centrality_defect(casimir("C1", full), full) == []
 
     def test_c2_c3_centrality_symbolic(self, full):
-        c2 = casimir("C2", SIG, full)
-        c3 = casimir("C3", SIG, full)
+        c2 = casimir("C2", full)
+        c3 = casimir("C3", full)
         assert not c2.is_zero and not c3.is_zero
         assert centrality_defect(c2, full) == []
         assert centrality_defect(c3, full) == []
@@ -239,7 +239,7 @@ class TestCasimirs:
         # regression pins on the canonical form (validated independently by
         # the matrix oracle and the exact centrality sweep): C2 is degree 3
         # and pairs each generator triple with its complementary index pair
-        c2 = casimir("C2", SIG, full)
+        c2 = casimir("C2", full)
         assert c2.degree() == 3
         unit = Scalar.param("ell", -1) * Scalar.param("R_inv", -1)
         assert c2.terms[(X_IDS[0], P_IDS[1], M_IDS[5])] == unit * Scalar.of(-48)
@@ -256,7 +256,7 @@ class TestCasimirs:
             for e5 in (1, -1):
                 sig = Signature(e4, e5)
                 spec = build_deformed_algebra(sig, "full")
-                elem = casimir(kind, sig, spec)
+                elem = casimir(kind, spec)
                 rep6 = defining_rep(sig)
                 ident = identify_orthogonal(sig)
                 env = {"ell": 1.0, "R_inv": 0.5, "phi": e5 * 0.25}
@@ -274,7 +274,7 @@ class TestCasimirs:
         # is in fact a multiple of the identity (computed: 10*I at ell=1, R=2)
         sig = SIG
         spec = build_deformed_algebra(sig, "full")
-        elem = casimir("C1", sig, spec)
+        elem = casimir("C1", spec)
         rep6 = defining_rep(sig)
         ident = identify_orthogonal(sig)
         env = {"ell": 1.0, "R_inv": 0.5, "phi": 0.25}
@@ -285,7 +285,7 @@ class TestCasimirs:
 
     def test_unknown_kind(self, full):
         with pytest.raises(ValueError):
-            casimir("C4", SIG, full)
+            casimir("C4", full)
 
 
 def defects_by_substitution(c, spec):
@@ -334,7 +334,7 @@ class TestCentralityOnLocus:
         spec = sf.build()
         found = False
         for kind in kinds.split():
-            c = casimir(kind, sf.signature, spec)
+            c = casimir(kind, spec)
             want = defects_by_substitution(c, spec)
             assert centrality_defect(c, spec) == want, kind
             found |= bool(want)
@@ -375,9 +375,9 @@ class TestMemoLifetime:
         got = ad_generator(P_IDS[0], a, spec)
         assert memo_size(spec) == 0
         assert got == ad_generator(P_IDS[0], a, other)
-        got = casimir("C1", SIG, spec)
+        got = casimir("C1", spec)
         assert memo_size(spec) == 0
-        assert got == casimir("C1", SIG, other)
+        assert got == casimir("C1", other)
 
     def test_empty_after_error(self, full):
         a = gen(X_IDS[1]) + gen(P_IDS[2])
@@ -429,7 +429,7 @@ def mixed_calls(spec, seed: int) -> list[str]:
     """env_product, env_commutator, ad_generator, a derivation, casimir and
     parse_element on one spec; their results, printed."""
     rng = random.Random(seed)
-    derivs = derivation_set(spec.regime, spec)
+    derivs = derivation_set(spec)
     out = []
     for _ in range(4):
         a = random_env_element(rng, spec, 3, 3)
@@ -441,7 +441,7 @@ def mixed_calls(spec, seed: int) -> list[str]:
         out.append(format_env(ad_generator(rng.choice(spec.basis), b, spec)))
         out.append(format_env(derivs[rng.choice(sorted(derivs))].apply(b)))
         out.append(format_env(parse_element(f"({format_env(a)})*p0", spec)))
-    out.append(format_env(casimir("C1", spec.signature, spec)))
+    out.append(format_env(casimir("C1", spec)))
     return out
 
 

@@ -105,7 +105,7 @@ def elements(spec) -> dict:
         c = spacetime_casimir(spec)
         return {"C": c, "C + X0": c + gen(x0),
                 "C + X0*M01": c + env_product(gen(x0), gen(M01), spec)}
-    out = {kind: casimir(kind, spec.signature, spec)
+    out = {kind: casimir(kind, spec)
            for kind in ("C1", "C2", "C3")}
     out["C3 + x0"] = out["C3"] + gen(x0)
     out["C3 + p0*M01"] = out["C3"] + env_product(gen(p0), gen(M01), spec)
@@ -116,11 +116,11 @@ def sweep_d_squared(full, tangent):
     """check_d_squared's details from d(d(g)) for every generator."""
     nonzero = []
     for spec in (full, tangent):
-        derivs = derivation_set(spec.regime, spec)
+        derivs = derivation_set(spec)
         for gid in spec.basis:
             dd = exterior_derivative(
-                differential_of_generator(gid, spec.regime, spec, derivs),
-                spec.regime, spec, derivs)
+                differential_of_generator(gid, spec, derivs),
+                spec, derivs)
             if not dd.is_zero:
                 nonzero.append({
                     "regime": spec.regime, "generator": spec.gen_name(gid),
@@ -163,7 +163,7 @@ def test_locus_tables_match_the_sweep(doc, kinds, defective):
     sf = load_specfile(doc)
     spec = sf.build()
     for kind in kinds.split():
-        c = casimir(kind, sf.signature, spec)
+        c = casimir(kind, spec)
         assert centrality_defect(c, spec) == defects_by_substitution(c, spec)
 
 

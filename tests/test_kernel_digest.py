@@ -67,7 +67,7 @@ def _lines():
             yield format_env(env_product(inv, x, spec), regime)
             yield format_env(env_commutator(x, inv, spec), regime)
         for kind in ("C1", "C2", "C3"):
-            yield format_env(casimir(kind, sf.signature, spec), regime)
+            yield format_env(casimir(kind, spec), regime)
 
 
 def kernel_digest() -> str:

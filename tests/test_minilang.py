@@ -243,5 +243,5 @@ class TestRoundTrip:
     def test_casimir_round_trips(self, full):
         from ncspacetime.enveloping import casimir
         for kind in ("C1", "C2"):
-            e = casimir(kind, SIG, full)
+            e = casimir(kind, full)
             assert parse_element(format_env(e), full) == e

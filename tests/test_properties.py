@@ -123,7 +123,7 @@ def test_print_parse_round_trip(regime, data):
     assert parse_element(format_env(e, regime), spec) == e
 
 
-DERIVATIONS = {regime: derivation_set(regime, spec)
+DERIVATIONS = {regime: derivation_set(spec)
                for regime, spec in SPECS.items()}
 
 

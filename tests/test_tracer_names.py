@@ -85,10 +85,10 @@ def test_modules_share_one_object_per_function(tracing, modules):
 
 
 def test_wrapped_builders_are_imported_where_used(modules):
-    """cli, enveloping and specfile call build_deformed_algebra through
-    their own binding of the one memoized builder."""
+    """cli and specfile call build_deformed_algebra through their own
+    binding of the one memoized builder."""
     fn = modules["ncspacetime.algebra"].build_deformed_algebra
-    for name in ("cli", "enveloping", "specfile"):
+    for name in ("cli", "specfile"):
         assert vars(modules[f"ncspacetime.{name}"])[
             "build_deformed_algebra"] is fn
     so6 = modules["ncspacetime.algebra"].build_so6_algebra

@@ -47,7 +47,7 @@ def test_casimir_multiplies_one_qqi(calls, kind):
     image of Im, made by identify_orthogonal."""
     spec = build_deformed_algebra(SIG, "full")
     calls.clear()
-    assert casimir(kind, SIG, spec).terms
+    assert casimir(kind, spec).terms
     assert calls["QQi"] <= 1
     assert calls["Scalar"] <= 1
 
@@ -71,7 +71,7 @@ def count(monkeypatch):
 @pytest.mark.parametrize("kind", ["C1", "C2", "C3"])
 def test_centrality_takes_five_generators(count, kind):
     spec = build_deformed_algebra(SIG, "full")
-    c = casimir(kind, SIG, spec)
+    c = casimir(kind, spec)
     count(enveloping, "ad_generator")
     assert centrality_defect(c, spec) == []
     assert count.counts["ad_generator"] <= 5
