@@ -128,8 +128,9 @@ def check_contraction(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
 
 
 def check_casimir_centrality(kind: str, elem: EnvElement,
-                             spec: LieAlgebraSpec) -> Check:
-    defects = centrality_defect(elem, spec)
+                             spec: LieAlgebraSpec, seeds) -> Check:
+    """seeds is generating_set(spec)."""
+    defects = centrality_defect(elem, spec, seeds)
     name = f"casimir_{kind.lower()}_centrality"
     if not defects:
         return Check(name, "pass", EXACT_ZERO,
@@ -155,15 +156,16 @@ def check_casimir_oracle(sig: Signature, kind: str, elem: EnvElement,
                  "matrix image commutes with all defining-rep generators")
 
 
-def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
+def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec,
+                    seeds) -> Check:
     """d(d(g)) for every generator of both tables.
 
     In the full regime every derivation is inner, so on 0-forms each
     component of d^2 is a derivation of the enveloping algebra
     ([d^a, d^b] - sum_j c_ab^j d^j), and its kernel is closed under
-    brackets: where generating_set(full) holds, d^2 = 0 on those letters
-    gives d^2 = 0 on every generator.  Otherwise, or if d^2 is nonzero on
-    one of them, every generator is swept.
+    brackets: where seeds = generating_set(full) holds, d^2 = 0 on those
+    letters gives d^2 = 0 on every generator.  Otherwise, or if d^2 is
+    nonzero on one of them, every generator is swept.
     """
     nonzero = []
     for spec in (full, tangent):
@@ -180,8 +182,8 @@ def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
                         "first_nonzero": [theta_name(lab)
                                           for lab in min(dd.comps)]})
             return out
-        seeds = generating_set(spec) if spec.regime == "full" else None
-        if seeds is None or failures(seeds):
+        letters = seeds if spec is full else None
+        if letters is None or failures(letters):
             nonzero += failures(spec.basis)
     if nonzero:
         return Check("d_squared_zero", "fail", 1.0,
@@ -229,24 +231,26 @@ def cmd_verify(spec_file: SpecFile, args) -> Report:
     spec = spec_file.build()
     oracle_tol = args.tolerance if args.tolerance is not None else 1e-12
     casimir_tol = args.tolerance if args.tolerance is not None else 1e-10
-    # the clean tables of the signature, each built once
+    # the clean tables of the signature, each built once, and the
+    # generating set of the full one, found once (one Jacobi sweep)
     full = build_deformed_algebra(sig, "full")
     tangent = build_deformed_algebra(sig, "tangent")
+    seeds = generating_set(full)
     report.add(check_jacobi(spec))
     report.add(check_orthogonal_symbolic(full))
     report.add(check_orthogonal_oracle(full, oracle_tol))
     report.add(check_contraction(full, tangent))
     report.add(check_casimir_centrality(
-        "C1", casimir("C1", full), full))
+        "C1", casimir("C1", full), full, seeds))
     for kind in ("C2", "C3"):
         elem = casimir(kind, full)
         report.add(check_casimir_oracle(sig, kind, elem, casimir_tol))
         if args.deep:
-            report.add(check_casimir_centrality(kind, elem, full))
+            report.add(check_casimir_centrality(kind, elem, full, seeds))
         else:
             report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
                              EXACT_ZERO, "symbolic check runs under --deep"))
-    report.add(check_d_squared(full, tangent))
+    report.add(check_d_squared(full, tangent, seeds))
     report.add(check_worked_differentials(full))
     if spec_file.regime == "tangent":
         report.add(check_tangent_translation_sector(tangent))
@@ -277,7 +281,8 @@ def cmd_casimir(spec_file: SpecFile, args) -> Report:
     report.payload["terms"] = len(elem.terms)
     report.add(check_casimir_oracle(sig, kind, elem))
     if kind == "C1" or args.deep:
-        report.add(check_casimir_centrality(kind, elem, spec))
+        report.add(check_casimir_centrality(kind, elem, spec,
+                                            generating_set(spec)))
     else:
         report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
                          EXACT_ZERO, "symbolic check runs under --deep"))
@@ -291,7 +296,7 @@ def cmd_diff(spec_file: SpecFile, args) -> Report:
             "the derivation calculus is defined for the full and tangent "
             "regimes; pick one in the spec file")
     regime = spec_file.regime
-    spec = build_deformed_algebra(spec_file.signature, regime)
+    spec = spec_file.build()
     gid = spec.gen_ids().get(args.generator)
     if gid is None:
         raise MiniLangError(f"unknown generator {args.generator!r}", 0)

@@ -492,7 +492,10 @@ def _restore_phi(s: Scalar, eps5: int) -> Scalar:
     return _scalar(_checked(_accumulate({}, terms)))
 
 
-def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
+_FIND = object()  # no seeds passed: centrality_defect finds them
+
+
+def centrality_defect(c: EnvElement, spec: LieAlgebraSpec, seeds=_FIND):
     """Generators g with [c, g] != 0 after restoring phi = eps5 * R_inv^2.
 
     The gravity parameter phi and the contraction parameter R_inv are
@@ -512,7 +515,8 @@ def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
     one-monomial brackets reaches the basis), the defect is taken on those
     letters first.  If it is zero there, it is zero on every generator;
     otherwise, and whenever a precondition fails, every generator is
-    swept, so a failure lists the same generators either way.
+    swept, so a failure lists the same generators either way.  seeds is
+    generating_set(spec), computed here unless the caller passes it.
     """
     eps5 = spec.signature.eps5
 
@@ -521,7 +525,8 @@ def centrality_defect(c: EnvElement, spec: LieAlgebraSpec):
             lambda s: _restore_phi(s, eps5))
 
     if {g for w in c.terms for g in w}.issubset(spec.basis):
-        seeds = generating_set(spec)
+        if seeds is _FIND:
+            seeds = generating_set(spec)
         if seeds is not None and all(defect(g).is_zero for g in seeds):
             return []
     out = []

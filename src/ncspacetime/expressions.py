@@ -21,7 +21,16 @@ Three coefficient types feed the differential-operator layer:
   that stack points into arrays.
 
 All three share one coefficient protocol: ``c.zero()`` (the zero of c's
-ring) and ``c.is_zero`` (true only for an exact zero).
+ring), ``c.is_zero`` (true only for an exact zero) and
+``c.accumulator()``, a multiply-accumulate over c's ring: ``acc.add(x, y,
+sign)`` adds sign * x * y (sign +1 or -1) and ``acc.finish()`` returns the
+sum as a coefficient.  For Poly and TrigLaurent it is _ExactSum, which is
+also their product (``*``): it sums into a raw {key: [re, im]} dict, the QQi
+parts written out, and drops the terms that cancelled once, when the sum is
+finished; each ring supplies only its monomial product (_mono_mul).  For
+Expr it is _TreeSum, which adds the trees x * y in call order exactly as
+Expr.__add__ and __sub__ would, so the trees, and every value evaluated
+from them, are those of the plain sum.
 
 A DiffOperator is zeroth-order coefficient plus a map variable -> first-order
 coefficient.  The commutator of two first-order operators is again first
@@ -32,8 +41,9 @@ identically for commutative coefficients, as all three types are.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .scalars import QQi, _accumulate
+from .scalars import QQi, _accumulate, _norm, _qqi
 
 _new = object.__new__
 
@@ -44,14 +54,16 @@ class _Exact:
     """Ring element kept as a dict from canonical monomial keys to nonzero
     QQi coefficients over named variables, so that equality is equality of
     the dicts.  A subclass fixes the key (KEY_WIDTH entries per variable),
-    the product and the derivative."""
+    the monomial product (_mono_mul: two keys to ((key, +-1), ...)) and the
+    derivative of the terms (_diff_terms)."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_diffs")
     KEY_WIDTH = 1
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
         self.terms: dict[tuple, QQi] = {}
+        self._diffs = {}
         if terms:
             for key, c in terms.items():
                 c = c if isinstance(c, QQi) else QQi(c)
@@ -67,6 +79,7 @@ class _Exact:
         r = _new(self.__class__)
         r.vars = self.vars
         r.terms = terms
+        r._diffs = {}
         return r
 
     def zero(self):
@@ -75,6 +88,9 @@ class _Exact:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def accumulator(self) -> "_ExactSum":
+        return _ExactSum(self)
 
     def _operand(self, other):
         if other.__class__ is not self.__class__:
@@ -97,6 +113,23 @@ class _Exact:
     def __neg__(self):
         return self._with({k: -c for k, c in self.terms.items()})
 
+    def __mul__(self, other):
+        acc = _ExactSum(self)
+        acc.add(self, self._operand(other))
+        return acc.finish()
+
+    __rmul__ = __mul__
+
+    def diff(self, name: str):
+        """d/d name, kept per variable, since an element never changes and
+        a bracket check differentiates each operator coefficient once per
+        pair it is in."""
+        out = self._diffs.get(name)
+        if out is None:
+            out = self._diffs[name] = self._with(
+                _accumulate({}, self._diff_terms(name)))
+        return out
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -114,20 +147,14 @@ class Poly(_Exact):
         pows[tuple(variables).index(name)] = 1
         return cls(variables, {tuple(pows): QQi(1)})
 
-    def __mul__(self, other) -> "Poly":
-        other = self._operand(other)
-        return self._with(_accumulate({}, (
-            (tuple(a + b for a, b in zip(p1, p2)), c1 * c2)
-            for p1, c1 in self.terms.items()
-            for p2, c2 in other.terms.items())))
+    @staticmethod
+    def _mono_mul(p1: tuple, p2: tuple) -> tuple:
+        return ((tuple(map(add, p1, p2)), 1),)
 
-    __rmul__ = __mul__
-
-    def diff(self, name: str) -> "Poly":
+    def _diff_terms(self, name: str):
         k = self.vars.index(name)
-        return self._with(_accumulate({}, (
-            (pows[:k] + (pows[k] - 1,) + pows[k + 1:], c * pows[k])
-            for pows, c in self.terms.items() if pows[k])))
+        return ((pows[:k] + (pows[k] - 1,) + pows[k + 1:], c * pows[k])
+                for pows, c in self.terms.items() if pows[k])
 
     def evaluate(self, env: dict) -> complex:
         """The value at env, whose values are floats or numpy float arrays
@@ -166,17 +193,8 @@ class TrigLaurent(_Exact):
     ...) over the angles; equality is equality of the term dicts.
     """
 
-    __slots__ = ("_diffs",)
+    __slots__ = ()
     KEY_WIDTH = 2
-
-    def __init__(self, variables, terms=None):
-        super().__init__(variables, terms)
-        self._diffs = {}
-
-    def _with(self, terms: dict) -> "TrigLaurent":
-        r = super()._with(terms)
-        r._diffs = {}
-        return r
 
     @classmethod
     def from_expr(cls, variables, expr: "Expr") -> "TrigLaurent":
@@ -204,28 +222,26 @@ class TrigLaurent(_Exact):
         key[2 * variables.index(fn.arg.name) + isinstance(fn, Sin)] = power
         return cls(variables, {tuple(key): QQi(1)})
 
-    def __mul__(self, other) -> "TrigLaurent":
-        other = self._operand(other)
-        return self._with(_accumulate({}, (
-            (key, c1 * c2 if sign > 0 else -(c1 * c2))
-            for k1, c1 in self.terms.items()
-            for k2, c2 in other.terms.items()
-            for key, sign in _trig_mono_mul(k1, k2))))
-
-    __rmul__ = __mul__
-
-    def diff(self, name: str) -> "TrigLaurent":
-        """d/dv, with d s_v = c_v and d c_v = -s_v; kept per angle, since
-        an element never changes and a bracket check differentiates each
-        operator coefficient once per pair it is in."""
-        out = self._diffs.get(name)
-        if out is None:
-            pos = 2 * self.vars.index(name)
-            out = self._diffs[name] = self._with(_accumulate({}, (
-                (key, c * f)
-                for k, c in self.terms.items()
-                for key, f in _trig_mono_diff(k, pos))))
+    @staticmethod
+    def _mono_mul(k1: tuple, k2: tuple):
+        """Product of two canonical monomials: each angle whose cosine
+        powers add to 2 splits by c^2 = 1 - s^2."""
+        key = tuple(map(add, k1, k2))
+        if 2 not in key[::2]:
+            return ((key, 1),)
+        out = [(key, 1)]
+        for j in range(0, len(key), 2):
+            if key[j] == 2:
+                m = key[j + 1]
+                out = [(k[:j] + (0, m + e) + k[j + 2:], sign * f)
+                       for k, sign in out for e, f in ((0, 1), (2, -1))]
         return out
+
+    def _diff_terms(self, name: str):
+        """d/dv, with d s_v = c_v and d c_v = -s_v."""
+        pos = 2 * self.vars.index(name)
+        return ((key, c * f) for k, c in self.terms.items()
+                for key, f in _trig_mono_diff(k, pos))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -252,20 +268,6 @@ def _exact_const(value) -> QQi:
         raise ValueError(f"constant {value!r} is not finite") from None
 
 
-def _trig_mono_mul(k1: tuple, k2: tuple) -> list:
-    """Product of two canonical monomials as [(key, +-1), ...]: each angle
-    whose cosine powers add to 2 splits by c^2 = 1 - s^2."""
-    out = [((), 1)]
-    for j in range(0, len(k1), 2):
-        a, m = k1[j] + k2[j], k1[j + 1] + k2[j + 1]
-        if a < 2:
-            out = [(key + (a, m), sign) for key, sign in out]
-        else:
-            out = [(key + (0, m + e), sign * f) for key, sign in out
-                   for e, f in ((0, 1), (2, -1))]
-    return out
-
-
 def _trig_mono_diff(k: tuple, pos: int) -> tuple:
     """d/dv of one canonical monomial as ((key, integer factor), ...), v
     the angle whose (a, m) pair starts at pos: d s^m = m c s^(m-1) and
@@ -276,6 +278,50 @@ def _trig_mono_diff(k: tuple, pos: int) -> tuple:
         return ((head + (1, m - 1) + tail, m),) if m else ()
     out = ((head + (0, m - 1) + tail, m), (head + (0, m + 1) + tail, -(m + 1)))
     return tuple((key, f) for key, f in out if f)
+
+
+class _ExactSum:
+    """Multiply-accumulate over the ring of an _Exact element: add(x, y,
+    sign) sums sign * x * y into a raw {key: [re, im]} dict, and finish()
+    drops the keys whose parts cancelled and returns the element."""
+
+    __slots__ = ("ring", "raw")
+
+    def __init__(self, ring: _Exact):
+        self.ring = ring
+        self.raw = {}
+
+    def add(self, x: _Exact, y: _Exact, sign: int = 1) -> None:
+        ring = self.ring
+        cls, variables = ring.__class__, ring.vars
+        if x.__class__ is not cls or y.__class__ is not cls:
+            raise ValueError("operands over different rings")
+        if x.vars != variables or y.vars != variables:
+            raise ValueError("operands over different variables")
+        raw = self.raw
+        get = raw.get
+        mono_mul = ring._mono_mul
+        ys = y.terms.items()
+        for k1, c1 in x.terms.items():
+            a, b = (c1.re, c1.im) if sign > 0 else (-c1.re, -c1.im)
+            for k2, c2 in ys:
+                c, d = c2.re, c2.im
+                re, im = a * c - b * d, a * d + b * c
+                for key, f in mono_mul(k1, k2):
+                    t = get(key)
+                    if t is None:
+                        raw[key] = [re, im] if f > 0 else [-re, -im]
+                    elif f > 0:
+                        t[0] += re
+                        t[1] += im
+                    else:
+                        t[0] -= re
+                        t[1] -= im
+
+    def finish(self) -> _Exact:
+        return self.ring._with({key: _qqi(_norm(re), _norm(im))
+                                for key, (re, im) in self.raw.items()
+                                if re or im})
 
 
 # -- expression trees --------------------------------------------------------
@@ -292,6 +338,9 @@ class Expr:
         """Exact zero only (a Const(0)); a tree that merely evaluates to
         zero is not detected."""
         return False
+
+    def accumulator(self) -> "_TreeSum":
+        return _TreeSum()
 
     def __eq__(self, other):
         raise TypeError("expression trees have no decidable equality; "
@@ -323,6 +372,22 @@ class Expr:
 
     def __neg__(self):
         return Mul(Const(-1), self)
+
+
+class _TreeSum:
+    """Multiply-accumulate over Expr trees: add(x, y, sign) sets the sum
+    to sum + x * y or sum - x * y, in call order, starting from Const(0)."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self):
+        self.tree = Const(0)
+
+    def add(self, x: Expr, y: Expr, sign: int = 1) -> None:
+        self.tree = self.tree + x * y if sign > 0 else self.tree - x * y
+
+    def finish(self) -> Expr:
+        return self.tree
 
 
 def _sum(*terms) -> Expr:
@@ -559,26 +624,31 @@ class DiffOperator:
         """Exact [self, other] as a first-order operator.
 
         The symmetrized second-order part a_v b_w - b_v a_w + a_w b_v - b_w a_v
-        vanishes identically because the coefficients commute.
+        vanishes identically because the coefficients commute.  Each
+        coefficient is one accumulator, and the result has a first-order
+        slot, a cancelled one included, for every slot of either operator.
         """
         a0, b0 = self.zeroth, other.zeroth
-        zeroth = a0.zero()
+        acc = a0.accumulator()
         for v, c in self.firsts.items():
-            zeroth = zeroth + c * b0.diff(v)
+            acc.add(c, b0.diff(v))
         for v, c in other.firsts.items():
-            zeroth = zeroth - c * a0.diff(v)
+            acc.add(c, a0.diff(v), -1)
+        zeroth = acc.finish()
+        a_firsts = sorted(self.firsts.items())
+        b_firsts = sorted(other.firsts.items())
         firsts = {}
         for w in sorted(set(self.firsts) | set(other.firsts)):
-            acc = a0.zero()
-            for v in sorted(self.firsts):
-                bw = other.firsts.get(w)
-                if bw is not None:
-                    acc = acc + self.firsts[v] * bw.diff(v)
-            for v in sorted(other.firsts):
-                aw = self.firsts.get(w)
-                if aw is not None:
-                    acc = acc - other.firsts[v] * aw.diff(v)
-            firsts[w] = acc
+            acc = a0.accumulator()
+            bw = other.firsts.get(w)
+            if bw is not None:
+                for v, c in a_firsts:
+                    acc.add(c, bw.diff(v))
+            aw = self.firsts.get(w)
+            if aw is not None:
+                for v, c in b_firsts:
+                    acc.add(c, aw.diff(v), -1)
+            firsts[w] = acc.finish()
         return DiffOperator(self.vars, zeroth, firsts)
 
     def apply(self, f, env: dict) -> complex:

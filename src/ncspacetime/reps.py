@@ -114,18 +114,29 @@ def rep_of_element(elem, rep: dict[int, DiffOperator],
     """Linear combination of representation operators plus a central part.
 
     coeff maps each Scalar of elem into the operators' coefficient ring; the
-    image multiplies each operator coefficient from the left.
+    image multiplies each operator coefficient from the left.  Each slot of
+    the image is one accumulator, and the image has a first-order slot for
+    every slot of an operator it sums, a cancelled one included.
     """
     some = next(iter(rep.values()))
-    out = DiffOperator(some.vars, some.zeroth.zero(), {})
+    zeroth = some.zeroth.accumulator()
+    firsts = {}
     for word, s in elem.terms.items():
         if word:
             (gid,) = word
-            out = out.add(rep[gid].map_coeffs(lambda c, k=coeff(s): k * c))
+            k, op = coeff(s), rep[gid]
+            zeroth.add(k, op.zeroth)
+            for v, c in op.firsts.items():
+                acc = firsts.get(v)
+                if acc is None:
+                    acc = firsts[v] = some.zeroth.accumulator()
+                acc.add(k, c)
+    out = zeroth.finish()
     central = elem.terms.get(())
     if central:
-        out = out.add(DiffOperator(some.vars, coeff(central), {}))
-    return out
+        out = out + coeff(central)
+    return DiffOperator(some.vars, out,
+                        {v: acc.finish() for v, acc in firsts.items()})
 
 
 def check_rep_exact(rep: dict[int, DiffOperator], target: LieAlgebraSpec,

@@ -517,6 +517,30 @@ class TestCommands:
         comps = json.loads(out.stdout)["result"]["differential"]
         assert comps == {"theta0": "Im", "theta4": "-ell*p0*Im"}
 
+    def test_diff_reads_the_spec_parameters(self, tmp_path):
+        # the table has ell = 2; the scale -i/ell of the derivation d^4 is
+        # the calculus's own and stays symbolic, so theta4 reads
+        # -4*ell^-1*p0, which is -ell*p0 at ell = 2
+        spec = write_spec(tmp_path, {"parameters": {"ell": "2"}})
+        out = run_cli("--spec", spec, "diff", "x0")
+        assert out.returncode == 0
+        comps = json.loads(out.stdout)["result"]["differential"]
+        assert comps == {"theta0": "Im", "theta01": "-x1", "theta02": "-x2",
+                         "theta03": "-x3", "theta4": "-4*ell^-1*p0",
+                         "theta_x1": "4*M01", "theta_x2": "4*M02",
+                         "theta_x3": "4*M03"}
+
+    def test_diff_reads_the_spec_overrides(self, tmp_path):
+        # theta0 is d^0(x0), read from [p0, x0], which the spec sets to 0
+        clean = json.loads(run_cli("diff", "x0").stdout)
+        spec = write_spec(tmp_path, {"structure_overrides": {"[p0,x0]": "0"}})
+        out = run_cli("--spec", spec, "diff", "x0")
+        assert out.returncode == 0
+        comps = json.loads(out.stdout)["result"]["differential"]
+        want = dict(clean["result"]["differential"])
+        del want["theta0"]
+        assert comps == want
+
     def test_diff_rejects_spacetime_regime(self, tmp_path):
         spec = write_spec(tmp_path, {"regime": "spacetime"})
         out = run_cli("--spec", spec, "diff", "X0")

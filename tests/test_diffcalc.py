@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ncspacetime.algebra import (IM, M_IDS, P_IDS, X_IDS, Signature,
-                                 build_deformed_algebra)
+                                 build_deformed_algebra, generating_set)
 from ncspacetime.connections import Connection
 from ncspacetime.diffcalc import (DegreeError, PForm, contraction,
                                   derivation_labels, derivation_set,
@@ -285,7 +285,7 @@ class TestNamedFailures:
 
     def test_d_squared_names_every_generator(self, mutated, tangent):
         from ncspacetime.cli import check_d_squared
-        check = check_d_squared(mutated, tangent)
+        check = check_d_squared(mutated, tangent, generating_set(mutated))
         assert check.status == "fail"
         names = [(f["regime"], f["generator"]) for f in check.details["nonzero"]]
         assert names == [("full", g) for g in (
@@ -302,7 +302,8 @@ class TestNamedFailures:
         from ncspacetime.cli import check_d_squared
         derivs = derivation_set(mutated)
         by_name = {mutated.gen_name(g): g for g in mutated.basis}
-        for f in check_d_squared(mutated, tangent).details["nonzero"]:
+        check = check_d_squared(mutated, tangent, generating_set(mutated))
+        for f in check.details["nonzero"]:
             gid = by_name[f["generator"]]
             dd = exterior_derivative(
                 differential_of_generator(gid, mutated, derivs),
@@ -319,6 +320,7 @@ class TestNamedFailures:
 
     def test_clean_tables_pass(self, full, tangent):
         from ncspacetime.cli import check_d_squared, check_worked_differentials
-        assert check_d_squared(full, tangent).details == \
+        assert check_d_squared(full, tangent,
+                               generating_set(full)).details == \
             "d(d(g)) = 0 for every generator, both regimes (exact)"
         assert check_worked_differentials(full).status == "pass"

@@ -130,7 +130,7 @@ def sweep_d_squared(full, tangent):
 
 
 def assert_d_squared_matches_sweep(full, tangent):
-    check = check_d_squared(full, tangent)
+    check = check_d_squared(full, tangent, generating_set(full))
     nonzero = sweep_d_squared(full, tangent)
     if nonzero:
         assert check.status == "fail"

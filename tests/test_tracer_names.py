@@ -10,6 +10,7 @@ calls.  This reads tracing.py and edits nothing under perfbench/.
 import importlib
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,39 @@ def test_counted_attributes_exist(modules):
         classes.extend(cls.__subclasses__())
         evaluators += callable(vars(cls).get("evaluate"))
     assert evaluators >= 2
+
+
+@pytest.mark.parametrize("which, pairs", [("so32", 45), ("5d", 105)])
+def test_rep_reaches_the_traced_check_and_commutator(tracing, modules, capsys,
+                                                     which, pairs):
+    """cli.cmd_rep reaches reps.check_rep_exact through the binding the
+    tracer rebinds, and every bracket it decides runs one
+    DiffOperator.commutator inside that check, so the metrics
+    reps.check_rep_exact.self_s and expressions.DiffOperator.commutator.self_s
+    time the exact bracket check.  Both are rebound with the tracer's own
+    _Patcher."""
+    calls, depth = Counter(), [0]
+    patcher = tracing._Patcher()
+    _, check = patcher.resolve("reps", "check_rep_exact")
+    owner, commutator = patcher.resolve("expressions", "DiffOperator.commutator")
+
+    def counted_check(*args, **kwargs):
+        calls["check_rep_exact"] += 1
+        depth[0] += 1
+        try:
+            return check(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_commutator(self, other):
+        calls["inside" if depth[0] else "outside"] += 1
+        return commutator(self, other)
+
+    patcher.rebind(None, check, counted_check)
+    patcher.rebind(owner, commutator, counted_commutator)
+    try:
+        assert modules["ncspacetime.cli"].main(["rep", which]) == 0
+    finally:
+        patcher.restore()
+    capsys.readouterr()
+    assert calls == {"check_rep_exact": 1, "inside": pairs}
