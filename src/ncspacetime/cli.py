@@ -300,10 +300,12 @@ def cmd_diff(spec_file: SpecFile, args) -> Report:
     gid = spec.gen_ids().get(args.generator)
     if gid is None:
         raise MiniLangError(f"unknown generator {args.generator!r}", 0)
-    form = differential_of_generator(gid, spec)
-    comps = {theta_name(lab[0]): format_env(val, regime)
-             for lab, val in sorted(form.comps.items())}
-    report.payload["differential"] = comps
+    # the calculus's own scales (-i/ell on d^4) are symbolic: bind them too
+    comps = spec_file.bind(differential_of_generator(gid, spec).comps,
+                           f"d({args.generator})")
+    report.payload["differential"] = {
+        theta_name(lab[0]): format_env(val, regime)
+        for lab, val in sorted(comps.items()) if not val.is_zero}
     report.add(Check("differential", "pass", EXACT_ZERO,
                      f"d({args.generator}) in the {regime} regime"))
     return report

@@ -16,8 +16,11 @@ operator is c_F * sum_n gamma^{ab}(n) (family_terms).  Even elements on
 different cells commute, and the fifteen cell bilinears realize so(eta6),
 so closure_report reads the whole closure table off the so(eta6) bracket
 table in exact arithmetic, with no matrices, at any N in constant time and
-memory.  finkelstein_operators builds the dense 8^N x 8^N operators as the
-numeric oracle, for N <= 3 only; numpy is imported only there.
+memory.  The fifteen prefactors take four values, one per class (x, p, M,
+Im), and every so(eta6) constant is +-i, so one call computes each of its
+at most twelve distinct coefficients once.  finkelstein_operators builds
+the dense 8^N x 8^N operators as the numeric oracle, for N <= 3 only;
+numpy is imported only there.
 
 d_form_via_D(a, spec, basis) reads the regime from the spec and pairs the
 Dirac weights with the labels of the derivation set it applies.
@@ -280,6 +283,8 @@ class FinkelsteinParams:
 
 FAMILY_NAMES = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
                 "M01", "M02", "M03", "M12", "M13", "M23", "Im")
+# the prefactor class of each family (x, p, M, Im): one c_F per class
+FAMILY_CLASS = (0,) * 4 + (1,) * 4 + (2,) * 6 + (3,)
 
 
 def family_terms(params: FinkelsteinParams) -> dict[str, tuple]:
@@ -340,7 +345,10 @@ def closure_report(params: FinkelsteinParams, sig: Signature):
     by one cell.  There the bilinear gamma^{ab} stands for the so(eta6)
     generator M^{ab}: [gamma^A, gamma^B] = -2i sum_G s_G gamma^G with
     s = [M^A, M^B] read from the so(eta6) bracket table, so the coefficient
-    of family G in [A, B] is c_A c_B (-2i s_G) / c_G, exact in QQi.
+    of family G in [A, B] is c_A c_B (-2i s_G) / c_G, exact in QQi.  It
+    depends only on the classes of A, B and G and on s_G, so each distinct
+    coefficient is computed once per call, in a memo keyed by those four
+    that dies with the call; the rows share the coefficient objects.
 
     Returns a list of rows
         (name_a, name_b, matches: list[(name, QQi)], relative_residual)
@@ -359,25 +367,33 @@ def closure_report(params: FinkelsteinParams, sig: Signature):
     ids = [MAB_PAIRS.index((a, b)) for a, b, _c in terms]
     family_of = {gid: g for g, gid in enumerate(ids)}
     prefactors = [c for _a, _b, c in terms]
+    nonzero = [bool(c) for c in prefactors]
     minus_2i = QQi(0, -2)
+    memo = {}  # (class of A, class of B, class of G, s_G) -> coefficient
     rows = []
     for i, name_a in enumerate(FAMILY_NAMES):
         for j in range(i + 1, len(FAMILY_NAMES)):
-            c_ab = prefactors[i] * prefactors[j]
-            bracket = so6.get((ids[i], ids[j])) if c_ab else None
+            bracket = so6.get((ids[i], ids[j])) \
+                if nonzero[i] and nonzero[j] else None
             matches = []
             residual = 0.0
             if bracket is not None:
-                norm_out = norm_all = Fraction(0)
+                norm_out = norm_all = 0
                 for g, s in sorted((family_of[gid], coeff.constant_value())
                                    for (gid,), coeff in bracket.terms.items()):
                     norm = s.re * s.re + s.im * s.im
                     norm_all += norm
-                    if prefactors[g]:
-                        coeff = c_ab * minus_2i * s / prefactors[g]
+                    if nonzero[g]:
+                        key = (FAMILY_CLASS[i], FAMILY_CLASS[j],
+                               FAMILY_CLASS[g], s.re, s.im)
+                        coeff = memo.get(key)
+                        if coeff is None:
+                            coeff = memo[key] = (prefactors[i] * prefactors[j]
+                                                 * minus_2i * s / prefactors[g])
                         matches.append((FAMILY_NAMES[g], coeff))
                     else:
                         norm_out += norm
-                residual = math.sqrt(norm_out / norm_all)
+                if norm_out:
+                    residual = math.sqrt(Fraction(norm_out) / norm_all)
             rows.append((name_a, FAMILY_NAMES[j], matches, residual))
     return rows

@@ -52,9 +52,7 @@ class SpecFile:
         the overrides, each parsed against the built-in table, and then
         the numeric bindings applied."""
         spec = build_deformed_algebra(self.signature, self.regime)
-        numeric = {name: val for name, val in self.bindings.items()
-                   if val is not None}
-        if not self.structure_overrides and not numeric:
+        if not self.structure_overrides and not self.numeric:
             return spec
         table = dict(spec.table)
         for key, text in self.structure_overrides.items():
@@ -68,17 +66,30 @@ class SpecFile:
                     f"override {key!r} uses a generator outside the "
                     f"{spec.regime} basis: {text!r}")
             set_bracket(table, a, b, elem)
-        if numeric:
-            def bind(s: Scalar) -> Scalar:
-                return s.substitute(numeric)
-            try:
-                table = {pair: elem.map_scalars(bind)
-                         for pair, elem in table.items()}
-            except ZeroDivisionError as exc:
-                raise SpecFileError(
-                    "a structure constant holds a negative power of a "
-                    "parameter bound to 0") from exc
+        table = self.bind(table, "a structure constant")
         return LieAlgebraSpec(spec.signature, spec.regime, spec.basis, table)
+
+    @property
+    def numeric(self) -> dict:
+        """The parameters bound to numbers: name -> Scalar."""
+        return {name: val for name, val in self.bindings.items()
+                if val is not None}
+
+    def bind(self, elems: dict, what: str) -> dict:
+        """elems (key -> EnvElement) with the numeric bindings applied to
+        every coefficient; elems itself when no parameter is bound to a
+        number.  what names the elements in the error."""
+        numeric = self.numeric
+        if not numeric:
+            return elems
+
+        def bind(s: Scalar) -> Scalar:
+            return s.substitute(numeric)
+        try:
+            return {key: elem.map_scalars(bind) for key, elem in elems.items()}
+        except ZeroDivisionError as exc:
+            raise SpecFileError(f"{what} holds a negative power of a "
+                                "parameter bound to 0") from exc
 
 
 def _parse_override_key(key: str, spec: LieAlgebraSpec) -> tuple[int, int]:

@@ -518,17 +518,69 @@ class TestCommands:
         assert comps == {"theta0": "Im", "theta4": "-ell*p0*Im"}
 
     def test_diff_reads_the_spec_parameters(self, tmp_path):
-        # the table has ell = 2; the scale -i/ell of the derivation d^4 is
-        # the calculus's own and stays symbolic, so theta4 reads
-        # -4*ell^-1*p0, which is -ell*p0 at ell = 2
+        # the table has ell = 2, and so has the scale -i/ell of the
+        # derivation d^4: theta4 = -ell*p0 reads -2*p0
         spec = write_spec(tmp_path, {"parameters": {"ell": "2"}})
         out = run_cli("--spec", spec, "diff", "x0")
         assert out.returncode == 0
         comps = json.loads(out.stdout)["result"]["differential"]
         assert comps == {"theta0": "Im", "theta01": "-x1", "theta02": "-x2",
-                         "theta03": "-x3", "theta4": "-4*ell^-1*p0",
+                         "theta03": "-x3", "theta4": "-2*p0",
                          "theta_x1": "4*M01", "theta_x2": "4*M02",
                          "theta_x3": "4*M03"}
+
+    @pytest.mark.parametrize("gen", ["x0", "p1", "Im", "M23"])
+    def test_diff_with_bound_parameters_is_the_symbolic_result_bound(
+            self, tmp_path, capsys, gen):
+        from ncspacetime import cli
+        from ncspacetime.algebra import build_deformed_algebra
+        from ncspacetime.minilang import format_env, parse_element
+        from ncspacetime.specfile import load_specfile
+        bound = {"ell": "1/2*i", "phi": "3", "R_inv": "2"}
+        results = []
+        for params in ({}, bound):
+            spec = write_spec(tmp_path, {"parameters": params})
+            assert cli.main(["--spec", spec, "diff", gen]) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        symbolic, numeric = (r["differential"] for r in results)
+        spec = load_specfile({"parameters": bound})
+        clean = build_deformed_algebra(spec.signature, "full")
+        want = {}
+        for theta, text in symbolic.items():
+            elem = parse_element(text, clean).map_scalars(
+                lambda c: c.substitute(spec.numeric))
+            if not elem.is_zero:
+                want[theta] = format_env(elem, "full")
+        assert numeric == want
+        assert all("ell" not in text and "phi" not in text
+                   for text in numeric.values())
+
+    def test_diff_rejects_a_negative_power_of_zero(self, tmp_path):
+        # theta4 of d(p0) is ell^-1*phi*x0
+        spec = write_spec(tmp_path, {"parameters": {"ell": "0"}})
+        out = run_cli("--spec", spec, "diff", "p0")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("ncst: d(p0) holds a negative power of a "
+                              "parameter bound to 0\n")
+
+    def test_diff_on_a_clean_spec_binds_nothing(self, tmp_path, capsys,
+                                               monkeypatch):
+        """A spec with no numeric binding prints the symbolic result and
+        substitutes nothing."""
+        from ncspacetime import cli, scalars
+        calls = []
+        substitute = scalars.Scalar.substitute
+        monkeypatch.setattr(scalars.Scalar, "substitute",
+                            lambda *a: calls.append(1) or substitute(*a))
+        outs = []
+        for doc in ({}, {"parameters": {"ell": "symbolic"}}):
+            spec = write_spec(tmp_path, doc)
+            assert cli.main(["--spec", spec, "diff", "p0"]) == 0
+            outs.append(json.loads(capsys.readouterr().out)["result"])
+        assert outs[0] == outs[1]
+        assert outs[0]["differential"]["theta4"] == "ell^-1*phi*x0"
+        assert calls == []
 
     def test_diff_reads_the_spec_overrides(self, tmp_path):
         # theta0 is d^0(x0), read from [p0, x0], which the spec sets to 0

@@ -58,3 +58,21 @@ def test_grid_reaches_every_branch():
             coeffs.update(c for _n, c in matches)
     assert residuals == {0.0, 1.0}
     assert any(-c in coeffs for c in coeffs)
+
+
+def test_two_classes_fix_the_third():
+    """Each pair of prefactor classes (x, p, M, Im) brackets into one
+    class, and any two of the classes of A, B and G fix the third.  So a
+    memo key that leaves out one of the three classes, but keeps s_G,
+    computes the same coefficients as the full key on every input; the
+    gate above catches a key without s_G, not one without G's class."""
+    triples = set()
+    for doc in CELL_DOCS:
+        params, sig = _case(doc)
+        params = dataclasses.replace(params, enforce_constraint=False)
+        for name_a, name_b, matches, _r in reference_rows(params, sig):
+            triples.update((name_a.rstrip("0123"), name_b.rstrip("0123"),
+                            name_g.rstrip("0123")) for name_g, _c in matches)
+    assert len(triples) == 8
+    for kept in ((0, 1), (0, 2), (1, 2)):
+        assert len({tuple(t[k] for k in kept) for t in triples}) == 8

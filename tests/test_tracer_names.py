@@ -145,3 +145,33 @@ def test_rep_reaches_the_traced_check_and_commutator(tracing, modules, capsys,
         patcher.restore()
     capsys.readouterr()
     assert calls == {"check_rep_exact": 1, "inside": pairs}
+
+
+@pytest.mark.parametrize("phi_cell, calls", [("1/2", 1), ("1", 0)],
+                         ids=["on-locus", "off-locus"])
+def test_clifford_reaches_the_traced_closure(tracing, modules, capsys,
+                                             tmp_path, phi_cell, calls):
+    """cli.cmd_clifford reaches clifford.closure_report through the binding
+    the tracer rebinds, once on the constraint locus and never off it (the
+    constraint check fails first), so clifford.closure_report.self_s times
+    the whole closure table of an on-locus request."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"finkelstein": {"n_cells": 3, "chi": "1/2", '
+                    f'"phi_cell": "{phi_cell}"}}}}', encoding="utf-8")
+    seen = Counter()
+    patcher = tracing._Patcher()
+    _, closure = patcher.resolve("clifford", "closure_report")
+
+    def counted(*args, **kwargs):
+        seen["closure_report"] += 1
+        return closure(*args, **kwargs)
+
+    patcher.rebind(None, closure, counted)
+    try:
+        code = modules["ncspacetime.cli"].main(
+            ["--spec", str(spec), "clifford"])
+    finally:
+        patcher.restore()
+    capsys.readouterr()
+    assert code == (0 if calls else 1)
+    assert seen["closure_report"] == calls

@@ -2,8 +2,9 @@
 builders run on packed coefficients, not on QQi or Scalar operators, the
 clean centrality and d^2 checks take five generators, not fifteen, one
 verify request sweeps Jacobi twice (its own check and the generating-set
-precondition), and the exact rep checks build one coefficient per operator
-slot, with no ring product.
+precondition), the exact rep checks build one coefficient per operator
+slot, with no ring product, and the cell closure divides once per distinct
+coefficient, the same number of times at any cell count.
 
 A product of the operators is counted by wrapping QQi.__mul__ and
 Scalar.__mul__ (and __rmul__, the same function) on their classes; a
@@ -11,12 +12,16 @@ function call by wrapping the module attribute its caller looks up.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from ncspacetime import algebra, cli, diffcalc, enveloping, expressions, reps
-from ncspacetime.algebra import (Signature, build_deformed_algebra,
+from ncspacetime.algebra import (MAB_PAIRS, Signature,
+                                 build_deformed_algebra, build_so6_algebra,
                                  generating_set, jacobi_defect)
+from ncspacetime.clifford import (FAMILY_NAMES, FinkelsteinParams,
+                                  closure_report, family_terms)
 from ncspacetime.enveloping import casimir, centrality_defect
 from ncspacetime.expressions import DiffOperator, Poly, TrigLaurent
 from ncspacetime.reps import (build_rep_5d, build_rep_so32, check_rep_exact,
@@ -154,3 +159,64 @@ def test_rep_check_finishes_one_coefficient_per_slot(monkeypatch, ring, make):
     assert counts["commutator"] == counts["rep_of_element"] == pairs
     assert counts["finish"] == counts["slots"]
     assert counts["mul"] == 0
+
+
+def _closure_keys(params, sig) -> set:
+    """The distinct (class of A, class of B, class of G, s_G) of the
+    matches of closure_report, the class read off the family name."""
+    terms = family_terms(params)
+    table = build_so6_algebra(sig).table
+    name_of = {MAB_PAIRS.index((a, b)): name
+               for name, (a, b, _c) in terms.items()}
+    keys = set()
+    for i, name_a in enumerate(FAMILY_NAMES):
+        for name_b in FAMILY_NAMES[i + 1:]:
+            bracket = table.get(tuple(MAB_PAIRS.index(terms[n][:2])
+                                      for n in (name_a, name_b)))
+            if bracket is None:
+                continue
+            for (gid,), coeff in bracket.terms.items():
+                keys.add(tuple(n.rstrip("0123") for n in
+                               (name_a, name_b, name_of[gid]))
+                         + (coeff.constant_value(),))
+    return keys
+
+
+@pytest.fixture
+def qqi_ops(monkeypatch):
+    counts = Counter()
+    for op in ("__mul__", "__truediv__"):
+        f = getattr(QQi, op)
+
+        def counted(a, b, f=f, op=op):
+            counts[op] += 1
+            return f(a, b)
+        monkeypatch.setattr(QQi, op, counted)
+        if op == "__mul__":
+            monkeypatch.setattr(QQi, "__rmul__", counted)
+    return counts
+
+
+def test_closure_divides_once_per_distinct_coefficient(qqi_ops):
+    """On the default N = 3 cell: 12 distinct keys, one division each, and
+    three products each plus the two of the constraint check.  One
+    coefficient per match would take 60 divisions and 227 products."""
+    params = FinkelsteinParams(3, QQi(Fraction(1, 2)), QQi(Fraction(1, 2)))
+    keys = _closure_keys(params, SIG)
+    assert len(keys) == 12
+    qqi_ops.clear()
+    closure_report(params, SIG)
+    assert qqi_ops["__truediv__"] <= len(keys)
+    assert qqi_ops["__mul__"] <= 3 * len(keys) + 2
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 1), Signature(-1, -1)])
+def test_closure_work_does_not_grow_with_n(qqi_ops, sig):
+    counts = []
+    for n in (2, 3, 7, 50):
+        params = FinkelsteinParams(n, QQi(Fraction(1, 2)),
+                                   QQi(Fraction(1, n - 1)))
+        qqi_ops.clear()
+        closure_report(params, sig)
+        counts.append(dict(qqi_ops))
+    assert all(c == counts[0] for c in counts), counts
