@@ -49,6 +49,7 @@ M_IDS = (8, 9, 10, 11, 12, 13)
 IM = 14
 IMINV = 15
 FORMAL_BASE = 100  # ids >= FORMAL_BASE are free formal symbols
+REGIMES = ("full", "tangent", "spacetime")
 
 M_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _M_OF_PAIR = {pair: M_IDS[k] for k, pair in enumerate(M_PAIRS)}
@@ -358,7 +359,7 @@ def build_deformed_algebra(sig: Signature, regime: str,
 @lru_cache(maxsize=None)
 def _deformed_table(sig: Signature, regime: str,
                     extend_im: bool) -> LieAlgebraSpec:
-    if regime not in ("full", "tangent", "spacetime"):
+    if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if extend_im and regime != "spacetime":
         raise ValueError("extend_im applies to the spacetime regime only")
@@ -441,8 +442,8 @@ def contract_tangent(spec: LieAlgebraSpec) -> LieAlgebraSpec:
     """R -> infinity contraction: substitute R_inv -> 0 and phi -> 0."""
     if spec.regime != "full":
         raise ValueError("contraction applies to the full regime")
-    table = {pair: elem.map_scalars(
-                 lambda s: s.set_param_zero("R_inv").set_param_zero("phi"))
+    zero = {"R_inv": Scalar.zero(), "phi": Scalar.zero()}
+    table = {pair: elem.map_scalars(lambda s: s.substitute(zero))
              for pair, elem in spec.table.items()}
     return LieAlgebraSpec(spec.signature, "tangent", spec.basis, table)
 

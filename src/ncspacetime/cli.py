@@ -33,7 +33,8 @@ from .reps import (build_rep_5d, build_rep_so32, check_rep_exact,
                    exact_rep_so32, finite_boost_14, make_sample_points,
                    make_test_functions, max_residual, scalar_to_trig)
 from .scalars import CoefficientSizeError, Scalar
-from .specfile import SpecFile, SpecFileError, load_specfile_path
+from .specfile import (SpecFile, SpecFileError, load_specfile_path,
+                       read_json)
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -312,19 +313,7 @@ def cmd_diff(spec_file: SpecFile, args) -> Report:
 
 
 def _load_connection(path: str) -> dict:
-    import json
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError(
-            f"cannot read connection file {path!r}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise SpecFileError(
-            f"connection file {path!r} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise SpecFileError(
-            f"connection file {path!r} is nested too deeply") from exc
+    doc = read_json(path, "connection file")
     if not isinstance(doc, dict):
         raise SpecFileError(f"connection file {path!r} must hold a JSON "
                             "object of components")
@@ -381,12 +370,6 @@ def cmd_clifford(spec_file: SpecFile, args) -> Report:
     report = _new_report("clifford", spec_file, args)
     sig = spec_file.signature
     params = spec_file.finkelstein
-    if params is None:
-        from .clifford import FinkelsteinParams
-        from .scalars import QQi
-        from fractions import Fraction
-        params = FinkelsteinParams(3, QQi(Fraction(1, 2)),
-                                   QQi(Fraction(1, 2)))
     holds = params.constraint_holds()
     report.payload["constraint"] = {
         "n_cells": params.n_cells,
@@ -565,11 +548,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.spec:
-            spec_file = load_specfile_path(args.spec)
-        else:
-            spec_file = SpecFile()
-    except (SpecFileError, OSError, ValueError) as exc:
+        spec_file = load_specfile_path(args.spec) if args.spec else SpecFile()
+    except SpecFileError as exc:
         print(f"ncst: spec error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:

@@ -250,11 +250,12 @@ def cl6_generators(sig: Signature) -> tuple:
 
 @dataclass
 class FinkelsteinParams:
-    """Cell count and the two simplifier parameters of the construction."""
+    """Cell count and the two simplifier parameters of the construction.
+    The defaults satisfy the constraint chi*phi_cell*(N-1) = hbar/2."""
 
-    n_cells: int
-    chi: QQi
-    phi_cell: QQi
+    n_cells: int = 3
+    chi: QQi = QQi(Fraction(1, 2))
+    phi_cell: QQi = QQi(Fraction(1, 2))
     hbar: Fraction = Fraction(1)
     enforce_constraint: bool = True
 

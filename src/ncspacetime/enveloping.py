@@ -49,8 +49,8 @@ from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, UnknownGeneratorError, Word,
                       generating_set, identify_orthogonal, levi_civita)
 from .scalars import ExponentRangeError  # noqa: F401 (re-exported)
-from .scalars import (QQI_ONE, QQi, Scalar, _accumulate, _checked, _new,
-                      _norm, _qqi, _scalar, powers)
+from .scalars import (QQI_ONE, QQi, Scalar, _checked, _new, _norm, _qqi,
+                      _scalar)
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
 
@@ -475,23 +475,6 @@ def casimir(kind: str, spec: LieAlgebraSpec) -> EnvElement:
     return run.element()
 
 
-# phi -> R_inv^2 as a change of monomial key: keys add under products
-_PHI_TO_R_INV2, = (Scalar.param("R_inv", 2) / Scalar.param("phi")).terms
-
-
-def _restore_phi(s: Scalar, eps5: int) -> Scalar:
-    """s with phi = eps5 * R_inv^2, as a map of its monomial keys."""
-    terms = []
-    for key, q in s.terms.items():
-        k = powers(key).get("phi")
-        if k:
-            key += k * _PHI_TO_R_INV2
-            if eps5 < 0 and k % 2:
-                q = -q
-        terms.append((key, q))
-    return _scalar(_checked(_accumulate({}, terms)))
-
-
 _FIND = object()  # no seeds passed: centrality_defect finds them
 
 
@@ -518,11 +501,11 @@ def centrality_defect(c: EnvElement, spec: LieAlgebraSpec, seeds=_FIND):
     swept, so a failure lists the same generators either way.  seeds is
     generating_set(spec), computed here unless the caller passes it.
     """
-    eps5 = spec.signature.eps5
+    locus = {"phi": Scalar.param("R_inv", 2, coeff=spec.signature.eps5)}
 
     def defect(gid):
         return (-ad_generator(gid, c, spec)).map_scalars(
-            lambda s: _restore_phi(s, eps5))
+            lambda s: s.substitute(locus))
 
     if {g for w in c.terms for g in w}.issubset(spec.basis):
         if seeds is _FIND:

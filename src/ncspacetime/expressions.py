@@ -11,14 +11,13 @@ Three coefficient types feed the differential-operator layer:
   form c_v^a s_v^m (a in {0, 1}); decidable equality, so the so(3,2)
   contour operators are checked exactly.  TrigLaurent.from_expr reads the
   Expr trees of those operators into it.
-* Expr -- a small tree language {const, var, +, *, power, sin, cos, sinh,
-  cosh, exp, abs, sign} with symbolic differentiation and numeric
-  evaluation, in which the trigonometric-coefficient operators are written
-  and evaluated numerically.  An env maps each variable to a float or to
-  a numpy array of floats; with arrays, one walk of the tree evaluates it
-  at every point at once.  numpy is imported on first evaluation of a
-  sin/cos/sinh/cosh/exp/abs/sign node (see _numpy_fn) and by the helpers
-  that stack points into arrays.
+* Expr -- a small tree language {const, var, +, *, power, sin, cos, abs,
+  sign} with symbolic differentiation and numeric evaluation, in which the
+  trigonometric-coefficient operators are written and evaluated
+  numerically.  An env maps each variable to a float or to a numpy array
+  of floats; with arrays, one walk of the tree evaluates it at every point
+  at once.  numpy is imported on first evaluation of a sin/cos/abs/sign
+  node (see _numpy_fn) and by the helpers that stack points into arrays.
 
 All three share one coefficient protocol: ``c.zero()`` (the zero of c's
 ring), ``c.is_zero`` (true only for an exact zero) and
@@ -549,30 +548,6 @@ class Cos(_Unary):
 
     def diff(self, var):
         return _prod(Const(-1), Sin(self.arg), self.arg.diff(var))
-
-
-class Sinh(_Unary):
-    name = "sinh"
-    fn = _numpy_fn(lambda np: np.sinh)
-
-    def diff(self, var):
-        return _prod(Cosh(self.arg), self.arg.diff(var))
-
-
-class Cosh(_Unary):
-    name = "cosh"
-    fn = _numpy_fn(lambda np: np.cosh)
-
-    def diff(self, var):
-        return _prod(Sinh(self.arg), self.arg.diff(var))
-
-
-class Exp(_Unary):
-    name = "exp"
-    fn = _numpy_fn(lambda np: np.exp)
-
-    def diff(self, var):
-        return _prod(Exp(self.arg), self.arg.diff(var))
 
 
 class Abs(_Unary):

@@ -35,6 +35,8 @@ _FIELD = 128
 _LIMIT = 1 << 63  # every exponent is below this in magnitude
 _SHIFT = {name: _FIELD * (_NPAR - 1 - k) for k, name in enumerate(PARAMS)}
 _FIELDS = tuple((name, s, (1 << s) >> 1) for name, s in _SHIFT.items())
+_FIELD_OF = {name: (s, half) for name, s, half in _FIELDS}
+_DIGIT = (1 << _FIELD) - 1
 # key + _BIAS and _BIAS - key have every digit in [0, 2^64), which is what
 # _OUT tests, exactly when every exponent of key is below _LIMIT in magnitude
 _BIAS = sum((_LIMIT - 1) << s for s in _SHIFT.values())
@@ -353,38 +355,44 @@ class Scalar:
 
     # -- substitution and evaluation -------------------------------------
 
-    def set_param_zero(self, name: str) -> "Scalar":
-        """Substitute a parameter by zero (kills terms with positive power)."""
-        out: dict[int, QQi] = {}
-        for key, c in self.terms.items():
-            e = powers(key).get(name, 0)
-            if e < 0:
-                raise ZeroDivisionError(
-                    f"negative power of {name} cannot be set to zero")
-            if not e:
-                out[key] = c
-        return _scalar(out)
-
     def substitute(self, mapping: dict) -> "Scalar":
-        """Replace parameters by Scalars.
-
-        A negative power of a zero replacement raises ZeroDivisionError;
-        other negative powers need an invertible (single-term) replacement.
+        """Replace parameters by one-term or zero Scalars, in one pass: a
+        term's exponent e of a replaced parameter, read off the term's own
+        key, shifts the key by e times the replacement's and multiplies
+        the coefficient by the replacement's to the e.  So only the
+        result's exponents must be in range.  A positive power of zero
+        drops the term, and a negative one raises ZeroDivisionError.
         """
-        out = Scalar.zero()
+        items = []
         for key, c in self.terms.items():
-            term = None
-            for name, e in powers(key).items():
-                if name in mapping:
-                    val = _as_scalar(mapping[name])
-                    if e < 0 and not val:
+            orig, vanishes = key, False
+            for name, val in mapping.items():
+                shift, half = _FIELD_OF[name]
+                # the digits below the field sum to within half of its unit
+                e = ((orig + half) >> shift) & _DIGIT
+                if not e:
+                    continue
+                if e >> (_FIELD - 1):
+                    e -= 1 << _FIELD
+                if val.__class__ is not Scalar:
+                    val = _as_scalar(val)
+                if not val:
+                    if e < 0:
                         raise ZeroDivisionError(
                             f"negative power of {name}, which is bound to 0")
-                    key -= e << _SHIFT[name]
-                    term = val ** e if term is None else term * val ** e
-            rest = _scalar({key: c})
-            out = out + (rest if term is None else term * rest)
-        return out
+                    vanishes = True
+                    continue
+                if len(val.terms) > 1:
+                    raise ValueError(f"{name} must be replaced by one term")
+                (k, q), = val.terms.items()
+                key += e * k - (e << shift)
+                if e != 1:
+                    q = _qqi_pow(q, e)
+                if q.im or q.re != 1:
+                    c = c * q
+            if not vanishes:
+                items.append((key, c))
+        return _scalar(_checked(_accumulate({}, items)))
 
     def evaluate(self, env: dict) -> complex:
         """Numeric value with every parameter bound in env."""

@@ -1,5 +1,16 @@
-"""Algebra-spec files: JSON documents selecting signature, regime,
-parameter bindings and the optional cell/representation blocks."""
+"""Algebra-spec files: JSON documents selecting the signature, regime,
+parameter bindings, structure overrides and the cell and representation
+parameters.
+
+Every field of a document is optional, and a key the module does not know
+is refused, at the top level and in every block.  BLOCKS names the type
+each block loads into (Signature, a dict of parameter bindings,
+FinkelsteinParams, RepConfig) and the parser of each key it takes.  One
+loader reads every block: it parses the keys present and calls the type on
+them alone, so the default of each field is written once, in its
+dataclass, and an empty block is the absent block.  Every error, in a
+parser or in the type, is one SpecFileError line naming the block.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +18,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (LieAlgebraSpec, Signature, build_deformed_algebra,
-                      set_bracket)
+from .algebra import (REGIMES, LieAlgebraSpec, Signature,
+                      build_deformed_algebra, set_bracket)
 from .clifford import FinkelsteinParams
-from .minilang import MiniLangError, parse_element, parse_scalar
-from .scalars import PARAMS, Scalar
+from .minilang import parse_element, parse_scalar
+from .scalars import PARAMS, QQi, Scalar
 
 
 class SpecFileError(ValueError):
@@ -28,21 +39,21 @@ class RepConfig:
 
     def __post_init__(self):
         if self.epsilon not in (0, 1):
-            raise SpecFileError("rep.epsilon must be 0 or 1")
+            raise ValueError("epsilon must be 0 or 1")
         if not abs(self.sigma) < float("inf"):
-            raise SpecFileError("rep.sigma must be finite")
+            raise ValueError("sigma must be finite")
         if not 0 < self.tolerance < float("inf"):
-            raise SpecFileError("rep.tolerance must be finite and positive")
+            raise ValueError("tolerance must be finite and positive")
         if self.samples < 1:
-            raise SpecFileError("rep.samples must be positive")
+            raise ValueError("samples must be positive")
 
 
 @dataclass
 class SpecFile:
-    signature: Signature = Signature(1, 1)
+    signature: Signature = field(default_factory=Signature)
     regime: str = "full"
-    bindings: dict = field(default_factory=dict)  # param -> Scalar or None
-    finkelstein: FinkelsteinParams | None = None
+    parameters: dict = field(default_factory=dict)  # name -> Scalar or None
+    finkelstein: FinkelsteinParams = field(default_factory=FinkelsteinParams)
     rep: RepConfig = field(default_factory=RepConfig)
     structure_overrides: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
@@ -72,7 +83,7 @@ class SpecFile:
     @property
     def numeric(self) -> dict:
         """The parameters bound to numbers: name -> Scalar."""
-        return {name: val for name, val in self.bindings.items()
+        return {name: val for name, val in self.parameters.items()
                 if val is not None}
 
     def bind(self, elems: dict, what: str) -> dict:
@@ -109,143 +120,142 @@ def _parse_override_key(key: str, spec: LieAlgebraSpec) -> tuple[int, int]:
     return a, b
 
 
-def _parse_binding(name: str, value) -> Scalar | None:
-    if value == "symbolic" or value is None:
-        return None
-    if isinstance(value, bool):
-        raise SpecFileError(f"binding {name} must be a rational or 'symbolic'")
-    if isinstance(value, int):
-        return Scalar.rational(value)
-    if isinstance(value, str):
-        try:
-            return Scalar.of(parse_scalar(value).constant_value())
-        except (MiniLangError, ValueError) as exc:
-            raise SpecFileError(
-                f"binding {name}: not an exact constant: {value!r}") from exc
-    raise SpecFileError(f"binding {name} must be a rational string")
-
-
-def _parse_exact_complex(name: str, value):
-    from .scalars import QQi
-    if value.__class__ is int:
-        return QQi(value)
-    if isinstance(value, str):
-        try:
-            return parse_scalar(value).constant_value()
-        except (MiniLangError, ValueError) as exc:
-            raise SpecFileError(
-                f"{name}: not an exact constant: {value!r}") from exc
-    raise SpecFileError(f"{name} must be an int or exact-constant string")
-
-
-def _integer(blk: dict, key: str, default: int, block: str) -> int:
-    """blk[key] (default when absent), which must be a JSON integer: a
-    bool, a float or a string is an error, not converted."""
-    value = blk.get(key, default)
+def _integer(value) -> int:
+    """A JSON integer: a bool, a float or a string is refused, not
+    converted."""
     if value.__class__ is not int:
-        raise SpecFileError(f"bad {block} block: {key} must be an integer, "
-                            f"not {type(value).__name__}")
+        raise TypeError(f"must be an integer, not {type(value).__name__}")
     return value
 
 
-def _number(blk: dict, key: str, default: float, block: str) -> float:
-    """blk[key] (default when absent) as a float; it must be a JSON
-    number: a bool or a string is an error, not converted."""
-    value = blk.get(key, default)
+def _number(value) -> float:
+    """A JSON number (an integer or a float) as a float: a bool or a
+    string is refused, not converted."""
     if value.__class__ not in (int, float):
-        raise SpecFileError(f"bad {block} block: {key} must be a number, "
-                            f"not {type(value).__name__}")
+        raise TypeError(f"must be a number, not {type(value).__name__}")
+    return float(value)  # OverflowError beyond the float range
+
+
+def _boolean(value) -> bool:
+    if value.__class__ is not bool:
+        raise TypeError(f"must be true or false, not {type(value).__name__}")
+    return value
+
+
+def _rational(value) -> Fraction:
+    """A JSON number or a rational string, exactly as written."""
+    return Fraction(str(value))
+
+
+def _exact(value) -> QQi:
+    """An exact constant: a JSON integer or a string such as "1/2*i"."""
+    if value.__class__ is int:
+        return QQi(value)
+    if value.__class__ is not str:
+        raise TypeError("must be an integer or an exact-constant string, "
+                        f"not {type(value).__name__}")
     try:
-        return float(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise SpecFileError(f"bad {block} block: {key}: {exc}") from exc
+        return parse_scalar(value).constant_value()
+    except ValueError as exc:  # MiniLangError included
+        raise ValueError(f"not an exact constant: {value!r}") from exc
 
 
-def _object(data: dict, name: str) -> dict:
-    """The block data[name] ({} when absent), which must be a JSON object."""
-    blk = data.get(name, {})
+def _binding(value) -> Scalar | None:
+    """An exact constant, or None (symbolic) for "symbolic" or null."""
+    if value is None or value == "symbolic":
+        return None
+    return Scalar.of(_exact(value))
+
+
+# block -> (type, {key: parser}): the type is called on the parsed keys
+# present, so an absent key takes the type's default
+BLOCKS = {
+    "signature": (Signature, {"eps4": _integer, "eps5": _integer}),
+    "parameters": (dict, {name: _binding for name in PARAMS}),
+    "finkelstein": (FinkelsteinParams, {
+        "n_cells": _integer, "N": _integer, "chi": _exact,
+        "phi_cell": _exact, "hbar": _rational, "enforce_constraint": _boolean}),
+    "rep": (RepConfig, {
+        "sigma": _number, "epsilon": _integer, "samples": _integer,
+        "seed": _integer, "tolerance": _number}),
+}
+# alias -> field; the field wins when both are given
+_ALIASES = {"N": "n_cells"}
+
+
+def _load_block(name: str, blk):
+    """blk loaded into the type that BLOCKS gives the block called name."""
+    cls, parsers = BLOCKS[name]
     if not isinstance(blk, dict):
         raise SpecFileError(f"{name} must be an object")
-    return blk
+    unknown = blk.keys() - parsers.keys()
+    if unknown:
+        raise SpecFileError(f"unknown {name} fields: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in blk.items():
+        target = _ALIASES.get(key, key)
+        if target != key and target in blk:
+            continue
+        try:
+            kwargs[target] = parsers[key](value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise SpecFileError(f"bad {name} block: {key}: {exc}") from exc
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise SpecFileError(f"bad {name} block: {exc}") from exc
 
 
 def load_specfile(data) -> SpecFile:
     """Validate and load a spec document (dict or JSON text)."""
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise SpecFileError(f"invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            # the decoder recurses once per nesting level, in C and Python
-            raise SpecFileError("invalid JSON: nested too deeply") from exc
+        data = _decode(data, "spec document")
     if not isinstance(data, dict):
         raise SpecFileError("spec document must be a JSON object")
-    known = {"signature", "regime", "parameters", "finkelstein", "rep",
-             "structure_overrides"}
-    unknown = set(data) - known
+    unknown = data.keys() - {"regime", "structure_overrides", *BLOCKS}
     if unknown:
         raise SpecFileError(f"unknown spec fields: {sorted(unknown)}")
+    fields = {name: _load_block(name, data[name])
+              for name in BLOCKS if name in data}
+    if "regime" in data:
+        if data["regime"] not in REGIMES:
+            raise SpecFileError(f"unknown regime {data['regime']!r}")
+        fields["regime"] = data["regime"]
+    if "structure_overrides" in data:
+        overrides = data["structure_overrides"]
+        if not isinstance(overrides, dict):
+            raise SpecFileError("structure_overrides must be an object")
+        for key, text in overrides.items():
+            if not isinstance(text, str):
+                raise SpecFileError(f"override {key!r} must be a string")
+        fields["structure_overrides"] = dict(overrides)
+    return SpecFile(**fields, raw=data)
 
-    sig_block = _object(data, "signature")
-    eps4 = _integer(sig_block, "eps4", 1, "signature")
-    eps5 = _integer(sig_block, "eps5", 1, "signature")
+
+def _decode(text: str, what: str):
     try:
-        sig = Signature(eps4, eps5)
+        return json.loads(text)
+    except RecursionError as exc:
+        # the decoder recurses once per nesting level, in C and Python
+        raise SpecFileError(f"{what} is nested too deeply") from exc
     except ValueError as exc:
-        raise SpecFileError(f"bad signature block: {exc}") from exc
+        raise SpecFileError(f"{what} is not valid JSON: {exc}") from exc
 
-    regime = data.get("regime", "full")
-    if regime not in ("full", "tangent", "spacetime"):
-        raise SpecFileError(f"unknown regime {regime!r}")
 
-    bindings = {}
-    for name, value in _object(data, "parameters").items():
-        if name not in PARAMS:
-            raise SpecFileError(f"unknown parameter {name!r}")
-        bindings[name] = _parse_binding(name, value)
-
-    fink = None
-    if "finkelstein" in data:
-        blk = _object(data, "finkelstein")
-        n_cells = _integer(blk, "n_cells" if "n_cells" in blk else "N", 2,
-                           "finkelstein")
-        enforce = blk.get("enforce_constraint", True)
-        if enforce.__class__ is not bool:
-            raise SpecFileError("bad finkelstein block: enforce_constraint "
-                                f"must be true or false, not "
-                                f"{type(enforce).__name__}")
-        try:
-            fink = FinkelsteinParams(
-                n_cells=n_cells,
-                chi=_parse_exact_complex("chi", blk.get("chi", "1/2")),
-                phi_cell=_parse_exact_complex(
-                    "phi_cell", blk.get("phi_cell", "1/2")),
-                hbar=Fraction(str(blk.get("hbar", 1))),
-                enforce_constraint=enforce)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise SpecFileError(f"bad finkelstein block: {exc}") from exc
-
-    rep_cfg = RepConfig()
-    if "rep" in data:
-        blk = _object(data, "rep")
-        fields = {key: _integer(blk, key, default, "rep")
-                  for key, default in (("epsilon", 0), ("samples", 120),
-                                       ("seed", 0))}
-        fields["sigma"] = _number(blk, "sigma", 0.37, "rep")
-        fields["tolerance"] = _number(blk, "tolerance", 1e-8, "rep")
-        rep_cfg = RepConfig(**fields)
-
-    overrides = _object(data, "structure_overrides")
-    for key, text in overrides.items():
-        if not isinstance(text, str):
-            raise SpecFileError(f"override {key!r} must be a string")
-
-    return SpecFile(signature=sig, regime=regime, bindings=bindings,
-                    finkelstein=fink, rep=rep_cfg,
-                    structure_overrides=dict(overrides), raw=data)
+def read_json(path: str, what: str):
+    """The JSON value in the file at path, what naming the file: a file
+    that cannot be read, is not UTF-8 or holds no valid JSON is one
+    SpecFileError line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SpecFileError(
+            f"cannot read {what} {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise SpecFileError(f"{what} {path!r} is not UTF-8: {exc}") from exc
+    return _decode(text, f"{what} {path!r}")
 
 
 def load_specfile_path(path: str) -> SpecFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_specfile(fh.read())
+    return load_specfile(read_json(path, "spec file"))

@@ -304,6 +304,10 @@ class TestSpecBlockTypes:
         {"rep": {"sigma": "0.3"}},
         {"rep": {"tolerance": True}},
         {"rep": {"tolerance": "1e-3"}},
+        # a key no block field is named by, which used to be dropped
+        {"signature": {"eps_4": -1}},
+        {"finkelstein": {"n_cell": 3}},
+        {"rep": {"sigmaa": 1}},
     ], ids=json.dumps)
     def test_wrong_type_exits_two(self, tmp_path, capsys, doc):
         from ncspacetime import cli
@@ -313,6 +317,10 @@ class TestSpecBlockTypes:
         assert out.out == ""
         assert len(out.err.splitlines()) == 1
         assert out.err.startswith("ncst: spec error: ")
+        (block, fields), = doc.items()
+        for key in ("eps_4", "n_cell", "sigmaa"):
+            if isinstance(fields, dict) and key in fields:
+                assert block in out.err and repr(key) in out.err
 
     def test_zero_denominator_hbar_is_a_finkelstein_error(self, tmp_path,
                                                           capsys):
@@ -324,6 +332,29 @@ class TestSpecBlockTypes:
         assert len(out.err.splitlines()) == 1
         assert out.err.startswith("ncst: spec error: bad finkelstein block: ")
 
+
+    @pytest.mark.parametrize("block", ["signature", "parameters",
+                                       "finkelstein", "rep"])
+    def test_empty_block_is_the_absent_block(self, block):
+        from ncspacetime.specfile import load_specfile
+        absent, empty = load_specfile({}), load_specfile({block: {}})
+        empty.raw = absent.raw
+        assert empty == absent
+
+    def test_empty_finkelstein_block_is_the_default_clifford(self, tmp_path):
+        spec = write_spec(tmp_path, {"finkelstein": {}})
+        default, empty = run_cli("clifford"), run_cli("--spec", spec,
+                                                      "clifford")
+        assert empty.returncode == default.returncode == 0
+        assert json.loads(empty.stdout)["result"] == \
+            json.loads(default.stdout)["result"]
+        assert json.loads(empty.stdout)["result"]["constraint"][
+            "n_cells"] == 3
+
+    def test_n_cells_wins_over_its_alias(self):
+        from ncspacetime.specfile import load_specfile
+        sf = load_specfile({"finkelstein": {"N": 4, "n_cells": 3}})
+        assert sf.finkelstein.n_cells == 3
 
     def test_strict_fields_keep_their_valid_forms(self):
         from ncspacetime.specfile import load_specfile

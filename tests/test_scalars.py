@@ -55,10 +55,11 @@ def test_scalar_gaussian_units():
 
 
 def test_set_param_zero():
+    zero = {"phi": Scalar.zero()}
     s = Scalar.param("phi") * Scalar.of(3) + Scalar.param("ell", 2)
-    assert s.set_param_zero("phi") == Scalar.param("ell", 2)
+    assert s.substitute(zero) == Scalar.param("ell", 2)
     with pytest.raises(ZeroDivisionError):
-        Scalar.param("phi", -1).set_param_zero("phi")
+        Scalar.param("phi", -1).substitute(zero)
 
 
 def test_substitute_monomial_with_negative_power():
@@ -82,6 +83,41 @@ def test_substitute_takes_each_power_directly():
         Scalar.param("ell", -2).substitute({"ell": Scalar.zero()})
     with pytest.raises(CoefficientSizeError):
         Scalar.param("ell", 2 ** 62).substitute({"ell": Scalar.of(3)})
+
+
+def _substitute_term_by_term(s, mapping):
+    """Each term times the replacements' powers, one product at a time."""
+    out = Scalar.zero()
+    for key, c in s.terms.items():
+        term = Scalar({key: c})
+        for name, e in powers(key).items():
+            if name in mapping:
+                term = term / Scalar.param(name, e) * mapping[name] ** e
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("mapping", [
+    {"phi": Scalar.param("R_inv", 2, coeff=-1)},
+    # exponents are read off the original term: R_inv^2 from phi stays
+    {"phi": Scalar.param("R_inv", 2), "R_inv": Scalar.zero()},
+    {"ell": Scalar.param("phi", coeff=QQi(2, -1)), "phi": Scalar.rational(1, 3)},
+    {"ell": Scalar.param("hbar", -2, coeff=QQi(0, 1)),
+     "hbar": Scalar.param("ell", -1, coeff=3), "chi": Scalar.zero()},
+], ids=lambda m: ",".join(m))
+def test_substitute_matches_term_by_term_products(mapping):
+    s = Scalar.param("phi", 2, coeff=3) * Scalar.param("ell") \
+        - Scalar.param("phi", -1) * Scalar.param("ell", 2, coeff=QQi(0, 1)) \
+        + Scalar.param("ell", 3) * Scalar.param("hbar", -2) + Scalar.of(5) \
+        + Scalar.param("chi") * Scalar.param("hbar")
+    want = _substitute_term_by_term(s, mapping)
+    assert s.substitute(mapping) == want
+    assert not s.substitute(mapping).is_constant()
+
+
+def test_substitute_refuses_a_many_term_replacement():
+    with pytest.raises(ValueError):
+        Scalar.param("ell").substitute({"ell": Scalar.param("phi") + 1})
 
 
 def test_evaluate():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,18 @@ class TestSpecFile:
     def test_invalid_json(self):
         with pytest.raises(SpecFileError):
             load_specfile("{nope")
+
+    def test_readme_example_loads(self):
+        # the example under "### Spec files" in README.md, so that a
+        # misspelt field there fails here
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        section = readme[readme.index("### Spec files"):]
+        example = section[section.index("```json") + len("```json"):]
+        sf = load_specfile(example[:example.index("```")])
+        assert sf.finkelstein.n_cells == 3
+        assert sf.structure_overrides == {"[p0,x0]": "0"}
+        sf.build()
 
 
 class TestCanonicalJson:
