@@ -180,7 +180,10 @@ def _times(c1, c2) -> list:
 def _add(d: dict, coeff) -> None:
     """d += coeff for coefficient items coeff, dropping keys whose values
     cancel.  The QQi sum is written out on the parts; a part that is not
-    an int is normalized (_norm).  A new key is stored with one lookup."""
+    an int is normalized (_norm).  A new key stores the item's own QQi
+    (one setdefault), and an item whose QQi is the object already at its
+    key is skipped (_add({0: q}, [(0, q)]) leaves q), so every caller
+    passes QQi objects d does not hold: fresh products or a moved dict's."""
     put = d.setdefault
     for key, q in coeff:
         t = put(key, q)

@@ -11,25 +11,23 @@ Three coefficient types feed the differential-operator layer:
   form c_v^a s_v^m (a in {0, 1}); decidable equality, so the so(3,2)
   contour operators are checked exactly.  TrigLaurent.from_expr reads the
   Expr trees of those operators into it.
-* Expr -- a small tree language {const, var, +, *, power, sin, cos, abs,
-  sign} with symbolic differentiation and numeric evaluation, in which the
-  trigonometric-coefficient operators are written and evaluated
-  numerically.  An env maps each variable to a float or to a numpy array
-  of floats; with arrays, one walk of the tree evaluates it at every point
-  at once.  numpy is imported on first evaluation of a sin/cos/abs/sign
-  node (see _numpy_fn) and by the helpers that stack points into arrays.
+* Expr -- a tree of seven nodes (Const, Var, Add, Mul, Pow with an int
+  exponent, Sin, Cos) with symbolic differentiation and numeric
+  evaluation, in which the trigonometric-coefficient operators are written.
+  An env maps each variable to a float or to a numpy array of floats; with
+  arrays, one walk of the tree evaluates it at every point at once.  numpy
+  is imported on first evaluation of a sin/cos node (see _numpy_fn) and by
+  stack_points.
 
-All three share one coefficient protocol: ``c.zero()`` (the zero of c's
-ring), ``c.is_zero`` (true only for an exact zero) and
-``c.accumulator()``, a multiply-accumulate over c's ring: ``acc.add(x, y,
-sign)`` adds sign * x * y (sign +1 or -1) and ``acc.finish()`` returns the
-sum as a coefficient.  For Poly and TrigLaurent it is _ExactSum, which is
-also their product (``*``): it sums into a raw {key: [re, im]} dict, the QQi
-parts written out, and drops the terms that cancelled once, when the sum is
-finished; each ring supplies only its monomial product (_mono_mul).  For
-Expr it is _TreeSum, which adds the trees x * y in call order exactly as
-Expr.__add__ and __sub__ would, so the trees, and every value evaluated
-from them, are those of the plain sum.
+All three share one coefficient protocol: ``c.zero()``, ``c.is_zero``
+(true only for an exact zero) and ``c.accumulator()``, whose ``add(x, y,
+sign)`` adds sign * x * y (sign +1 or -1) and whose ``finish()`` returns
+the sum.  For Poly and TrigLaurent it is _ExactSum, also their product
+(``*``): it adds the QQi product of each pair of terms into one dict with
+scalars._accumulate, as the ring's term product (_mono_mul) gives it.
+For Expr it is _TreeSum, which builds the trees x * y in call order
+exactly as Expr.__add__ and __sub__ would, so every value evaluated from
+them is that of the plain sum.
 
 A DiffOperator is zeroth-order coefficient plus a map variable -> first-order
 coefficient.  The commutator of two first-order operators is again first
@@ -42,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .scalars import QQi, _accumulate, _norm, _qqi
+from .scalars import QQi, _accumulate
 
 _new = object.__new__
 
@@ -53,8 +51,8 @@ class _Exact:
     """Ring element kept as a dict from canonical monomial keys to nonzero
     QQi coefficients over named variables, so that equality is equality of
     the dicts.  A subclass fixes the key (KEY_WIDTH entries per variable),
-    the monomial product (_mono_mul: two keys to ((key, +-1), ...)) and the
-    derivative of the terms (_diff_terms)."""
+    the term product (_mono_mul: keys k1, k2 and a QQi q to the items of
+    q * k1 * k2) and the derivative of the terms (_diff_terms)."""
 
     __slots__ = ("vars", "terms", "_diffs")
     KEY_WIDTH = 1
@@ -147,25 +145,13 @@ class Poly(_Exact):
         return cls(variables, {tuple(pows): QQi(1)})
 
     @staticmethod
-    def _mono_mul(p1: tuple, p2: tuple) -> tuple:
-        return ((tuple(map(add, p1, p2)), 1),)
+    def _mono_mul(p1: tuple, p2: tuple, q: QQi) -> tuple:
+        return ((tuple(map(add, p1, p2)), q),)
 
     def _diff_terms(self, name: str):
         k = self.vars.index(name)
         return ((pows[:k] + (pows[k] - 1,) + pows[k + 1:], c * pows[k])
                 for pows, c in self.terms.items() if pows[k])
-
-    def evaluate(self, env: dict) -> complex:
-        """The value at env, whose values are floats or numpy float arrays
-        over sample points (as for Expr.evaluate)."""
-        total = 0j
-        for pows, c in self.terms.items():
-            v = c.to_complex()
-            for name, e in zip(self.vars, pows):
-                if e:
-                    v *= (env[name] + 0j) ** e
-            total += v
-        return total
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -222,18 +208,18 @@ class TrigLaurent(_Exact):
         return cls(variables, {tuple(key): QQi(1)})
 
     @staticmethod
-    def _mono_mul(k1: tuple, k2: tuple):
-        """Product of two canonical monomials: each angle whose cosine
-        powers add to 2 splits by c^2 = 1 - s^2."""
+    def _mono_mul(k1: tuple, k2: tuple, q: QQi):
+        """q times the product of two canonical monomials: each angle whose
+        cosine powers add to 2 splits by c^2 = 1 - s^2."""
         key = tuple(map(add, k1, k2))
         if 2 not in key[::2]:
-            return ((key, 1),)
-        out = [(key, 1)]
+            return ((key, q),)
+        out = [(key, q)]
         for j in range(0, len(key), 2):
             if key[j] == 2:
                 m = key[j + 1]
-                out = [(k[:j] + (0, m + e) + k[j + 2:], sign * f)
-                       for k, sign in out for e, f in ((0, 1), (2, -1))]
+                out = [(k[:j] + (0, m + e) + k[j + 2:], r if e == 0 else -r)
+                       for k, r in out for e in (0, 2)]
         return out
 
     def _diff_terms(self, name: str):
@@ -281,46 +267,29 @@ def _trig_mono_diff(k: tuple, pos: int) -> tuple:
 
 class _ExactSum:
     """Multiply-accumulate over the ring of an _Exact element: add(x, y,
-    sign) sums sign * x * y into a raw {key: [re, im]} dict, and finish()
-    drops the keys whose parts cancelled and returns the element."""
+    sign) adds sign times the product of each pair of terms into one dict
+    with _accumulate; finish() returns the element over that dict."""
 
-    __slots__ = ("ring", "raw")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: _Exact):
         self.ring = ring
-        self.raw = {}
+        self.terms = {}
 
     def add(self, x: _Exact, y: _Exact, sign: int = 1) -> None:
         ring = self.ring
-        cls, variables = ring.__class__, ring.vars
-        if x.__class__ is not cls or y.__class__ is not cls:
-            raise ValueError("operands over different rings")
-        if x.vars != variables or y.vars != variables:
-            raise ValueError("operands over different variables")
-        raw = self.raw
-        get = raw.get
+        if not (x.__class__ is y.__class__ is ring.__class__
+                and x.vars == y.vars == ring.vars):
+            raise ValueError("operands over different rings or variables")
         mono_mul = ring._mono_mul
-        ys = y.terms.items()
         for k1, c1 in x.terms.items():
-            a, b = (c1.re, c1.im) if sign > 0 else (-c1.re, -c1.im)
-            for k2, c2 in ys:
-                c, d = c2.re, c2.im
-                re, im = a * c - b * d, a * d + b * c
-                for key, f in mono_mul(k1, k2):
-                    t = get(key)
-                    if t is None:
-                        raw[key] = [re, im] if f > 0 else [-re, -im]
-                    elif f > 0:
-                        t[0] += re
-                        t[1] += im
-                    else:
-                        t[0] -= re
-                        t[1] -= im
+            if sign < 0:
+                c1 = -c1
+            for k2, c2 in y.terms.items():
+                _accumulate(self.terms, mono_mul(k1, k2, c1 * c2))
 
     def finish(self) -> _Exact:
-        return self.ring._with({key: _qqi(_norm(re), _norm(im))
-                                for key, (re, im) in self.raw.items()
-                                if re or im})
+        return self.ring._with(self.terms)
 
 
 # -- expression trees --------------------------------------------------------
@@ -482,11 +451,16 @@ class Mul(Expr):
 
 
 class Pow(Expr):
-    """Integer power; negative exponents give rational functions."""
+    """Integer power; negative exponents give rational functions.  An
+    exponent that is not an int (a float, or a bool) raises TypeError,
+    since truncating it would give another tree."""
 
     def __init__(self, base: Expr, exponent: int):
+        if exponent.__class__ is not int:
+            raise TypeError("a power takes an int exponent, not "
+                            f"{type(exponent).__name__}")
         self.base = base
-        self.exponent = int(exponent)
+        self.exponent = exponent
 
     def diff(self, var):
         n = self.exponent
@@ -548,23 +522,6 @@ class Cos(_Unary):
 
     def diff(self, var):
         return _prod(Const(-1), Sin(self.arg), self.arg.diff(var))
-
-
-class Abs(_Unary):
-    name = "abs"
-    fn = _numpy_fn(lambda np: lambda z: np.abs(z) + 0j)
-
-    def diff(self, var):
-        # d|u| = sign(u) du on the real line
-        return _prod(Sign(self.arg), self.arg.diff(var))
-
-
-class Sign(_Unary):
-    name = "sign"
-    fn = _numpy_fn(lambda np: lambda z: np.sign(np.real(z)) + 0j)
-
-    def diff(self, var):
-        return Const(0)
 
 
 # -- first-order differential operators --------------------------------------

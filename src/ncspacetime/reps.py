@@ -176,7 +176,8 @@ def build_rep_so32(sigma: float, eps: int = 0) -> dict[int, DiffOperator]:
     sign -sin(theta1)sin(phi1)/sin(phi2), matching the theta-rotated image
     of X_2; with the opposite sign the ten operators do not span a closed
     Lie algebra at all (tests/test_reps.py flips it and checks that 11 of
-    the 45 brackets fail).
+    the 45 brackets fail).  The parity label eps must be 0 or 1, but no
+    operator depends on it, so it changes no check of `rep so32`.
     """
     if eps not in (0, 1):
         raise ValueError("the parity label must be 0 or 1")

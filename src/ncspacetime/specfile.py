@@ -31,6 +31,9 @@ class SpecFileError(ValueError):
 
 @dataclass
 class RepConfig:
+    """The `rep` block.  epsilon, the parity label (0 or 1), is echoed in
+    the report but changes no check: no operator depends on it."""
+
     sigma: float = 0.37
     epsilon: int = 0
     samples: int = 120
