@@ -33,8 +33,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .scalars import (S_I, S_MINUS_I, S_ONE, Scalar, _accumulate, _checked,
-                      _scalar)
+from .scalars import (S_I, S_MINUS_I, S_ONE, Scalar, _accumulate,
+                      _add_times, _checked, _scalar)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -455,12 +455,11 @@ def jacobi_defect(spec: LieAlgebraSpec):
 
     The sum is the one spec.bracket gives, read off the packed table
     (spec.engine.rows): each c_xy^g [g, z] is added into one coefficient
-    {monomial key: QQi} per word.  The central part of an inner bracket
-    [x, y] drops out, while an outer bracket [g, z] keeps its central part.
+    {monomial key: QQi} per word by scalars._add_times.  The central part
+    of an inner bracket [x, y] drops out; an outer bracket keeps its own.
     A table entry of degree >= 2 is a ValueError.  An EnvElement is built
     only for a defective triple.
     """
-    from .enveloping import _add_times  # enveloping imports this module
     basis = spec.basis
     for elem in spec.table.values():
         for g, _ in _linear_part(elem):
@@ -475,10 +474,7 @@ def jacobi_defect(spec: LieAlgebraSpec):
             for w, cxy in rows[x].get(y, ()):
                 if w:
                     for v, cgz in rows[w[0]].get(z, ()):
-                        d = acc.get(v)
-                        if d is None:
-                            d = acc[v] = {}
-                        _add_times(d, cxy.mapping, cgz)
+                        _add_times(acc.setdefault(v, {}), cxy, cgz)
         if any(acc.values()):
             j = EnvElement()
             j.terms = {w: _scalar(_checked(d)) for w, d in acc.items() if d}

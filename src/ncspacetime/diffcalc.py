@@ -36,7 +36,7 @@ import itertools
 
 from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec, eta4,
                       levi_civita)
-from .enveloping import EnvElement, _Run, _terms, _times, leibniz
+from .enveloping import EnvElement, _Run, _terms, leibniz
 from .scalars import S_MINUS_I, QQi, Scalar
 
 _MINUS_I = QQi(0, -1)
@@ -269,7 +269,7 @@ def exterior_derivative(omega: PForm, spec: LieAlgebraSpec,
                     if sign * (-1) ** (i + j) < 0:
                         c = minus_c
                     for w, cw in terms:
-                        run.add_normal(w, _times(c, cw))
+                        run.add_normal(w, cw, c)
         if run.coef:
             value = run.element()
             if value.terms:

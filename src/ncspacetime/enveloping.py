@@ -49,8 +49,7 @@ from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, UnknownGeneratorError, Word,
                       generating_set, identify_orthogonal, levi_civita)
 from .scalars import ExponentRangeError  # noqa: F401 (re-exported)
-from .scalars import (QQI_ONE, QQi, Scalar, _checked, _new, _norm, _qqi,
-                      _scalar)
+from .scalars import _UNIT, QQi, Scalar, _add_times, _checked, _scalar
 
 CASIMIR_KINDS = ("C1", "C2", "C3")
 
@@ -158,9 +157,6 @@ class RewriteEngine:
 
 # -- the kernel ------------------------------------------------------------
 
-_UNIT = ((0, QQI_ONE),)
-
-
 def _items(a: EnvElement) -> list:
     """a as a list of (word, coefficient items)."""
     return [(w, s.terms.items()) for w, s in a.terms.items()]
@@ -171,69 +167,6 @@ def _terms(eng: RewriteEngine, a: EnvElement) -> list:
     for w in a.terms:
         eng.check_word(w)
     return _items(a)
-
-
-def _times(c1, c2) -> list:
-    return [(m1 + m2, q1 * q2) for m1, q1 in c1 for m2, q2 in c2]
-
-
-def _add(d: dict, coeff) -> None:
-    """d += coeff for coefficient items coeff, dropping keys whose values
-    cancel.  The QQi sum is written out on the parts; a part that is not
-    an int is normalized (_norm).  A new key stores the item's own QQi
-    (one setdefault), and an item whose QQi is the object already at its
-    key is skipped (_add({0: q}, [(0, q)]) leaves q), so every caller
-    passes QQi objects d does not hold: fresh products or a moved dict's."""
-    put = d.setdefault
-    for key, q in coeff:
-        t = put(key, q)
-        if t is not q:
-            re = t.re + q.re
-            im = t.im + q.im
-            if re.__class__ is not int:
-                re = _norm(re)
-            if im.__class__ is not int:
-                im = _norm(im)
-            if re or im:
-                v = d[key] = _new(QQi)
-                v.re = re
-                v.im = im
-            else:
-                del d[key]
-
-
-def _add_times(d: dict, c: dict, coeff) -> None:
-    """d += c * coeff for a coefficient dict c and coefficient items coeff,
-    written out on the parts like _add."""
-    put = d.setdefault
-    for mono, r in coeff:
-        a, b = r.re, r.im
-        for key, q in c.items():
-            if mono:
-                key += mono
-            x, y = q.re, q.im
-            re, im = a * x - b * y, a * y + b * x
-            if re.__class__ is not int:
-                re = _norm(re)
-            if im.__class__ is not int:
-                im = _norm(im)
-            v = _new(QQi)
-            v.re = re
-            v.im = im
-            t = put(key, v)
-            if t is not v:
-                re += t.re
-                im += t.im
-                if re.__class__ is not int:
-                    re = _norm(re)
-                if im.__class__ is not int:
-                    im = _norm(im)
-                if re or im:
-                    v.re = re
-                    v.im = im
-                    d[key] = v
-                else:
-                    del d[key]
 
 
 class _Run:
@@ -256,30 +189,31 @@ class _Run:
         self.coef: dict[Word, dict] = {}
         self.steps: dict[Word, tuple | None] = {}
 
-    def add(self, word: Word, coeff) -> None:
-        """result += coeff * word, coeff an iterable of (key, QQi)."""
+    def add(self, word: Word, c, coeff=_UNIT) -> None:
+        """result += c * coeff * word, c and coeff coefficient items
+        (iterables of (key, QQi); scalars._add_times)."""
         d = self.coef.get(word)
         if d is None:
             d = self.coef[word] = {}
-        _add(d, coeff)
+        _add_times(d, c, coeff)
 
-    def add_normal(self, word: Word, coeff) -> None:
-        """result += coeff * word for a word taken to be in normal form."""
+    def add_normal(self, word: Word, c, coeff=_UNIT) -> None:
+        """add for a word taken to be in normal form."""
         self.steps[word] = None
-        self.add(word, coeff)
+        self.add(word, c, coeff)
 
     def leibniz(self, terms, images: dict, scale=None) -> None:
         """result += D(a) for a as (word, coefficient items) pairs and the
         derivation D with D(g) = scale * images[g]; see leibniz."""
         for word, c in terms:
             if scale is not None:
-                c = _times(c, scale)
+                c = _add_times({}, scale, c).items()
             for k, letter in enumerate(word):
                 image = images.get(letter)
                 if image:
                     head, tail = word[:k], word[k + 1:]
                     for w, cs in image:
-                        self.add(head + w + tail, _times(c, cs))
+                        self.add(head + w + tail, cs, c)
 
     def _walk(self) -> list:
         """The words that rewrite, parents before children.
@@ -325,24 +259,22 @@ class _Run:
         range.  This ends the run: its dicts become the result's Scalars."""
         coef = self.coef
         steps = self.steps
+        add = self.add
         for w in self._walk():
             c = coef.pop(w, None)
             if not c:
                 continue
             first, rest, _ = steps[w]
+            items = c.items()
             for child, coeff in rest:
-                d = coef.get(child)
-                if d is None:
-                    d = coef[child] = {}
-                _add_times(d, c, coeff)
+                add(child, items, coeff)
             d = coef.get(first)
             if d is None:
                 coef[first] = c
             elif len(d) < len(c):
-                _add(c, d.items())
-                coef[first] = c
+                coef[first] = _add_times(c, d.items())
             else:
-                _add(d, c.items())
+                _add_times(d, items)
         r = EnvElement()
         r.terms = {w: _scalar(_checked(c)) for w, c in coef.items() if c}
         return r
@@ -360,7 +292,7 @@ def env_product(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvElemen
     pb = _terms(eng, b)
     for w1, c1 in _terms(eng, a):
         for w2, c2 in pb:
-            run.add(w1 + w2, _times(c1, c2))
+            run.add(w1 + w2, c2, c1)
     return run.element()
 
 
@@ -368,14 +300,13 @@ def env_commutator(a: EnvElement, b: EnvElement, spec: LieAlgebraSpec) -> EnvEle
     """a*b - b*a in canonical form; reduces to the table bracket on degree 1."""
     eng = get_engine(spec)
     run = _Run(eng)
-    pb = _terms(eng, b)
+    pb = [(w, c, [(m, -q) for m, q in c]) for w, c in _terms(eng, b)]
     for w1, c1 in _terms(eng, a):
-        for w2, c2 in pb:
+        for w2, c2, minus_c2 in pb:
             ab, ba = w1 + w2, w2 + w1
             if ab != ba:
-                c = _times(c1, c2)
-                run.add(ab, c)
-                run.add(ba, [(m, -q) for m, q in c])
+                run.add(ab, c2, c1)
+                run.add(ba, minus_c2, c1)
     return run.element()
 
 
@@ -457,7 +388,7 @@ def casimir(kind: str, spec: LieAlgebraSpec) -> EnvElement:
             word.append(gid)
             key += k
             re, im = re * x - im * y, re * y + im * x
-        run.add(tuple(word), ((key, _qqi(_norm(re), _norm(im))),))
+        run.add(tuple(word), ((key, QQi(re, im)),))
 
     if kind == "C1":
         for a in range(6):

@@ -10,8 +10,8 @@ Grammar (LL(1), juxtaposition-free):
 NAME is a generator (x0..x3 or X0..X3, p0..p3, M01..M23, Im, ImInv in the
 regimes that support it) or a formal parameter (ell, R_inv, phi, hbar, chi,
 phi_cell, sigma).  Parameter powers may be negative; generator powers are
-repetition.  The printer emits exactly this grammar, so every printed
-element re-parses to an equal one.
+repetition, of at most 2^20 letters.  The printer emits exactly this
+grammar, so every printed element re-parses to an equal one.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ from .algebra import (FORMAL_BASE, GEN_NAMES, IM, IMINV, ST_NAMES,
 from .enveloping import EnvElement, env_product
 from .scalars import (PARAMS, QQI_I, S_ONE, CoefficientSizeError, QQi,
                       Scalar, _new, _qqi, _scalar, powers)
+
+
+# a generator power is a word of that many letters: one past this is
+# refused before its tuple is built (2^20 letters take 8 MB)
+_MAX_GEN_POWER = 1 << 20
 
 
 class MiniLangError(ValueError):
@@ -206,6 +211,9 @@ class _Parser:
                 raise MiniLangError(f"unknown name {value!r}", pos)
             if exp < 0:
                 raise MiniLangError("generator powers must be >= 0", pos)
+            if exp > _MAX_GEN_POWER:
+                raise MiniLangError(
+                    f"generator power {exp} exceeds {_MAX_GEN_POWER}", pos)
             return _monomial((gid,) * exp, S_ONE)
         raise MiniLangError(f"unexpected token {value!r}", pos)
 

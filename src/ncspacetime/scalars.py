@@ -204,6 +204,9 @@ def _operand(x) -> QQi | None:
 QQI_ZERO = QQi(0)
 QQI_ONE = QQi(1)
 QQI_I = QQi(0, 1)
+# coefficient items of 1 and -1 (_add_times)
+_UNIT = ((0, QQI_ONE),)
+_MINUS_ONE = ((0, QQi(-1)),)
 
 
 class Scalar:
@@ -282,15 +285,15 @@ class Scalar:
     def __add__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = _as_scalar(other)
-        return _scalar(_accumulate(dict(self.terms), other.terms.items()))
+        return _scalar(_add_times(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = _as_scalar(other)
-        return _scalar(_accumulate(dict(self.terms),
-                                   ((p, -c) for p, c in other.terms.items())))
+        return _scalar(_add_times(dict(self.terms), other.terms.items(),
+                                  _MINUS_ONE))
 
     def __rsub__(self, other) -> "Scalar":
         return _as_scalar(other) - self
@@ -301,10 +304,8 @@ class Scalar:
     def __mul__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = _as_scalar(other)
-        return _scalar(_checked(_accumulate({}, (
-            (p1 + p2, c1 * c2)
-            for p1, c1 in self.terms.items()
-            for p2, c2 in other.terms.items()))))
+        return _scalar(_checked(_add_times(
+            {}, other.terms.items(), self.terms.items())))
 
     __rmul__ = __mul__
 
@@ -392,7 +393,7 @@ class Scalar:
                     c = c * q
             if not vanishes:
                 items.append((key, c))
-        return _scalar(_checked(_accumulate({}, items)))
+        return _scalar(_checked(_add_times({}, items)))
 
     def evaluate(self, env: dict) -> complex:
         """Numeric value with every parameter bound in env."""
@@ -449,10 +450,45 @@ def _scalar(terms: dict) -> Scalar:
     return r
 
 
+def _add_times(d: dict, c, coeff=_UNIT) -> dict:
+    """d += c * coeff for a dict d {int key: QQi} and iterables c and
+    coeff of (int key, QQi) items (c is read once per item of coeff):
+    keys whose values cancel are dropped, and d is returned.
+
+    The one sum of such maps: Scalar's +, -, * and substitute and the PBW
+    kernel's coefficients (enveloping) run on it.  The QQi product and sum
+    are written out on the parts, and d stores only QQi objects made here
+    and never changes one it holds, so c may share QQi objects with d."""
+    for mono, r in coeff:
+        a, b = r.re, r.im
+        scale = b or a != 1
+        for key, q in c:
+            if mono:
+                key += mono
+            re, im = q.re, q.im
+            if scale:
+                re, im = a * re - b * im, a * im + b * re
+            t = d.get(key)
+            if t is not None:
+                re += t.re
+                im += t.im
+            if re.__class__ is not int:
+                re = _norm(re)
+            if im.__class__ is not int:
+                im = _norm(im)
+            if re or im:
+                v = d[key] = _new(QQi)
+                v.re = re
+                v.im = im
+            elif t is not None:
+                del d[key]
+    return d
+
+
 def _accumulate(out: dict, items) -> dict:
     """Add nonzero (key, value) items into out, dropping keys whose values
-    cancel: (monomial key, QQi) for Scalar terms and the kernel's
-    coefficients, (word, Scalar) for EnvElement terms."""
+    cancel: (word, Scalar) for EnvElement terms, and (key, QQi) for the
+    exact rings of expressions."""
     for key, c in items:
         s = out.get(key)
         if s is None:
@@ -474,7 +510,6 @@ def _as_scalar(x) -> Scalar:
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
-S_ZERO = Scalar.zero()
 S_ONE = Scalar.one()
 S_I = Scalar.i()
 S_MINUS_I = Scalar({0: QQi(0, -1)})

@@ -703,6 +703,32 @@ class TestCommands:
         # the brackets are exact at any finite sigma
         assert checks["rep_so32_brackets"]["max_residual"] == "exact-zero"
 
+    def test_rep_so32_singular_boost_point_fails_the_check(
+            self, monkeypatch, capsys):
+        """A BoundaryPointError at one sample point fails the boost check
+        that met it and names the point; it does not escape main."""
+        from ncspacetime import cli, reps
+        boost = reps.boost_14_point
+        calls = []
+
+        def singular_third(t, phi1, phi2, theta1):
+            calls.append((phi1, phi2, theta1))
+            if len(calls) == 3:
+                raise reps.BoundaryPointError("boosted ray collapses")
+            return boost(t, phi1, phi2, theta1)
+
+        monkeypatch.setattr(reps, "boost_14_point", singular_third)
+        assert cli.main(["rep", "so32"]) == 1
+        checks = {c["name"]: c for c in
+                  json.loads(capsys.readouterr().out)["checks"]}
+        law = checks["boost_group_law"]
+        assert law["status"] == "fail"
+        assert law["max_residual"] == "inf"
+        assert f"boost singular at (phi1, phi2, theta1) = {calls[2]!r}" \
+            in law["details"]
+        assert checks["boost_identity_at_zero"]["status"] == "pass"
+        assert checks["rep_so32_brackets"]["status"] == "pass"
+
     def test_rep_so32_explicit_seed_zero_wins(self, tmp_path):
         def residuals(rep_seed, *flags):
             spec = write_spec(tmp_path, {"rep": {

@@ -221,6 +221,16 @@ def test_oversized_integers(argv):
     assert assert_contract(argv) == 2
 
 
+@pytest.mark.parametrize("power", [
+    # past sys.maxsize: the word's repetition raised OverflowError
+    "100000000000000000000000",
+    # a word of 10^15 letters: its allocation raised MemoryError
+    "1000000000000000",
+])
+def test_oversized_generator_power(power):
+    assert assert_contract(["commute", f"x0^{power}", "x0"]) == 2
+
+
 @pytest.mark.parametrize("power", [20000, 80000, 2 ** 62])
 def test_oversized_bound_power(power):
     # 3^20000 has 9,543 digits; 3^(2^62) is refused before it is computed

@@ -5,7 +5,7 @@ import pytest
 
 from ncspacetime.minilang import format_qqi
 from ncspacetime.scalars import (PARAMS, CoefficientSizeError, QQi, Scalar,
-                                 powers)
+                                 _add_times, powers)
 
 CONST, = Scalar.one().terms  # the key of the constant monomial
 
@@ -238,3 +238,46 @@ class TestDivision:
     def test_non_rational_divisor_raises(self):
         with pytest.raises(TypeError):
             QQi(1) / 1.5
+
+
+class TestAddTimes:
+    """_add_times(d, c, coeff): d += c * coeff on (int key, QQi) items."""
+
+    def test_adds_an_item_d_already_holds(self):
+        q = QQi(3)
+        d = {0: q}
+        assert _add_times(d, [(0, q)]) is d
+        assert d == {0: QQi(6)}
+        assert q == QQi(3)  # the stored object is replaced, not changed
+
+    def test_stores_fresh_qqi_objects(self):
+        q = QQi(2, -1)
+        d = _add_times({}, [(5, q)])
+        assert d == {5: q} and d[5] is not q
+
+    def test_a_negated_coefficient_that_cancels_drops_the_key(self):
+        s = Scalar.param("ell", 2, coeff=QQi(Fraction(1, 3), 4))
+        d = dict(s.terms)
+        d[0] = QQi(7)
+        _add_times(d, s.terms.items(), [(0, QQi(-1))])
+        assert d == {0: QQi(7)}
+
+    def test_a_non_integral_part_stays_a_reduced_fraction(self):
+        d = _add_times({}, [(0, QQi(Fraction(1, 3), 1))],
+                       [(0, QQi(Fraction(3, 4)))])
+        assert d == {0: QQi(Fraction(1, 4), Fraction(3, 4))}
+        assert type(d[0].re) is Fraction and d[0].re.denominator == 4
+        # an integral product normalizes back to int
+        d = _add_times({}, [(0, QQi(Fraction(1, 3), 1))], [(0, QQi(3))])
+        assert d[0].re == 1 and type(d[0].re) is int
+
+    def test_product_adds_keys_and_matches_scalar_product(self):
+        a = Scalar.param("ell", 1, coeff=QQi(1, 2)) + Scalar.param("phi")
+        b = Scalar.param("ell", -1, coeff=QQi(0, Fraction(1, 2))) + 3
+        d = _add_times({}, b.terms.items(), a.terms.items())
+        want = {}
+        for k1, q1 in a.terms.items():
+            for k2, q2 in b.terms.items():
+                want[k1 + k2] = want.get(k1 + k2, QQi(0)) + q1 * q2
+        assert d == {k: v for k, v in want.items() if v}
+        assert Scalar(d) == a * b
