@@ -521,6 +521,31 @@ def generating_set(spec: LieAlgebraSpec):
     return seeds if reached.issuperset(spec.basis) else None
 
 
+def sweep(spec: LieAlgebraSpec, defect, seeds=None) -> list:
+    """(g, defect(g)) for each generator g of spec with a nonzero defect,
+    in id order.
+
+    defect must vanish exactly on the kernel of a derivation of the
+    enveloping algebra.  That kernel is a subalgebra, so a defect that
+    vanishes on letters generating spec vanishes on every generator.
+    seeds is generating_set(spec), found here when None; () takes no
+    shortcut.  A nonzero defect on a seed sweeps every generator, so a
+    failure lists the same generators either way.
+    """
+    if seeds is None:
+        seeds = generating_set(spec)
+    if seeds and all(defect(g).is_zero for g in seeds):
+        return []
+    pairs = ((g, defect(g)) for g in sorted(spec.basis))
+    return [(g, d) for g, d in pairs if not d.is_zero]
+
+
+def phi_locus(sig: Signature) -> dict:
+    """phi -> eps5 * R_inv^2, for Scalar.substitute: where the full table
+    is the identified so(eta6) table and its Casimirs are central."""
+    return {"phi": Scalar.param("R_inv", 2, coeff=sig.eps5)}
+
+
 # -- 6-dimensional orthogonal realization ---------------------------------
 
 def build_so6_algebra(sig: Signature) -> LieAlgebraSpec:

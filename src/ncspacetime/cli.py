@@ -2,7 +2,7 @@
 deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-parse error.
+parse error, or a --json path that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .algebra import (IM, P_IDS, X_IDS,
                       LieAlgebraSpec, Signature, build_deformed_algebra,
                       build_so6_algebra, contract_tangent, defining_rep,
                       generating_set, identify_orthogonal, jacobi_defect,
-                      physical_rep)
+                      phi_locus, physical_rep, sweep)
 from .clifford import closure_report
 from .connections import (PHI_TERM_SIGN, Connection, curvature_commutator,
                           expected_phi_term, field_strength,
@@ -29,12 +29,12 @@ from .enveloping import (EnvElement, ExponentRangeError,
                          UnsupportedInverseError, casimir, centrality_defect,
                          env_commutator, env_product)
 from .minilang import MiniLangError, format_env, format_qqi, parse_element
-from .report import EXACT_ZERO, Check, Report
+from .report import Check, Report
 from .reps import (BoundaryPointError, build_rep_5d, build_rep_so32,
                    check_rep_exact, exact_rep_so32, finite_boost_14,
                    make_sample_points, make_test_functions, max_residual,
                    scalar_to_trig)
-from .scalars import CoefficientSizeError, Scalar
+from .scalars import CoefficientSizeError
 from .specfile import (SpecFile, SpecFileError, load_specfile_path,
                        read_json)
 
@@ -57,14 +57,17 @@ def _new_report(command: str, spec_file: SpecFile, args, **kwargs) -> Report:
 
 def check_jacobi(spec: LieAlgebraSpec) -> Check:
     defects = jacobi_defect(spec)
-    if not defects:
-        return Check("jacobi_identity", "pass", EXACT_ZERO,
-                     f"{len(spec.basis)} generators, all triples exact zero")
-    names = [tuple(spec.gen_name(g) for g in triple)
-             for triple, _ in defects[:10]]
-    return Check("jacobi_identity", "fail", 1.0,
-                 {"defective_triples": [list(t) for t in names],
-                  "count": len(defects)})
+    return Check.exact(
+        "jacobi_identity",
+        defects and {"defective_triples": [
+            [spec.gen_name(g) for g in triple] for triple, _ in defects[:10]],
+            "count": len(defects)},
+        f"{len(spec.basis)} generators, all triples exact zero")
+
+
+def _listed(key: str, items: list):
+    """A failure's details: items and their count, or [] for none."""
+    return items and {key: items, "count": len(items)}
 
 
 def check_orthogonal_symbolic(full: LieAlgebraSpec) -> Check:
@@ -74,7 +77,7 @@ def check_orthogonal_symbolic(full: LieAlgebraSpec) -> Check:
     sig = full.signature
     so6 = build_so6_algebra(sig)
     ident = identify_orthogonal(sig)
-    phi_locus = {"phi": Scalar.param("R_inv", 2, coeff=sig.eps5)}
+    locus = phi_locus(sig)
     ids = sorted(full.basis)
     mismatched = []
     for a_pos, a in enumerate(ids):
@@ -84,23 +87,25 @@ def check_orthogonal_symbolic(full: LieAlgebraSpec) -> Check:
             pushed = ident.mab_element_to_phys(
                 so6.bracket_ids(ka, kb)).scale(sa * sb)
             direct = full.bracket_ids(a, b).map_scalars(
-                lambda s: s.substitute(phi_locus))
+                lambda s: s.substitute(locus))
             if not (pushed - direct).is_zero:
                 mismatched.append(f"[{full.gen_name(a)},{full.gen_name(b)}]")
-    if mismatched:
-        return Check("orthogonal_realization_symbolic", "fail", 1.0,
-                     {"mismatched": mismatched, "count": len(mismatched)})
-    return Check("orthogonal_realization_symbolic", "pass", EXACT_ZERO,
-                 "so(eta6) table pushed through the identification matches "
-                 "the full table with phi = eps5*R_inv^2")
+    return Check.exact("orthogonal_realization_symbolic",
+                       _listed("mismatched", mismatched),
+                       "so(eta6) table pushed through the identification "
+                       "matches the full table with phi = eps5*R_inv^2")
 
 
-def check_orthogonal_oracle(full: LieAlgebraSpec,
-                            tol: float = 1e-12) -> Check:
+def _oracle_point(sig: Signature) -> tuple:
+    """physical_rep and the parameters at ell = 1, R_inv = 1/2 and
+    phi = eps5/4, where both matrix oracles evaluate."""
+    return (physical_rep(sig, ell=1.0, r_inv=0.5),
+            {"ell": 1.0, "R_inv": 0.5, "phi": sig.eps5 * 0.25})
+
+
+def check_orthogonal_oracle(full: LieAlgebraSpec, tol=None) -> Check:
     import numpy as np
-    sig = full.signature
-    rep = physical_rep(sig, ell=1.0, r_inv=0.5)
-    env = {"ell": 1.0, "R_inv": 0.5, "phi": sig.eps5 * 0.25}
+    rep, env = _oracle_point(full.signature)
     worst = 0.0
     ids = sorted(full.basis)
     for a_pos, a in enumerate(ids):
@@ -108,7 +113,7 @@ def check_orthogonal_oracle(full: LieAlgebraSpec,
             lhs = rep[a] @ rep[b] - rep[b] @ rep[a]
             rhs = full.bracket_ids(a, b).evaluate_matrix(rep, env)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
-    status = "pass" if worst <= tol else "fail"
+    status = "pass" if worst <= (1e-12 if tol is None else tol) else "fail"
     return Check("orthogonal_realization_oracle", status, worst,
                  "105 brackets vs 6x6 matrix commutators at ell=1, R=2")
 
@@ -117,46 +122,53 @@ def check_contraction(full: LieAlgebraSpec, tangent: LieAlgebraSpec) -> Check:
     """contract_tangent(full) against tangent; names every table entry
     [a,b], a < b, where the two differ."""
     contracted = contract_tangent(full)
-    if contracted.table_equal(tangent):
-        return Check("tangent_contraction", "pass", EXACT_ZERO,
-                     "R_inv -> 0 substitution equals the tangent table "
-                     "entry-for-entry")
-    pairs = sorted({(a, b) for a, b in (*contracted.table, *tangent.table)
-                    if a < b})
+    pairs = [] if contracted.table_equal(tangent) else sorted(
+        {(a, b) for a, b in (*contracted.table, *tangent.table) if a < b})
     mismatched = [f"[{full.gen_name(a)},{full.gen_name(b)}]"
                   for a, b in pairs
                   if contracted.table.get((a, b)) != tangent.table.get((a, b))]
-    return Check("tangent_contraction", "fail", 1.0,
-                 {"mismatched": mismatched, "count": len(mismatched)})
+    return Check.exact("tangent_contraction",
+                       _listed("mismatched", mismatched),
+                       "R_inv -> 0 substitution equals the tangent table "
+                       "entry-for-entry")
 
 
 def check_casimir_centrality(kind: str, elem: EnvElement,
-                             spec: LieAlgebraSpec, seeds) -> Check:
-    """seeds is generating_set(spec)."""
+                             spec: LieAlgebraSpec, seeds=None) -> Check:
+    """seeds is generating_set(spec), found by algebra.sweep when None."""
     defects = centrality_defect(elem, spec, seeds)
-    name = f"casimir_{kind.lower()}_centrality"
-    if not defects:
-        return Check(name, "pass", EXACT_ZERO,
-                     f"[{kind}, g] = 0 for all 15 generators (symbolic)")
-    return Check(name, "fail", 1.0,
-                 {"noncommuting": [spec.gen_name(g) for g, _ in defects]})
+    return Check.exact(
+        f"casimir_{kind.lower()}_centrality",
+        defects and {"noncommuting": [spec.gen_name(g) for g, _ in defects]},
+        f"[{kind}, g] = 0 for all 15 generators (symbolic)")
 
 
 def check_casimir_oracle(sig: Signature, kind: str, elem: EnvElement,
-                         tol: float = 1e-10) -> Check:
+                         tol=None) -> Check:
     """elem is the full-regime Casimir of sig."""
     import numpy as np
     rep = defining_rep(sig)
-    c_mat = elem.evaluate_matrix(physical_rep(sig, ell=1.0, r_inv=0.5),
-                                 {"ell": 1.0, "R_inv": 0.5,
-                                  "phi": sig.eps5 * 0.25})
+    c_mat = elem.evaluate_matrix(*_oracle_point(sig))
     worst = 0.0
     scale = max(1.0, float(np.abs(c_mat).max()))
     for m in rep.values():
         worst = max(worst, float(np.abs(c_mat @ m - m @ c_mat).max()) / scale)
-    status = "pass" if worst <= tol else "fail"
+    status = "pass" if worst <= (1e-10 if tol is None else tol) else "fail"
     return Check(f"casimir_{kind.lower()}_centrality_oracle", status, worst,
                  "matrix image commutes with all defining-rep generators")
+
+
+def add_casimir_checks(report: Report, kind: str, elem: EnvElement,
+                       full: LieAlgebraSpec, seeds, symbolic: bool,
+                       tol=None) -> None:
+    """The matrix oracle of elem, the Casimir of the full table, then its
+    symbolic centrality check, or a skip unless symbolic."""
+    report.add(check_casimir_oracle(full.signature, kind, elem, tol))
+    if symbolic:
+        report.add(check_casimir_centrality(kind, elem, full, seeds))
+    else:
+        report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
+                         details="symbolic check runs under --deep"))
 
 
 def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec,
@@ -165,34 +177,23 @@ def check_d_squared(full: LieAlgebraSpec, tangent: LieAlgebraSpec,
 
     In the full regime every derivation is inner, so on 0-forms each
     component of d^2 is a derivation of the enveloping algebra
-    ([d^a, d^b] - sum_j c_ab^j d^j), and its kernel is closed under
-    brackets: where seeds = generating_set(full) holds, d^2 = 0 on those
-    letters gives d^2 = 0 on every generator.  Otherwise, or if d^2 is
-    nonzero on one of them, every generator is swept.
+    ([d^a, d^b] - sum_j c_ab^j d^j): algebra.sweep takes it on seeds,
+    generating_set(full), first.  The tangent table is swept in full.
     """
     nonzero = []
-    for spec in (full, tangent):
+    for spec, letters in ((full, seeds), (tangent, ())):
         derivs = derivation_set(spec)
 
-        def failures(gids):
-            out = []
-            for gid in gids:
-                one_form = differential_of_generator(gid, spec, derivs)
-                dd = exterior_derivative(one_form, spec, derivs)
-                if not dd.is_zero:
-                    out.append({
-                        "regime": spec.regime, "generator": spec.gen_name(gid),
-                        "first_nonzero": [theta_name(lab)
-                                          for lab in min(dd.comps)]})
-            return out
-        letters = seeds if spec is full else None
-        if letters is None or failures(letters):
-            nonzero += failures(spec.basis)
-    if nonzero:
-        return Check("d_squared_zero", "fail", 1.0,
-                     {"nonzero": nonzero, "count": len(nonzero)})
-    return Check("d_squared_zero", "pass", EXACT_ZERO,
-                 "d(d(g)) = 0 for every generator, both regimes (exact)")
+        def defect(gid):
+            one_form = differential_of_generator(gid, spec, derivs)
+            return exterior_derivative(one_form, spec, derivs)
+        nonzero += [{"regime": spec.regime, "generator": spec.gen_name(gid),
+                     "first_nonzero": [theta_name(lab)
+                                       for lab in min(dd.comps)]}
+                    for gid, dd in sweep(spec, defect, letters)]
+    return Check.exact("d_squared_zero", _listed("nonzero", nonzero),
+                       "d(d(g)) = 0 for every generator, both regimes "
+                       "(exact)")
 
 
 def check_worked_differentials(spec: LieAlgebraSpec) -> Check:
@@ -205,11 +206,9 @@ def check_worked_differentials(spec: LieAlgebraSpec) -> Check:
             if differential_of_generator(ids[mu], spec, derivs) \
                     != reference(mu, sig):
                 mismatched.append("d" + spec.gen_name(ids[mu]))
-    if mismatched:
-        return Check("worked_differentials", "fail", 1.0,
-                     {"mismatched": mismatched, "count": len(mismatched)})
-    return Check("worked_differentials", "pass", EXACT_ZERO,
-                 "dx^mu and dp^mu match the printed one-forms exactly")
+    return Check.exact("worked_differentials",
+                       _listed("mismatched", mismatched),
+                       "dx^mu and dp^mu match the printed one-forms exactly")
 
 
 def check_tangent_translation_sector(spec: LieAlgebraSpec) -> Check:
@@ -221,19 +220,17 @@ def check_tangent_translation_sector(spec: LieAlgebraSpec) -> Check:
         entries[f"[p{mu},Im]"] = format_env(spec.bracket_ids(P_IDS[mu], IM))
     ok = all(v == "0" for v in entries.values())
     entries["[x0,Im]"] = format_env(spec.bracket_ids(X_IDS[0], IM))
-    return Check("tangent_translation_sector", "pass" if ok else "fail",
-                 EXACT_ZERO if ok else 1.0,
-                 {"entries": entries,
-                  "note": "the translation set {p, Im} is Abelian; [x, Im] "
-                          "is retained (Jacobi identity requires it)"})
+    details = {"entries": entries,
+               "note": "the translation set {p, Im} is Abelian; [x, Im] "
+                       "is retained (Jacobi identity requires it)"}
+    return Check.exact("tangent_translation_sector", not ok and details,
+                       details)
 
 
 def cmd_verify(spec_file: SpecFile, args) -> Report:
     report = _new_report("verify", spec_file, args, tolerance=args.tolerance)
     sig = spec_file.signature
     spec = spec_file.build()
-    oracle_tol = args.tolerance if args.tolerance is not None else 1e-12
-    casimir_tol = args.tolerance if args.tolerance is not None else 1e-10
     # the clean tables of the signature, each built once, and the
     # generating set of the full one, found once (one Jacobi sweep)
     full = build_deformed_algebra(sig, "full")
@@ -241,18 +238,13 @@ def cmd_verify(spec_file: SpecFile, args) -> Report:
     seeds = generating_set(full)
     report.add(check_jacobi(spec))
     report.add(check_orthogonal_symbolic(full))
-    report.add(check_orthogonal_oracle(full, oracle_tol))
+    report.add(check_orthogonal_oracle(full, args.tolerance))
     report.add(check_contraction(full, tangent))
     report.add(check_casimir_centrality(
         "C1", casimir("C1", full), full, seeds))
     for kind in ("C2", "C3"):
-        elem = casimir(kind, full)
-        report.add(check_casimir_oracle(sig, kind, elem, casimir_tol))
-        if args.deep:
-            report.add(check_casimir_centrality(kind, elem, full, seeds))
-        else:
-            report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
-                             EXACT_ZERO, "symbolic check runs under --deep"))
+        add_casimir_checks(report, kind, casimir(kind, full), full, seeds,
+                           args.deep, args.tolerance)
     report.add(check_d_squared(full, tangent, seeds))
     report.add(check_worked_differentials(full))
     if spec_file.regime == "tangent":
@@ -269,8 +261,7 @@ def cmd_commute(spec_file: SpecFile, args) -> Report:
     b = parse_element(args.b, spec)
     result = env_commutator(a, b, spec)
     report.payload["commutator"] = format_env(result, spec.regime)
-    report.add(Check("commute", "pass", EXACT_ZERO,
-                     {"a": args.a, "b": args.b}))
+    report.add(Check.exact("commute", None, {"a": args.a, "b": args.b}))
     return report
 
 
@@ -282,13 +273,8 @@ def cmd_casimir(spec_file: SpecFile, args) -> Report:
     elem = casimir(kind, spec)
     report.payload["element"] = format_env(elem)
     report.payload["terms"] = len(elem.terms)
-    report.add(check_casimir_oracle(sig, kind, elem))
-    if kind == "C1" or args.deep:
-        report.add(check_casimir_centrality(kind, elem, spec,
-                                            generating_set(spec)))
-    else:
-        report.add(Check(f"casimir_{kind.lower()}_centrality", "skip",
-                         EXACT_ZERO, "symbolic check runs under --deep"))
+    add_casimir_checks(report, kind, elem, spec, None,
+                       kind == "C1" or args.deep)
     return report
 
 
@@ -309,8 +295,8 @@ def cmd_diff(spec_file: SpecFile, args) -> Report:
     report.payload["differential"] = {
         theta_name(lab[0]): format_env(val, regime)
         for lab, val in sorted(comps.items()) if not val.is_zero}
-    report.add(Check("differential", "pass", EXACT_ZERO,
-                     f"d({args.generator}) in the {regime} regime"))
+    report.add(Check.exact("differential", None,
+                           f"d({args.generator}) in the {regime} regime"))
     return report
 
 
@@ -344,7 +330,7 @@ def cmd_curvature(spec_file: SpecFile, args) -> Report:
     else:
         conn = Connection.zero(spec)
     report.payload["phi_term_sign"] = PHI_TERM_SIGN
-    worst_exact = True
+    mismatched = False
     for alpha_i in range(4):
         for beta_i in range(alpha_i + 1, 4):
             alpha, beta = P_IDS[alpha_i], P_IDS[beta_i]
@@ -354,13 +340,11 @@ def cmd_curvature(spec_file: SpecFile, args) -> Report:
                 lhs = curvature_commutator(conn, x, alpha, beta)
                 expected = env_product(x, f, spec) \
                     + expected_phi_term(mu, alpha_i, beta_i)
-                if not (lhs - expected).is_zero:
-                    worst_exact = False
-    status = "pass" if worst_exact else "fail"
-    report.add(Check("curvature_decomposition", status,
-                     EXACT_ZERO if worst_exact else 1.0,
-                     "commutator of covariant derivatives = x*(field strength) "
-                     "+ phi term, all translation pairs and all x components"))
+                mismatched = mismatched or not (lhs - expected).is_zero
+    note = ("commutator of covariant derivatives = x*(field strength) "
+            "+ phi term, all translation pairs and all x components")
+    report.add(Check.exact("curvature_decomposition", mismatched and note,
+                           note))
     # the phi part reads only conn's derivations, which every connection
     # on spec shares, not its components
     sample = curvature_phi_part(
@@ -379,13 +363,12 @@ def cmd_clifford(spec_file: SpecFile, args) -> Report:
         "holds": holds,
         "statement": "chi*phi_cell*(N-1) = hbar/2",
     }
-    if params.enforce_constraint and not holds:
-        report.add(Check("cell_constraint", "fail", 1.0,
-                         "chi*phi_cell*(N-1) != hbar/2"))
+    refused = params.enforce_constraint and not holds
+    report.add(Check.exact(
+        "cell_constraint", refused and "chi*phi_cell*(N-1) != hbar/2",
+        "constraint satisfied" if holds else "constraint not enforced"))
+    if refused:
         return report
-    report.add(Check("cell_constraint", "pass", EXACT_ZERO,
-                     "constraint satisfied" if holds else
-                     "constraint not enforced"))
     rows = closure_report(params, sig)
     worst = max(r[3] for r in rows)
     table = []
@@ -407,14 +390,11 @@ def check_brackets(name: str, bad: list, target: LieAlgebraSpec,
     """The check_rep_exact verdict, naming every failing generator pair."""
     n = len(target.basis)
     total = n * (n - 1) // 2
-    if not bad:
-        return Check(name, "pass", EXACT_ZERO,
-                     f"all {total} brackets hold as exact operator "
-                     f"identities{note}")
     pairs = ", ".join(f"[{target.gen_name(a)},{target.gen_name(b)}]"
                       for a, b in bad)
-    return Check(name, "fail", 1.0,
-                 f"{len(bad)} of {total} brackets fail{note}: {pairs}")
+    return Check.exact(
+        name, bad and f"{len(bad)} of {total} brackets fail{note}: {pairs}",
+        f"all {total} brackets hold as exact operator identities{note}")
 
 
 def boost_check(name: str, lhs, rhs, points: list, tolerance: float,
@@ -461,8 +441,7 @@ def cmd_rep(spec_file: SpecFile, args) -> Report:
         "boost_identity_at_zero", finite_boost_14(0.0, cfg.sigma, fc), fc,
         points, 0.0, "t = 0 acts as the identity"))
     t1, t2 = 0.4, -0.75
-    lhs = finite_boost_14(t1, cfg.sigma,
-                          lambda *a: finite_boost_14(t2, cfg.sigma, fc)(*a))
+    lhs = finite_boost_14(t1, cfg.sigma, finite_boost_14(t2, cfg.sigma, fc))
     rhs = finite_boost_14(t1 + t2, cfg.sigma, fc)
     report.add(boost_check("boost_group_law", lhs, rhs, points, tolerance,
                            "t then t' equals t + t'"))
@@ -568,10 +547,15 @@ def main(argv=None) -> int:
         print(f"ncst: {exc}", file=sys.stderr)
         return USAGE_EXIT
     text = report.dumps()
-    sys.stdout.write(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"ncst: cannot write report to {args.json_out!r}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return USAGE_EXIT
+    sys.stdout.write(text)
     return FAIL_EXIT if report.failed else 0
 
 

@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import IM, M_IDS, M_PAIRS, MAB_PAIRS, P_IDS, X_IDS, \
-    LieAlgebraSpec, Signature, build_so6_algebra, eta4
+from .algebra import GEN_NAMES, IM, M_IDS, M_PAIRS, MAB_PAIRS, P_IDS, \
+    X_IDS, LieAlgebraSpec, Signature, build_so6_algebra, eta4
 from .diffcalc import derivation_labels, derivation_set
 from .enveloping import EnvElement
 from .scalars import QQI_I, QQi
@@ -282,8 +282,7 @@ class FinkelsteinParams:
                 f"N={self.n_cells}, chi={self.chi!r}, phi_cell={self.phi_cell!r}")
 
 
-FAMILY_NAMES = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
-                "M01", "M02", "M03", "M12", "M13", "M23", "Im")
+FAMILY_NAMES = GEN_NAMES[:15]  # x0 .. x3, p0 .. p3, M01 .. M23, Im
 # the prefactor class of each family (x, p, M, Im): one c_F per class
 FAMILY_CLASS = (0,) * 4 + (1,) * 4 + (2,) * 6 + (3,)
 

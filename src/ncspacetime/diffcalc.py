@@ -321,6 +321,18 @@ def differential_of_generator(gid: int, spec: LieAlgebraSpec,
         PForm.zero_form(EnvElement.generator(gid)), spec, derivs)
 
 
+def _rotation_part(mu: int, ids) -> dict:
+    """(eta^{b mu} v^a - eta^{a mu} v^b) theta_ab, v^a the generator
+    ids[a]: the theta_ab components of dx^mu and dp^mu."""
+    comps = {}
+    for k, (a, b) in enumerate(M_PAIRS):
+        val = (EnvElement.generator(ids[a]).scale(eta4(b, mu))
+               - EnvElement.generator(ids[b]).scale(eta4(a, mu)))
+        if not val.is_zero:
+            comps[(M_IDS[k],)] = val
+    return comps
+
+
 def reference_differential_x(mu: int, sig) -> PForm:
     """The worked closed form of dx^mu in the full regime:
 
@@ -335,16 +347,7 @@ def reference_differential_x(mu: int, sig) -> PForm:
         Scalar.of(eta4(mu, mu)))
     comps[(IM,)] = EnvElement.generator(P_IDS[mu]).scale(
         Scalar.param("ell", 1, coeff=-eps4))
-    for k, (a, b) in enumerate(M_PAIRS):
-        val = EnvElement.zero()
-        if eta4(b, mu):
-            val = val + EnvElement.generator(X_IDS[a]).scale(
-                Scalar.of(eta4(b, mu)))
-        if eta4(a, mu):
-            val = val - EnvElement.generator(X_IDS[b]).scale(
-                Scalar.of(eta4(a, mu)))
-        if not val.is_zero:
-            comps[(M_IDS[k],)] = val
+    comps.update(_rotation_part(mu, X_IDS))
     for a in range(4):
         if a == mu:
             continue
@@ -371,16 +374,7 @@ def reference_differential_p(mu: int, sig) -> PForm:
             Scalar.param("phi", 1, coeff=-sign))
     comps[(IM,)] = EnvElement.generator(X_IDS[mu]).scale(
         Scalar.param("phi") * Scalar.param("ell", -1))
-    for k, (a, b) in enumerate(M_PAIRS):
-        val = EnvElement.zero()
-        if eta4(b, mu):
-            val = val + EnvElement.generator(P_IDS[a]).scale(
-                Scalar.of(eta4(b, mu)))
-        if eta4(a, mu):
-            val = val - EnvElement.generator(P_IDS[b]).scale(
-                Scalar.of(eta4(a, mu)))
-        if not val.is_zero:
-            comps[(M_IDS[k],)] = val
+    comps.update(_rotation_part(mu, P_IDS))
     comps[(X_IDS[mu],)] = EnvElement.generator(IM).scale(
         Scalar.of(-eta4(mu, mu)))
     return PForm(1, comps)

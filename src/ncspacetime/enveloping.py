@@ -47,7 +47,7 @@ import itertools
 
 from .algebra import (FORMAL_BASE, IM, IMINV, MAB_PAIRS, EnvElement,
                       LieAlgebraSpec, UnknownGeneratorError, Word,
-                      generating_set, identify_orthogonal, levi_civita)
+                      identify_orthogonal, levi_civita, phi_locus, sweep)
 from .scalars import ExponentRangeError  # noqa: F401 (re-exported)
 from .scalars import _UNIT, QQi, Scalar, _add_times, _checked, _scalar
 
@@ -409,49 +409,33 @@ def casimir(kind: str, spec: LieAlgebraSpec) -> EnvElement:
     return run.element()
 
 
-_FIND = object()  # no seeds passed: centrality_defect finds them
-
-
-def centrality_defect(c: EnvElement, spec: LieAlgebraSpec, seeds=_FIND):
-    """Generators g with [c, g] != 0 after restoring phi = eps5 * R_inv^2.
+def centrality_defect(c: EnvElement, spec: LieAlgebraSpec, seeds=None):
+    """Generators g with [c, g] != 0 after restoring phi = eps5 * R_inv^2
+    (algebra.phi_locus), each with that defect.
 
     The gravity parameter phi and the contraction parameter R_inv are
     independent formal symbols in the coefficient ring; centrality of the
     orthogonal-algebra invariants is an identity only on the locus relating
     them, so the defect is evaluated there.
 
-    A zero defect on a generating set is a zero defect on the whole basis.
     Restoring phi is a ring map on coefficients that commutes with normal
     ordering, so the generators with a zero defect are those of the
-    centralizer of the restored c, and a centralizer is closed under
-    brackets.  A one-monomial coefficient stays one monomial, a unit of
-    the Laurent coefficient ring, over which the enveloping algebra is
-    free (PBW).  So when every letter of c is in the basis and
-    algebra.generating_set(spec) holds (the table passes jacobi_defect,
-    and the closure of x0, p0, M01, M12, M23 under the table's
-    one-monomial brackets reaches the basis), the defect is taken on those
-    letters first.  If it is zero there, it is zero on every generator;
-    otherwise, and whenever a precondition fails, every generator is
-    swept, so a failure lists the same generators either way.  seeds is
-    generating_set(spec), computed here unless the caller passes it.
+    centralizer of the restored c, the kernel of a derivation.  A
+    one-monomial coefficient stays one monomial, a unit of the Laurent
+    coefficient ring, so letters that generate spec still generate it on
+    the locus.  When every letter of c is in the basis, algebra.sweep
+    takes the defect on seeds (generating_set(spec), found there when
+    None) first; otherwise it sweeps every generator.
     """
-    locus = {"phi": Scalar.param("R_inv", 2, coeff=spec.signature.eps5)}
+    locus = phi_locus(spec.signature)
 
     def defect(gid):
         return (-ad_generator(gid, c, spec)).map_scalars(
             lambda s: s.substitute(locus))
 
-    if {g for w in c.terms for g in w}.issubset(spec.basis):
-        if seeds is _FIND:
-            seeds = generating_set(spec)
-        if seeds is not None and all(defect(g).is_zero for g in seeds):
-            return []
-    out = []
-    for gid in sorted(spec.basis):
-        d = defect(gid)
-        if not d.is_zero:
-            out.append((gid, d))
-    return out
+    if not {g for w in c.terms for g in w}.issubset(spec.basis):
+        seeds = ()
+    return sweep(spec, defect, seeds)
 
 
 def random_env_element(rng, spec: LieAlgebraSpec, max_degree: int = 2,

@@ -36,6 +36,14 @@ class Check:
     max_residual: object = EXACT_ZERO  # float, "exact-zero" or "inf"
     details: object = ""
 
+    @classmethod
+    def exact(cls, name: str, failure, note) -> Check:
+        """An exact check's verdict: failed with residual 1.0 and details
+        failure if failure is truthy, else passed with "exact-zero", note."""
+        if failure:
+            return cls(name, "fail", 1.0, failure)
+        return cls(name, "pass", EXACT_ZERO, note)
+
     def as_dict(self) -> dict:
         # JSON has no infinity; a residual that is not finite prints "inf"
         residual = "inf" if self.max_residual == math.inf else self.max_residual

@@ -45,6 +45,10 @@ CONE_VARS = ("phi1", "phi2", "theta1")
 # BOOST_EXPONENT_FACTOR * sigma in the multiplier exponent.
 BOOST_GENERATOR_SIGN = -1
 BOOST_EXPONENT_FACTOR = 0.5
+# the largest |t| finite_boost_14 accepts
+BOOST_T_MAX = 50.0
+# make_sample_points keeps a point only where |sin(phi2)| exceeds this
+MIN_SIN_PHI2 = 0.1
 
 
 class BoundaryPointError(ValueError):
@@ -284,8 +288,7 @@ def make_test_functions(seed: int, count: int = 5) -> list[Expr]:
     return funcs
 
 
-def make_sample_points(seed: int, count: int = 120,
-                       min_sin_phi2: float = 0.1) -> list[dict]:
+def make_sample_points(seed: int, count: int = 120) -> list[dict]:
     """Seeded chart points avoiding the sin(phi2) coordinate degeneracy."""
     rng = random.Random(seed)
     pts = []
@@ -293,7 +296,7 @@ def make_sample_points(seed: int, count: int = 120,
         pt = {"phi1": rng.uniform(0, 2 * math.pi),
               "phi2": rng.uniform(0, math.pi),
               "theta1": rng.uniform(0, 2 * math.pi)}
-        if abs(math.sin(pt["phi2"])) > min_sin_phi2:
+        if abs(math.sin(pt["phi2"])) > MIN_SIN_PHI2:
             pts.append(pt)
     return pts
 
@@ -366,13 +369,13 @@ def boost_14_point(t: float, phi1: float, phi2: float,
     return phi1, phi2p, theta1p, a
 
 
-def finite_boost_14(t: float, sigma: float, f, t_max: float = 50.0):
+def finite_boost_14(t: float, sigma: float, f):
     """Hyperbolic rotation acting on contour functions.
 
     Returns the transformed function on (phi1, phi2, theta1):
     |a|^{sigma/2} * f at the transformed angles; phi1 is untouched.
     """
-    if abs(t) > t_max:
+    if abs(t) > BOOST_T_MAX:
         raise ValueError("boost parameter outside the configured range")
     if t == 0.0:
         return lambda phi1, phi2, theta1: f(phi1, phi2, theta1)

@@ -123,6 +123,16 @@ class TestExitCodes:
         assert out.stderr.startswith("ncst: ")
         assert len(out.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("target", ["", "absent/report.json"],
+                             ids=["directory", "missing-parent"])
+    def test_unwritable_json_path_exits_two(self, tmp_path, target):
+        out = run_cli("--json", str(tmp_path / target), "commute", "p0", "x0")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("ncst: cannot write report")
+
 
 class TestCliffordReport:
     @pytest.mark.parametrize("fink, want", [
