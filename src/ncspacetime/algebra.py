@@ -521,23 +521,41 @@ def generating_set(spec: LieAlgebraSpec):
     return seeds if reached.issuperset(spec.basis) else None
 
 
+def _vanishes(d) -> bool:
+    """A defect is zero: an element or form with is_zero, or an empty
+    list."""
+    return not d if isinstance(d, list) else d.is_zero
+
+
 def sweep(spec: LieAlgebraSpec, defect, seeds=None) -> list:
     """(g, defect(g)) for each generator g of spec with a nonzero defect,
-    in id order.
+    in id order.  A defect is an element or a form (zero by is_zero) or a
+    list (zero when empty).
 
-    defect must vanish exactly on the kernel of a derivation of the
-    enveloping algebra.  That kernel is a subalgebra, so a defect that
-    vanishes on letters generating spec vanishes on every generator.
+    defect must vanish exactly on a subalgebra, so a defect that vanishes
+    on letters generating spec vanishes on every generator.  Two kinds:
+
+    * the kernel of a derivation of the enveloping algebra (centrality,
+      d^2): it is closed under brackets, kills the central part, and a
+      one-monomial coefficient is a unit;
+    * the generators a with [rho a, rho h] = rho [a, h] for every h, for a
+      linear map rho into operators (reps.check_rep_exact): for a, b in it,
+      [rho [a, b], rho h] = [[rho a, rho b], rho h] expands by the operator
+      Jacobi identity into rho of [a, [b, h]] - [b, [a, h]], which is
+      rho [[a, b], h] because the table passes jacobi_defect.  A
+      one-monomial coefficient cancels, since the coefficient rings have
+      no zero divisors and ell is never a differentiated variable.
+
     seeds is generating_set(spec), found here when None; () takes no
     shortcut.  A nonzero defect on a seed sweeps every generator, so a
     failure lists the same generators either way.
     """
     if seeds is None:
         seeds = generating_set(spec)
-    if seeds and all(defect(g).is_zero for g in seeds):
+    if seeds and all(_vanishes(defect(g)) for g in seeds):
         return []
     pairs = ((g, defect(g)) for g in sorted(spec.basis))
-    return [(g, d) for g, d in pairs if not d.is_zero]
+    return [(g, d) for g, d in pairs if not _vanishes(d)]
 
 
 def phi_locus(sig: Signature) -> dict:

@@ -266,7 +266,8 @@ def cmd_commute(spec_file: SpecFile, args) -> Report:
 
 
 def cmd_casimir(spec_file: SpecFile, args) -> Report:
-    report = _new_report("casimir", spec_file, args)
+    report = _new_report("casimir", spec_file, args,
+                         tolerance=args.tolerance)
     sig = spec_file.signature
     kind = f"C{args.which}"
     spec = build_deformed_algebra(sig, "full")
@@ -274,7 +275,7 @@ def cmd_casimir(spec_file: SpecFile, args) -> Report:
     report.payload["element"] = format_env(elem)
     report.payload["terms"] = len(elem.terms)
     add_casimir_checks(report, kind, elem, spec, None,
-                       kind == "C1" or args.deep)
+                       kind == "C1" or args.deep, args.tolerance)
     return report
 
 
@@ -428,6 +429,8 @@ def cmd_rep(spec_file: SpecFile, args) -> Report:
     report.add(check_brackets(
         "rep_so32_brackets", check_rep_exact(rep, target, scalar_to_trig),
         target, f", sigma={cfg.sigma}"))
+    # --tolerance, when given, is echoed and overrides rep.tolerance
+    report.tolerance = args.tolerance
     tolerance = args.tolerance if args.tolerance is not None else cfg.tolerance
     seed = cfg.seed if args.seed is None else args.seed
     report.seed = seed

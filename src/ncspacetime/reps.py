@@ -7,8 +7,10 @@
 * build_rep_so32: the ten trigonometric-coefficient operators on the cone
   contour functions of (phi1, phi2, theta1).  exact_rep_so32 carries them
   into the exact trig-Laurent ring (expressions.TrigLaurent), where
-  check_rep_exact decides every bracket; verify_relations samples the same
-  brackets numerically and is kept as the test oracle.
+  check_rep_exact decides the brackets through algebra.sweep: the pairs
+  on the target's generating set first, every pair only if one of those
+  fails; verify_relations samples every bracket numerically and is kept
+  as the test oracle.
 * finite_boost_14: the finite hyperbolic rotation acting on contour
   functions, with branch recovery through the cone embedding.
 * homogeneous_extension / ConeChart: degree-sigma homogeneous extensions
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import (IM, M_IDS, M_PAIRS, P_IDS, X_IDS, LieAlgebraSpec,
-                      Signature, eta4, m_id)
+                      Signature, eta4, m_id, sweep)
 from .expressions import (Const, Cos, DiffOperator, Expr, Mul, Poly, Pow,
                           Sin, TrigLaurent, Var, stack_points)
 from .scalars import QQI_I, Scalar, powers
@@ -145,19 +147,29 @@ def rep_of_element(elem, rep: dict[int, DiffOperator],
 
 def check_rep_exact(rep: dict[int, DiffOperator], target: LieAlgebraSpec,
                     coeff=scalar_to_poly) -> list:
-    """All generator pairs whose operator commutator misses the table; the
-    empty list is the exact (zero-tolerance) success.  coeff maps the
-    table's scalars into the operators' coefficient ring, as for
-    rep_of_element."""
-    bad = []
+    """All generator pairs (a, b), a < b, in id order, whose operator
+    commutator misses the table; the empty list is the exact
+    (zero-tolerance) success.  coeff maps the table's scalars into the
+    operators' coefficient ring, as for rep_of_element.
+
+    The defect of a is the list of b with a failing bracket [a, b], and
+    algebra.sweep takes it on target's generating set first.  Each pair is
+    decided at most once per call."""
     ids = sorted(target.basis)
-    for a_pos, a in enumerate(ids):
-        for b in ids[a_pos + 1:]:
-            lhs = rep[a].commutator(rep[b])
-            rhs = rep_of_element(target.bracket_ids(a, b), rep, coeff)
-            if not lhs == rhs:
-                bad.append((a, b))
-    return bad
+    decided = {}
+
+    def holds(a, b):
+        """[rep a, rep b] is the image of [a, b], for a < b."""
+        if (a, b) not in decided:
+            decided[a, b] = rep[a].commutator(rep[b]) == rep_of_element(
+                target.bracket_ids(a, b), rep, coeff)
+        return decided[a, b]
+
+    def defect(a):
+        return [b for b in ids if b != a and not holds(min(a, b), max(a, b))]
+
+    return [(a, b) for a, failing in sweep(target, defect)
+            for b in failing if a < b]
 
 
 # -- the cone representation -------------------------------------------------

@@ -763,3 +763,30 @@ class TestCommands:
         names = {c["name"]: c["status"] for c in report["checks"]}
         assert names["casimir_c2_centrality"] == "pass"
         assert names["casimir_c2_centrality_oracle"] == "pass"
+
+    def test_casimir_echoes_and_applies_the_tolerance(self, monkeypatch,
+                                                       capsys):
+        """--tolerance reaches the Casimir matrix oracle and is echoed, as
+        under verify; without it the report has no tolerance field."""
+        from ncspacetime import cli
+        oracle, seen = cli.check_casimir_oracle, []
+
+        def recorded(sig, kind, elem, tol=None):
+            seen.append(tol)
+            return oracle(sig, kind, elem, tol)
+
+        monkeypatch.setattr(cli, "check_casimir_oracle", recorded)
+        rc, out, _ = main_in_process(
+            ["--tolerance", "1e-300", "casimir", "2"], capsys)
+        assert (rc, json.loads(out)["tolerance"], seen) == (0, 1e-300,
+                                                            [1e-300])
+        rc, out, _ = main_in_process(["casimir", "2"], capsys)
+        assert (rc, seen[1:]) == (0, [None])
+        assert "tolerance" not in json.loads(out)
+
+    def test_rep_so32_echoes_the_tolerance_flag(self, capsys):
+        rc, out, _ = main_in_process(
+            ["--tolerance", "1e-3", "rep", "so32"], capsys)
+        assert (rc, json.loads(out)["tolerance"]) == (0, 1e-3)
+        rc, out, _ = main_in_process(["rep", "so32"], capsys)
+        assert rc == 0 and "tolerance" not in json.loads(out)

@@ -111,12 +111,16 @@ def test_counted_attributes_exist(modules):
     assert evaluators >= 2
 
 
-@pytest.mark.parametrize("which, pairs", [("so32", 45), ("5d", 105)])
+# the clean path decides the pairs on the generating set only:
+# 45 - C(6, 2) on X0, M01, M12, M23 and 105 - C(10, 2) on x0, p0, M01,
+# M12, M23
+@pytest.mark.parametrize("which, pairs", [("so32", 30), ("5d", 60)])
 def test_rep_reaches_the_traced_check_and_commutator(tracing, modules, capsys,
                                                      which, pairs):
     """cli.cmd_rep reaches reps.check_rep_exact through the binding the
     tracer rebinds, and every bracket it decides runs one
-    DiffOperator.commutator inside that check, so the metrics
+    DiffOperator.commutator inside that check (algebra.sweep decides the
+    pairs on the generating set), so the metrics
     reps.check_rep_exact.self_s and expressions.DiffOperator.commutator.self_s
     time the exact bracket check.  Both are rebound with the tracer's own
     _Patcher."""

@@ -2,8 +2,9 @@
 builders run on packed coefficients, not on QQi or Scalar operators, the
 clean centrality and d^2 checks take five generators, not fifteen, one
 verify request sweeps Jacobi twice (its own check and the generating-set
-precondition), the exact rep checks build one coefficient per operator
-slot, with no ring product, and the cell closure divides once per distinct
+precondition), the clean exact rep checks decide only the pairs on the
+generating set and build one coefficient per operator slot, with no ring
+product, and the cell closure divides once per distinct
 coefficient, the same number of times at any cell count.
 
 A product of the operators is counted by wrapping QQi.__mul__ and
@@ -155,7 +156,9 @@ def test_rep_check_finishes_one_coefficient_per_slot(monkeypatch, ring, make):
     monkeypatch.setattr(ring, "__mul__", mul)
     monkeypatch.setattr(ring, "__rmul__", mul)
     assert check_rep_exact(rep, target, coeff) == []
-    pairs = len(target.basis) * (len(target.basis) - 1) // 2
+    # clean: only the pairs on the generating set, 45 - C(6, 2) for so32
+    # and 105 - C(10, 2) for 5d
+    pairs = {10: 30, 15: 60}[len(target.basis)]
     assert counts["commutator"] == counts["rep_of_element"] == pairs
     assert counts["finish"] == counts["slots"]
     assert counts["mul"] == 0
