@@ -221,21 +221,55 @@ class EnvElement:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def evaluate_matrix(self, rep: dict[int, np.ndarray], env: dict) -> np.ndarray:
-        """Numeric image under a matrix representation of the generators."""
-        import numpy as np
-        n = next(iter(rep.values())).shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        eye = np.eye(n)
-        for w, s in self.terms.items():
-            m = eye
-            for gid in w:
-                m = m @ rep[gid]
-            out += complex(s.evaluate(env)) * m
-        return out
+        """Numeric image under a matrix representation of the generators:
+        the one-element case of evaluate_matrices."""
+        return evaluate_matrices([self], rep, env)[0]
 
     def __repr__(self) -> str:
         from .minilang import format_env
         return format_env(self)
+
+
+def evaluate_matrices(elems: list, rep: dict[int, np.ndarray],
+                      env: dict) -> np.ndarray:
+    """The matrix images of elems under a matrix representation of the
+    generators, stacked: out[e] is the image of elems[e].
+
+    A word's matrix is the identity times its letters' matrices, left to
+    right; the words of one length, over all elems, are one stacked matmul
+    of their prefixes' matrices by their last letters'.  The terms of each
+    element, scaled by their values at env, are summed in dict order by one
+    np.add.accumulate over zero-padded stacks, so every image is the
+    term-by-term sum of the same float products.
+    """
+    import numpy as np
+    n = next(iter(rep.values())).shape[0]
+    # a row of flat for each word and each prefix of one, the words grouped
+    # by length; the last row stays zero, to pad the shorter elements
+    row = {(): 0}
+    by_length = [[()]]
+    for elem in elems:
+        for w in elem.terms:
+            by_length += [[] for _ in range(len(w) + 1 - len(by_length))]
+            while w not in row:
+                row[w] = len(row)
+                by_length[len(w)].append(w)
+                w = w[:-1]
+    flat = np.zeros((len(row) + 1, n, n), dtype=complex)
+    flat[0] = np.eye(n)
+    for words in by_length[1:]:
+        flat[[row[w] for w in words]] = np.matmul(
+            flat[[row[w[:-1]] for w in words]],
+            np.stack([rep[w[-1]] for w in words]))
+    width = max([len(elem.terms) for elem in elems] + [1])
+    index = np.full((len(elems), width), len(row))
+    coeffs = np.zeros((len(elems), width), dtype=complex)
+    for e, elem in enumerate(elems):
+        for t, (w, s) in enumerate(elem.terms.items()):
+            index[e, t] = row[w]
+            coeffs[e, t] = complex(s.evaluate(env))
+    terms = coeffs[:, :, None, None] * flat[index]
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _linear_part(elem: EnvElement) -> list:

@@ -15,8 +15,8 @@ from functools import lru_cache
 from .algebra import (IM, P_IDS, X_IDS,
                       LieAlgebraSpec, Signature, build_deformed_algebra,
                       build_so6_algebra, contract_tangent, defining_rep,
-                      generating_set, identify_orthogonal, jacobi_defect,
-                      phi_locus, physical_rep, sweep)
+                      evaluate_matrices, generating_set, identify_orthogonal,
+                      jacobi_defect, phi_locus, physical_rep, sweep)
 from .clifford import closure_report
 from .connections import (PHI_TERM_SIGN, Connection, curvature_commutator,
                           expected_phi_term, field_strength,
@@ -103,16 +103,29 @@ def _oracle_point(sig: Signature) -> tuple:
             {"ell": 1.0, "R_inv": 0.5, "phi": sig.eps5 * 0.25})
 
 
+def _worst(defects, scale: float = 1.0) -> float:
+    """The largest max|defect| / scale over a stack of defect matrices,
+    taken one matrix at a time with max() from 0.0, as a loop over them
+    would (so a nan entry is passed over)."""
+    import numpy as np
+    worst = 0.0
+    for x in np.abs(defects).max(axis=(1, 2)):
+        worst = max(worst, float(x) / scale)
+    return worst
+
+
 def check_orthogonal_oracle(full: LieAlgebraSpec, tol=None) -> Check:
+    """Each of the 105 brackets [a, b], a < b, against the matrix
+    commutator of a and b, all stacked."""
     import numpy as np
     rep, env = _oracle_point(full.signature)
-    worst = 0.0
     ids = sorted(full.basis)
-    for a_pos, a in enumerate(ids):
-        for b in ids[a_pos + 1:]:
-            lhs = rep[a] @ rep[b] - rep[b] @ rep[a]
-            rhs = full.bracket_ids(a, b).evaluate_matrix(rep, env)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    pairs = [(a, b) for a_pos, a in enumerate(ids) for b in ids[a_pos + 1:]]
+    left = np.stack([rep[a] for a, _b in pairs])
+    right = np.stack([rep[b] for _a, b in pairs])
+    rhs = evaluate_matrices([full.bracket_ids(a, b) for a, b in pairs],
+                            rep, env)
+    worst = _worst(left @ right - right @ left - rhs)
     status = "pass" if worst <= (1e-12 if tol is None else tol) else "fail"
     return Check("orthogonal_realization_oracle", status, worst,
                  "105 brackets vs 6x6 matrix commutators at ell=1, R=2")
@@ -147,12 +160,10 @@ def check_casimir_oracle(sig: Signature, kind: str, elem: EnvElement,
                          tol=None) -> Check:
     """elem is the full-regime Casimir of sig."""
     import numpy as np
-    rep = defining_rep(sig)
+    gens = np.stack(list(defining_rep(sig).values()))
     c_mat = elem.evaluate_matrix(*_oracle_point(sig))
-    worst = 0.0
     scale = max(1.0, float(np.abs(c_mat).max()))
-    for m in rep.values():
-        worst = max(worst, float(np.abs(c_mat @ m - m @ c_mat).max()) / scale)
+    worst = _worst(c_mat @ gens - gens @ c_mat, scale=scale)
     status = "pass" if worst <= (1e-10 if tol is None else tol) else "fail"
     return Check(f"casimir_{kind.lower()}_centrality_oracle", status, worst,
                  "matrix image commutes with all defining-rep generators")
@@ -372,11 +383,23 @@ def cmd_clifford(spec_file: SpecFile, args) -> Report:
         return report
     rows = closure_report(params, sig)
     worst = max(r[3] for r in rows)
+    # the rows share one coefficient object per closure_report memo key,
+    # and each distinct value is formatted once
+    by_id, by_value = {}, {}
+
+    def text(c):
+        t = by_id.get(id(c))
+        if t is None:
+            t = by_value.get(c)
+            if t is None:
+                t = by_value[c] = format_qqi(c)
+            by_id[id(c)] = t
+        return t
     table = []
     for name_a, name_b, matches, residual in rows:
         table.append({
             "commutator": f"[{name_a},{name_b}]",
-            "matches": [[n, format_qqi(c)] for n, c in matches],
+            "matches": [[n, text(c)] for n, c in matches],
             "residual": residual,
         })
     report.payload["closure"] = table
@@ -535,9 +558,18 @@ _DISPATCH = {
 }
 
 
+# the commands whose reports echo --tolerance and apply it to a check
+TOLERANCE_COMMANDS = ("verify", "casimir", "rep so32")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = f"rep {args.which}" if args.command == "rep" else args.command
+    if args.tolerance is not None and command not in TOLERANCE_COMMANDS:
+        print(f"ncst: {command} takes no --tolerance (it applies to "
+              f"{', '.join(TOLERANCE_COMMANDS)})", file=sys.stderr)
+        return USAGE_EXIT
     try:
         spec_file = load_specfile_path(args.spec) if args.spec else SpecFile()
     except SpecFileError as exc:

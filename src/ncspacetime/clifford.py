@@ -17,10 +17,10 @@ different cells commute, and the fifteen cell bilinears realize so(eta6),
 so closure_report reads the whole closure table off the so(eta6) bracket
 table in exact arithmetic, with no matrices, at any N in constant time and
 memory.  The fifteen prefactors take four values, one per class (x, p, M,
-Im), and every so(eta6) constant is +-i, so one call computes each of its
-at most twelve distinct coefficients once.  finkelstein_operators builds
-the dense 8^N x 8^N operators as the numeric oracle, for N <= 3 only;
-numpy is imported only there.
+Im), and every so(eta6) constant is +-i, so one call divides once per
+class triple and computes each of its twelve distinct coefficients once.
+finkelstein_operators builds the dense 8^N x 8^N operators as the numeric
+oracle, for N <= 3 only; numpy is imported only there.
 
 d_form_via_D(a, spec, basis) reads the regime from the spec and pairs the
 Dirac weights with the labels of the derivation set it applies.
@@ -345,10 +345,12 @@ def closure_report(params: FinkelsteinParams, sig: Signature):
     by one cell.  There the bilinear gamma^{ab} stands for the so(eta6)
     generator M^{ab}: [gamma^A, gamma^B] = -2i sum_G s_G gamma^G with
     s = [M^A, M^B] read from the so(eta6) bracket table, so the coefficient
-    of family G in [A, B] is c_A c_B (-2i s_G) / c_G, exact in QQi.  It
-    depends only on the classes of A, B and G and on s_G, so each distinct
-    coefficient is computed once per call, in a memo keyed by those four
-    that dies with the call; the rows share the coefficient objects.
+    of family G in [A, B] is c_A c_B (-2i s_G) / c_G, exact in QQi.  The
+    ratio c_A c_B (-2i) / c_G depends only on the classes of A, B and G, so
+    each call divides once per class triple that occurs (8 on every
+    signature); each coefficient is that ratio times s_G, made once per
+    (classes, s_G) key (12).  Both memos die with the call, and the rows
+    share the coefficient objects.
 
     Returns a list of rows
         (name_a, name_b, matches: list[(name, QQi)], relative_residual)
@@ -369,6 +371,7 @@ def closure_report(params: FinkelsteinParams, sig: Signature):
     prefactors = [c for _a, _b, c in terms]
     nonzero = [bool(c) for c in prefactors]
     minus_2i = QQi(0, -2)
+    ratios = {}  # (class of A, class of B, class of G) -> c_A c_B (-2i) / c_G
     memo = {}  # (class of A, class of B, class of G, s_G) -> coefficient
     rows = []
     for i, name_a in enumerate(FAMILY_NAMES):
@@ -384,12 +387,17 @@ def closure_report(params: FinkelsteinParams, sig: Signature):
                     norm = s.re * s.re + s.im * s.im
                     norm_all += norm
                     if nonzero[g]:
-                        key = (FAMILY_CLASS[i], FAMILY_CLASS[j],
-                               FAMILY_CLASS[g], s.re, s.im)
+                        triple = (FAMILY_CLASS[i], FAMILY_CLASS[j],
+                                  FAMILY_CLASS[g])
+                        key = triple + (s.re, s.im)
                         coeff = memo.get(key)
                         if coeff is None:
-                            coeff = memo[key] = (prefactors[i] * prefactors[j]
-                                                 * minus_2i * s / prefactors[g])
+                            ratio = ratios.get(triple)
+                            if ratio is None:
+                                ratio = ratios[triple] = (
+                                    prefactors[i] * prefactors[j] * minus_2i
+                                    / prefactors[g])
+                            coeff = memo[key] = ratio * s
                         matches.append((FAMILY_NAMES[g], coeff))
                     else:
                         norm_out += norm

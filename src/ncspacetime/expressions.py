@@ -185,27 +185,41 @@ class TrigLaurent(_Exact):
     def from_expr(cls, variables, expr: "Expr") -> "TrigLaurent":
         """The exact image of a product of constants, sin(v), cos(v) and
         integer powers sin(v)^n; any other node raises TypeError.  A float
-        constant is a dyadic rational and is read exactly."""
+        constant is a dyadic rational and is read exactly.
+
+        The product tree is walked left to right on an explicit stack, so
+        nested Mul nodes flatten at any depth.  Every factor multiplies
+        one list of (key, QQi) terms: a Const scales each term, and a sine
+        or cosine multiplies each by _mono_mul.  The list may repeat a key
+        or hold zeros (a zero Const); the one element built from it at the
+        end sums the repeats and drops the zeros."""
         variables = tuple(variables)
-        if isinstance(expr, Const):
-            return cls.constant(variables, _exact_const(expr.value))
-        if isinstance(expr, Mul):
-            out = cls.constant(variables, 1)
-            for arg in expr.args:
-                out = out * cls.from_expr(variables, arg)
-            return out
-        if isinstance(expr, Pow) and isinstance(expr.base, Sin):
-            fn, power = expr.base, expr.exponent
-        elif isinstance(expr, (Sin, Cos)):
-            fn, power = expr, 1
-        else:
-            raise TypeError(f"{type(expr).__name__} node has no exact "
-                            "trig-Laurent image")
-        if not isinstance(fn.arg, Var):
-            raise TypeError("a sine or cosine must take a bare variable")
-        key = [0] * (2 * len(variables))
-        key[2 * variables.index(fn.arg.name) + isinstance(fn, Sin)] = power
-        return cls(variables, {tuple(key): QQi(1)})
+        mono_mul = cls._mono_mul
+        terms = [((0,) * (2 * len(variables)), QQi(1))]
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Mul):
+                stack.extend(reversed(node.args))
+                continue
+            if isinstance(node, Const):
+                q = _exact_const(node.value)
+                terms = [(k, c * q) for k, c in terms]
+                continue
+            if isinstance(node, Pow) and isinstance(node.base, Sin):
+                fn, power = node.base, node.exponent
+            elif isinstance(node, (Sin, Cos)):
+                fn, power = node, 1
+            else:
+                raise TypeError(f"{type(node).__name__} node has no exact "
+                                "trig-Laurent image")
+            if not isinstance(fn.arg, Var):
+                raise TypeError("a sine or cosine must take a bare variable")
+            key = [0] * (2 * len(variables))
+            key[2 * variables.index(fn.arg.name) + isinstance(fn, Sin)] = power
+            key = tuple(key)
+            terms = [item for k, c in terms for item in mono_mul(k, key, c)]
+        return cls(variables, _accumulate({}, terms))
 
     @staticmethod
     def _mono_mul(k1: tuple, k2: tuple, q: QQi):

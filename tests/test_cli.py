@@ -790,3 +790,18 @@ class TestCommands:
         assert (rc, json.loads(out)["tolerance"]) == (0, 1e-3)
         rc, out, _ = main_in_process(["rep", "so32"], capsys)
         assert rc == 0 and "tolerance" not in json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["commute", "x0", "p0"], ["diff", "x0"], ["curvature", "--zero"],
+        ["clifford"], ["rep", "5d"]], ids=" ".join)
+    def test_tolerance_is_refused_where_no_check_reads_it(self, capsys,
+                                                          argv):
+        """These reports have no threshold, so --tolerance exits 2 with one
+        line naming the command and prints no report."""
+        name = " ".join(argv[:2]) if argv[0] == "rep" else argv[0]
+        rc, out, err = main_in_process(["--tolerance", "1e-3"] + argv,
+                                       capsys)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(f"ncst: {name} ")
+        assert "--tolerance" in err
+        assert main_in_process(argv, capsys)[0] == 0

@@ -106,6 +106,57 @@ def random_trig(rng):
     return TrigLaurent(ANGLES, terms)
 
 
+CONSTANTS = (0, 1, -3, 2, 0.37, 1e300, -2.5, complex(0, -1), 0.5 - 2j)
+
+
+def random_factor(rng):
+    """A Const (int, float or complex), sin or cos of an angle, or a sine
+    to a power in -3..3; cosines come up twice as often as the rest."""
+    angle = Var(rng.choice(ANGLES))
+    kind = rng.choice(("const", "sin", "cos", "cos", "pow"))
+    if kind == "const":
+        return Const(rng.choice(CONSTANTS[1:] if rng.random() < 0.9
+                                else CONSTANTS))
+    if kind == "pow":
+        return Pow(Sin(angle), rng.randint(-3, 3))
+    return (Sin if kind == "sin" else Cos)(angle)
+
+
+def random_product_tree(rng, depth):
+    args = [random_product_tree(rng, depth - 1)
+            if depth and rng.random() < 0.3 else random_factor(rng)
+            for _ in range(rng.randint(0, 5))]
+    return Mul(*args)
+
+
+def factor_image(expr):
+    """The image of one factor, written directly."""
+    if isinstance(expr, Const):
+        z = complex(expr.value)
+        return tconst(QQi(Fraction(z.real), Fraction(z.imag)))
+    fn, power = (expr.base, expr.exponent) if isinstance(expr, Pow) \
+        else (expr, 1)
+    key = [0] * (2 * len(ANGLES))
+    key[2 * ANGLES.index(fn.arg.name) + isinstance(fn, Sin)] = power
+    return TrigLaurent(ANGLES, {tuple(key): 1})
+
+
+def ring_product(expr):
+    """The image of a product tree as the ring product of its factors'."""
+    if not isinstance(expr, Mul):
+        return factor_image(expr)
+    out = tconst(1)
+    for arg in expr.args:
+        out = out * ring_product(arg)
+    return out
+
+
+def factor_count(expr, factor) -> int:
+    if isinstance(expr, Mul):
+        return sum(factor_count(arg, factor) for arg in expr.args)
+    return repr(expr) == repr(factor)
+
+
 class TestTrigLaurent:
     @pytest.mark.parametrize("angle", ANGLES)
     def test_pythagoras(self, angle):
@@ -182,6 +233,20 @@ class TestTrigLaurent:
         acc.add(c, c, -1)
         acc.add(s, c)
         assert acc.finish() == s * s - 1 + s * c
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_expr_is_the_ring_product_of_its_factors(self, seed):
+        """On seeded product trees with nested Mul, from_expr equals the
+        ring product (*) of the images of the factors, each written
+        directly; repeated cosines make the c^2 = 1 - s^2 split run."""
+        rng = random.Random(seed)
+        splits = 0
+        for _ in range(40):
+            tree = random_product_tree(rng, 3)
+            got = trig(tree)
+            assert got == ring_product(tree), tree
+            splits += max(factor_count(tree, Cos(Var(a))) for a in ANGLES) > 1
+        assert splits >= 5
 
     def test_exact_commutator(self):
         # [d/dphi1, sin(phi1)] = cos(phi1), decided exactly

@@ -5,13 +5,15 @@ verify request sweeps Jacobi twice (its own check and the generating-set
 precondition), the clean exact rep checks decide only the pairs on the
 generating set and build one coefficient per operator slot, with no ring
 product, and the cell closure divides once per distinct
-coefficient, the same number of times at any cell count.
+class triple, the same number of times at any cell count, and `clifford`
+formats each distinct coefficient value once.
 
 A product of the operators is counted by wrapping QQi.__mul__ and
 Scalar.__mul__ (and __rmul__, the same function) on their classes; a
 function call by wrapping the module attribute its caller looks up.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -223,3 +225,40 @@ def test_closure_work_does_not_grow_with_n(qqi_ops, sig):
         closure_report(params, sig)
         counts.append(dict(qqi_ops))
     assert all(c == counts[0] for c in counts), counts
+
+
+def _class_triples(params, sig) -> set:
+    """The distinct (class of A, class of B, class of G) of the matches."""
+    return {key[:3] for key in _closure_keys(params, sig)}
+
+
+SIGNATURES = [Signature(e4, e5) for e4 in (1, -1) for e5 in (1, -1)]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 7, 50])
+def test_closure_divides_once_per_class_triple(qqi_ops, sig, n):
+    """The ratio c_A c_B (-2i) / c_G depends on the three classes only:
+    8 triples, so 8 divisions, where one per (classes, s_G) key took 12."""
+    params = FinkelsteinParams(n, QQi(Fraction(1, 2)),
+                               QQi(Fraction(1, n - 1)))
+    assert len(_class_triples(params, sig)) == 8
+    qqi_ops.clear()
+    closure_report(params, sig)
+    assert qqi_ops["__truediv__"] == 8
+
+
+@pytest.mark.parametrize("fink", [
+    {}, {"n_cells": 2, "chi": "1/2*i", "phi_cell": "-i"},
+    {"n_cells": 7, "chi": "1/3", "phi_cell": "1/4",
+     "enforce_constraint": False}], ids=["default", "imaginary", "off"])
+def test_clifford_formats_each_distinct_coefficient_once(
+        count, capsys, tmp_path, fink):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"finkelstein": fink}), encoding="utf-8")
+    count(cli, "format_qqi")
+    assert cli.main(["--spec", str(spec), "clifford"]) == 0
+    closure = json.loads(capsys.readouterr().out)["result"]["closure"]
+    texts = [text for row in closure for _name, text in row["matches"]]
+    assert len(texts) == 60
+    assert count.counts["format_qqi"] == len(set(texts))
